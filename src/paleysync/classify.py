@@ -10,21 +10,23 @@ verdict carries an ordered reason trace naming the rule that fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from math import gcd
 
 from .errors import BadDivisorError, BadInputError
-from .gf import FieldTables, build_field, divisors, is_prime, prime_power
+from .gf import FieldTables, build_field, is_prime, prime_power
 from .invariants import (
     DEFAULT_BUDGET,
     InvariantCertificate,
+    best_subfield_clique,
     clique_number,
     independence_number,
     k_colorable,
     paley_certificate,
     subfield_clique,
+    verify_certificate,
 )
-from .paley import build_paley, iter_bits, normalize_params, orbital_family, union_graph
+from .paley import Graph, build_paley, iter_bits, normalize_params, orbital_family, union_graph
 from .spectral import SpectralReport, feasible_clique_sizes, theta_pair
 
 SYNCHRONIZING = "Synchronizing"
@@ -46,7 +48,7 @@ RULE_BUDGET = "budget"
 RULE_SKIPPED = "skipped"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reason:
     rule: str
     detail: str
@@ -55,14 +57,14 @@ class Reason:
         return {"rule": self.rule, "detail": self.detail}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
     q: int
     p: int
     n: int
     m: int
     verdict: str
-    reasons: list[Reason]
+    reasons: tuple[Reason, ...]
     witness: dict | None
     status: str  # "complete" | "budget_exhausted" | "skipped_exhaustive"
     certificate: InvariantCertificate | None = dataclass_field(default=None, repr=False)
@@ -106,7 +108,7 @@ def fast_paths(q: int, m: int) -> Classification | None:
     r, mb = params.r, params.m_bar
 
     def done(verdict: str, rule: str, detail: str) -> Classification:
-        return Classification(q, p, n, m, verdict, [Reason(rule, detail)], None, "complete")
+        return Classification(q, p, n, m, verdict, (Reason(rule, detail),), None, "complete")
 
     for i in range(1, n):
         if (p**i - 1) % r == 0:
@@ -158,7 +160,7 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int, spectral_pr
     chromatic numbers.  Returns (kind, certificate, detail) with kind one of
     "eq" | "neq" | "timeout"; the certificate is attached only for "eq".
     """
-    q, p, n = field.q, field.p, field.n
+    q, n = field.q, field.n
     feas = feasible_clique_sizes(q, mb, field=field)
     if spectral_prune and not feas:
         return (
@@ -175,13 +177,7 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int, spectral_pr
         )
     g = build_paley(field, mb)
     rep = theta_pair(field, mb)
-    best_sub = None
-    for t in divisors(n):
-        if t == n:
-            continue
-        sc = subfield_clique(field, mb, t)
-        if sc is not None and (best_sub is None or len(sc) > len(best_sub)):
-            best_sub = sc
+    best_sub = best_subfield_clique(field, mb)
     omega_res = clique_number(
         g, upper_hint=int(rep.theta_complement + 1e-6), budget=budget, witness_hint=best_sub
     )
@@ -203,6 +199,15 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int, spectral_pr
         return ("neq", None, f"omega={k} but the graph is not {k}-colorable")
     if status == "timeout":
         return ("timeout", None, f"{k}-colorability undecided within budget")
+    cert = _equal_invariants_certificate(g, omega_res, coloring, budget)
+    return ("eq", cert, f"omega=chi={k} found by exact search")
+
+
+def _equal_invariants_certificate(g: Graph, omega_res, coloring, budget: int) -> InvariantCertificate:
+    """Certificate of omega = chi = k for g, from its exact maximum clique and
+    a proper k-coloring, completed by an independence search.  It is checked
+    against g before it leaves, so no unverified witness is ever emitted."""
+    k = omega_res.value
     alpha_res = independence_number(g, budget=budget)
     cert = InvariantCertificate(
         omega=k,
@@ -218,7 +223,8 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int, spectral_pr
             "chi": (k, k),
         },
     )
-    return ("eq", cert, f"omega=chi={k} found by exact search")
+    verify_certificate(g, cert)
+    return cert
 
 
 def _rotations(mask: int, width: int, full: int) -> list[int]:
@@ -300,7 +306,7 @@ def exhaustive_decision(
                     Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}")
                 )
                 return Classification(
-                    q, p, n, m, NON_SYNCHRONIZING, reasons, _witness_dict(subset, cert),
+                    q, p, n, m, NON_SYNCHRONIZING, tuple(reasons), _witness_dict(subset, cert),
                     "complete", certificate=cert, spectral=theta_pair(field, mb),
                 )
             if kind == "neq":
@@ -331,26 +337,12 @@ def exhaustive_decision(
             k = omega_res.value
             status, coloring, _ = k_colorable(g, k, budget=per_graph, clique_hint=omega_res.witness)
             if status == "sat":
-                alpha_res = independence_number(g, budget=per_graph)
-                cert = InvariantCertificate(
-                    omega=k,
-                    alpha=alpha_res.value if alpha_res.exact else None,
-                    chi=k,
-                    clique=omega_res.witness,
-                    independent_set=alpha_res.witness,
-                    coloring=coloring,
-                    status="exact",
-                    bounds={
-                        "omega": (k, k),
-                        "alpha": (alpha_res.lower, alpha_res.upper),
-                        "chi": (k, k),
-                    },
-                )
+                cert = _equal_invariants_certificate(g, omega_res, coloring, per_graph)
                 reasons.append(
                     Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={k}")
                 )
                 return Classification(
-                    q, p, n, m, NON_SYNCHRONIZING, reasons, _witness_dict(subset, cert),
+                    q, p, n, m, NON_SYNCHRONIZING, tuple(reasons), _witness_dict(subset, cert),
                     "complete", certificate=cert,
                     spectral=theta_pair(field, mb) if len(subset) == 1 else None,
                 )
@@ -364,7 +356,7 @@ def exhaustive_decision(
         reasons.append(
             Reason(RULE_BUDGET, "exhaustive check incomplete: some orbital unions undecided")
         )
-        return Classification(q, p, n, m, UNKNOWN, reasons, None, "budget_exhausted")
+        return Classification(q, p, n, m, UNKNOWN, tuple(reasons), None, "budget_exhausted")
     reasons.append(
         Reason(
             RULE_EXHAUSTIVE,
@@ -372,7 +364,7 @@ def exhaustive_decision(
             f" ({len(pair_masks)} canonical pairs, {searched} union graphs searched)",
         )
     )
-    return Classification(q, p, n, m, SYNCHRONIZING, reasons, None, "complete")
+    return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")
 
 
 def classify(
@@ -397,20 +389,19 @@ def classify(
             subset = [0]
             return Classification(
                 q, p, n, m, NON_SYNCHRONIZING,
-                [Reason(RULE_SINGLE_GRAPH, detail)],
+                (Reason(RULE_SINGLE_GRAPH, detail),),
                 _witness_dict(subset, cert),
                 "complete", certificate=cert, spectral=theta_pair(field, m),
             )
         if kind == "neq":
             return Classification(
-                q, p, n, m, SYNCHRONIZING, [Reason(RULE_SINGLE_GRAPH, detail)], None, "complete"
+                q, p, n, m, SYNCHRONIZING, (Reason(RULE_SINGLE_GRAPH, detail),), None, "complete"
             )
         carried.append(Reason(RULE_SINGLE_GRAPH, f"inconclusive within budget: {detail}"))
     if exhaustive_cap is not None and mb > exhaustive_cap:
         carried.append(
             Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
         )
-        return Classification(q, p, n, m, UNKNOWN, carried, None, "skipped_exhaustive")
+        return Classification(q, p, n, m, UNKNOWN, tuple(carried), None, "skipped_exhaustive")
     result = exhaustive_decision(field, m, budget)
-    result.reasons = carried + result.reasons
-    return result
+    return replace(result, reasons=tuple(carried) + result.reasons)

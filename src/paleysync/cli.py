@@ -16,12 +16,12 @@ import sys
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
 from .errors import BadInputError
 from .gf import build_field, prime_power
-from .invariants import brute_force_invariants, paley_certificate
+from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
-from .spectral import eigen_oracle, theta_pair
+from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
 
-DEFAULT_BUDGET = 10**8
 SCAN_EXHAUSTIVE_CAP = 8
+ORACLE_TOL = 1e-8
 SCAN_COLUMNS = "q,p,n,m,r,m_bar,primitive,verdict,rule,omega,chi,theta,lambda_min,status"
 
 EXIT_OK = 0
@@ -130,16 +130,20 @@ def _cmd_invariants(args) -> int:
     return EXIT_BUDGET if cert.status == "timeout" else EXIT_OK
 
 
+def _spectrum_oracle_diff(field, m: int, rep) -> float:
+    """Largest gap between the character-sum spectrum and the eigensolver's."""
+    oracle_vals = eigen_oracle(build_paley(field, m))
+    return max(abs(a - b) for a, b in zip(rep.eigenvalue_multiset(), oracle_vals))
+
+
 def _cmd_spectrum(args) -> int:
     field = _field_for(args.q)
     rep = theta_pair(field, args.m)
     report = {"field": field.spec.to_json_dict(), **rep.to_json_dict()}
-    if args.oracle and args.q <= 200:
-        oracle_vals = eigen_oracle(build_paley(field, args.m))
-        ours = rep.eigenvalue_multiset()
-        worst = max(abs(a - b) for a, b in zip(ours, oracle_vals))
+    if args.oracle and args.q <= EIGEN_CAP:
+        worst = _spectrum_oracle_diff(field, args.m, rep)
         report["oracle_max_abs_diff"] = worst
-        if worst > 1e-8:
+        if worst > ORACLE_TOL:
             _emit(_json_text(report), args.out)
             sys.stderr.write("oracle mismatch: character sums disagree with eigensolver\n")
             return EXIT_ORACLE_MISMATCH
@@ -183,12 +187,8 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
                 rep = theta_pair(field, params.m_bar)
                 theta = _fmt_float(rep.theta)
                 lam = _fmt_float(rep.lambda_min)
-                if oracle and q <= 200:
-                    oracle_vals = eigen_oracle(build_paley(field, params.m_bar))
-                    worst = max(
-                        abs(a - b) for a, b in zip(rep.eigenvalue_multiset(), oracle_vals)
-                    )
-                    if worst > 1e-8:
+                if oracle and q <= EIGEN_CAP:
+                    if _spectrum_oracle_diff(field, params.m_bar, rep) > ORACLE_TOL:
                         raise RuntimeError(f"oracle mismatch: spectrum of ({q},{params.m_bar})")
             if (
                 result.witness is not None

@@ -3,8 +3,11 @@
 Elements are integer codes in [0, q): the element with polynomial
 coordinates (c0, ..., c_{n-1}) over GF(p) has code sum(c_i * p**i).
 Multiplication goes through exp/log tables for a fixed primitive element
-gamma; addition is digitwise mod p.  All tables are immutable after
-construction, so a FieldTables value can be shared freely.
+gamma.  Tables over the additive group are filled along a walk that
+reaches each code from an earlier one by a basis translation
+(`translation_walk`), with the masks of the codes where that translation
+carries (`carry_masks`).  All tables are immutable after construction, so
+a FieldTables value can be shared freely.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import BadDivisorError, BadInputError, NotOddPrimeError, SizeLimitError
 
@@ -126,8 +130,6 @@ class FieldTables:
 
     def add(self, a: int, b: int) -> int:
         p = self.spec.p
-        if self.spec.n == 1:
-            return (a + b) % p
         s = 0
         shift = 1
         while a or b:
@@ -139,8 +141,6 @@ class FieldTables:
 
     def neg(self, a: int) -> int:
         p = self.spec.p
-        if self.spec.n == 1:
-            return (-a) % p
         s = 0
         shift = 1
         while a:
@@ -233,6 +233,30 @@ def _smallest_primitive_root(p: int) -> int:
     raise BadInputError(f"no primitive root mod {p}")  # unreachable for prime p
 
 
+def translation_walk(p: int, n: int) -> Iterator[tuple[int, int]]:
+    """The walk of GF(p^n)+ that reaches u = 1..q-1 in order: the pairs
+    (u - p**i, i) with p**i the largest power of p not above u.  Digit i is
+    u's leading digit, so u is that earlier code translated by the basis
+    vector x^i, and digit i does not carry."""
+    for i in range(n):
+        step = p**i
+        for u in range(step, step * p):
+            yield u - step, i
+
+
+def carry_masks(p: int, n: int) -> tuple[int, ...]:
+    """For each basis vector x^i, the bitmask of the codes whose digit i is
+    p - 1.  Translating by x^i moves every other code c to c + p**i and
+    each of these to c - p**i * (p - 1)."""
+    q = p**n
+    masks = []
+    for i in range(n):
+        step = p**i
+        every_period = ((1 << q) - 1) // ((1 << step * p) - 1)  # bit k * p**(i+1) for each k
+        masks.append((((1 << step) - 1) << step * (p - 1)) * every_period)
+    return tuple(masks)
+
+
 @lru_cache(maxsize=None)
 def build_field(p: int, n: int = 1, size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldTables:
     """Construct GF(p^n) deterministically.
@@ -249,64 +273,51 @@ def build_field(p: int, n: int = 1, size_limit: int = DEFAULT_SIZE_LIMIT) -> Fie
     if q > size_limit:
         raise SizeLimitError(f"q={q} exceeds the size limit {size_limit}")
 
+    exp = [0] * (q - 1)
     if n == 1:
         g = _smallest_primitive_root(p)
         modulus = ((p - g) % p, 1)
-        exp = [0] * (q - 1)
         acc = 1
         for k in range(q - 1):
             exp[k] = acc
             acc = acc * g % p
-        log = [-1] * q
-        for k, code in enumerate(exp):
-            log[code] = k
-        trace = tuple(range(q))
-        spec = FieldSpec(p, n, q, modulus, g)
-        return FieldTables(spec, tuple(exp), tuple(log), trace)
-
-    modulus = _find_primitive_modulus(p, n, q)
-    # exp table: repeatedly multiply the coefficient vector of gamma**k by x.
-    exp = [0] * (q - 1)
-    coeffs = [1] + [0] * (n - 1)
-    pow_p = [p**i for i in range(n)]
-    for k in range(q - 1):
-        code = 0
-        for i in range(n):
-            if coeffs[i]:
-                code += coeffs[i] * pow_p[i]
-        exp[k] = code
-        lead = coeffs[n - 1]
-        coeffs = [0] + coeffs[: n - 1]
-        if lead:
+    else:
+        modulus = _find_primitive_modulus(p, n, q)
+        # Repeatedly multiply the coefficient vector of gamma**k by x.
+        coeffs = [1] + [0] * (n - 1)
+        pow_p = [p**i for i in range(n)]
+        for k in range(q - 1):
+            code = 0
             for i in range(n):
-                if modulus[i]:
-                    coeffs[i] = (coeffs[i] - lead * modulus[i]) % p
+                if coeffs[i]:
+                    code += coeffs[i] * pow_p[i]
+            exp[k] = code
+            lead = coeffs[n - 1]
+            coeffs = [0] + coeffs[: n - 1]
+            if lead:
+                for i in range(n):
+                    if modulus[i]:
+                        coeffs[i] = (coeffs[i] - lead * modulus[i]) % p
     log = [-1] * q
     for k, code in enumerate(exp):
         log[code] = k
 
-    # Trace is GF(p)-linear: tabulate it on the power basis, then combine digits.
-    spec = FieldSpec(p, n, q, modulus, p)
+    # Trace is GF(p)-linear: tabulate it on the basis x^i (code p**i), then
+    # accumulate it along the translation walk.
+    spec = FieldSpec(p, n, q, modulus, exp[1])
     tables = FieldTables(spec, tuple(exp), tuple(log), ())
     basis_trace = []
     for i in range(n):
         acc = 0
         for j in range(n):
-            acc = tables.add(acc, exp[(i * p**j) % (q - 1)])
+            acc = tables.add(acc, exp[log[p**i] * p**j % (q - 1)])
         if acc >= p:
             raise BadInputError("trace of a basis element left the prime subfield")
         basis_trace.append(acc)
     trace = [0] * q
-    for a in range(q):
-        t = 0
-        v = a
-        for i in range(n):
-            if v == 0:
-                break
-            t += (v % p) * basis_trace[i]
-            v //= p
-        trace[a] = t % p
-    return FieldTables(spec, tuple(exp), tuple(log), tuple(trace))
+    for u, (prev, i) in enumerate(translation_walk(p, n), 1):
+        trace[u] = (trace[prev] + basis_trace[i]) % p
+    return FieldTables(spec, tables.exp, tables.log, tuple(trace))
 
 
 def subgroup_coset(field: FieldTables, m: int, j: int = 0) -> frozenset[int]:

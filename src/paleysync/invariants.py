@@ -554,6 +554,19 @@ def subfield_clique(field: FieldTables, m: int, t: int):
     return tuple(sorted(subfield_elements(field, t)))
 
 
+def best_subfield_clique(field: FieldTables, m: int) -> tuple[int, ...] | None:
+    """Largest proper subfield GF(p^t), t | n and t < n, that is a clique of
+    the m-th power residue graph; None when no proper subfield is one."""
+    best = None
+    for t in divisors(field.n):
+        if t == field.n:
+            continue
+        sc = subfield_clique(field, m, t)
+        if sc is not None and (best is None or len(sc) > len(best)):
+            best = sc
+    return best
+
+
 def brute_force_invariants(g: Graph) -> InvariantCertificate:
     """Oracle: omega/alpha by full subset enumeration, chi by exhaustive
     sequential backtracking.  Hard-capped at 16 vertices."""
@@ -660,14 +673,7 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     chi_lb_spectral = ceil(rep.theta_complement - 1e-6)
     alpha_ub = int(rep.theta + 1e-6)
 
-    best_sub: tuple[int, ...] | None = None
-    for t in divisors(field.n):
-        if t == field.n:
-            continue
-        sc = subfield_clique(field, m, t)
-        if sc is not None and (best_sub is None or len(sc) > len(best_sub)):
-            best_sub = sc
-
+    best_sub = best_subfield_clique(field, m)
     if best_sub is not None and len(best_sub) ** 2 == q:
         mul = field.mul
         gamma = field.gamma

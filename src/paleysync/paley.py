@@ -5,6 +5,9 @@ Vertices are always the element codes 0..q-1; no relabeling happens
 anywhere, so multiplication maps act literally on indices.  Adjacency is
 stored as one bitmask per vertex, which makes complementation and the
 clique solver word-parallel.
+Every graph is a Cayley graph of GF(q)+: row 0 is the indicator of the
+connection set, and each further row is an earlier one translated by a
+basis vector along gf.translation_walk (two shifts split by a carry mask).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     EmptySubsetError,
     NotUndirectedError,
 )
-from .gf import FieldTables, subgroup_coset
+from .gf import FieldTables, carry_masks, subgroup_coset, translation_walk
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adjacency[u] >> v) & 1 == 1
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adjacency[v])
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
@@ -76,10 +76,6 @@ class Graph:
                     yield (u, v)
                 row >>= 1
                 v += 1
-
-    def is_regular(self) -> bool:
-        degs = {row.bit_count() for row in self.adjacency}
-        return len(degs) == 1
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -135,35 +131,31 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 def _difference_graph(field: FieldTables, diffs: frozenset[int]) -> Graph:
     """Graph with u ~ v iff u - v lies in diffs (assumed symmetric, 0-free)."""
-    q = field.q
-    if field.n == 1:
-        row0 = 0
-        for s in diffs:
-            row0 |= 1 << s
-        mask = (1 << q) - 1
-        rows = [((row0 << u) | (row0 >> (q - u))) & mask if u else row0 for u in range(q)]
-    else:
-        add = field.add
-        rows = [0] * q
-        for u in range(q):
-            r = 0
-            for s in diffs:
-                r |= 1 << add(u, s)
-            rows[u] = r
-    return Graph(q, tuple(rows))
+    p, n = field.p, field.n
+    top = carry_masks(p, n)
+    row0 = 0
+    for s in diffs:
+        row0 |= 1 << s
+    rows = [row0]
+    for prev, i in translation_walk(p, n):
+        r, t, step = rows[prev], top[i], p**i
+        rows.append(((r & ~t) << step) | ((r & t) >> step * (p - 1)))
+    return Graph(field.q, tuple(rows))
 
 
-def build_paley(field: FieldTables, m: int) -> Graph:
-    """Generalized Paley graph: u ~ v iff u - v is a nonzero m-th power.
-
-    Needs 2m | q-1 so that -1 is an m-th power (else the relation is not
-    symmetric) and m >= 2 (m = 1 would be the complete graph).
-    """
-    q = field.q
+def validate_residue_params(q: int, m: int) -> None:
+    """Raise unless the m-th power residue graph on GF(q) exists: it needs
+    m >= 2 (m = 1 would be the complete graph) and 2m | q-1 so that -1 is an
+    m-th power (else the relation is not symmetric)."""
     if m < 2:
         raise DegenerateMError(f"m={m} < 2 gives the complete graph; not a Paley graph")
     if (q - 1) % (2 * m):
         raise NotUndirectedError(f"2m={2 * m} does not divide q-1={q - 1}; difference set not symmetric")
+
+
+def build_paley(field: FieldTables, m: int) -> Graph:
+    """Generalized Paley graph: u ~ v iff u - v is a nonzero m-th power."""
+    validate_residue_params(field.q, m)
     return _difference_graph(field, subgroup_coset(field, m, 0))
 
 

@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMError, NotUndirectedError, TooLargeError
+from .errors import TooLargeError
 from .gf import FieldTables, build_field, divisors, prime_power
-from .paley import Graph
+from .paley import Graph, validate_residue_params
 
 EIGEN_CAP = 200
 INTEGER_EIGENVALUE_TOL = 1e-6
 PRODUCT_TOL = 1e-9
-
-
-def _validate_residue_params(q: int, m: int) -> None:
-    if m < 2:
-        raise DegenerateMError(f"m={m} < 2")
-    if (q - 1) % (2 * m):
-        raise NotUndirectedError(f"2m={2 * m} does not divide q-1={q - 1}")
 
 
 def gauss_periods(field: FieldTables, m: int) -> tuple[float, ...]:
@@ -37,7 +30,7 @@ def gauss_periods(field: FieldTables, m: int) -> tuple[float, ...]:
     (math.fsum), so accuracy is limited only by the cosine table.
     """
     q, p = field.q, field.p
-    _validate_residue_params(q, m)
+    validate_residue_params(q, m)
     cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
     counts = [[0] * p for _ in range(m)]
     tr = field.trace
@@ -91,7 +84,7 @@ def theta_pair(field: FieldTables, m: int) -> SpectralReport:
     theta(complement) = n / theta.
     """
     q = field.q
-    _validate_residue_params(q, m)
+    validate_residue_params(q, m)
     periods = gauss_periods(field, m)
     degree = (q - 1) // m
     lam_min = min(periods)
@@ -140,7 +133,7 @@ def feasible_clique_sizes(
     (k-1) must divide the degree and the least eigenvalue must equal
     -degree/(k-1).  An empty result proves the two invariants differ."""
     p, n = prime_power(q)
-    _validate_residue_params(q, m)
+    validate_residue_params(q, m)
     if n == 1:
         return frozenset()
     if field is None:

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import pytest
 
 from paleysync import (
@@ -5,6 +8,7 @@ from paleysync import (
     SYNCHRONIZING,
     UNKNOWN,
     BadInputError,
+    InvalidWitnessError,
     build_field,
     build_paley,
     chromatic_number,
@@ -281,3 +285,22 @@ def test_exhaustive_cap_reports_skip():
     result = classify(361, 9, exhaustive_cap=8)
     assert result.verdict == UNKNOWN
     assert result.status == "skipped_exhaustive"
+
+
+def test_classification_is_frozen():
+    result = classify(25, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.verdict = SYNCHRONIZING
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.reasons[0].rule = "edited"
+
+
+def test_equal_invariants_certificate_is_verified(monkeypatch):
+    """Both "omega = chi" search paths check their certificate before it
+    leaves: an improper coloring from the colorability test is refused."""
+    module = sys.modules["paleysync.classify"]
+    monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
+    with pytest.raises(InvalidWitnessError):
+        exhaustive_decision(build_field(13), 3, spectral_prune=False)
+    with pytest.raises(InvalidWitnessError):
+        module._single_orbital_status(build_field(13), 3, 10_000, spectral_prune=False)

@@ -10,6 +10,7 @@ from paleysync import (
     subfield_elements,
     subgroup_coset,
 )
+from conftest import field_for, odd_prime_powers
 
 
 def test_gf5_uses_smallest_primitive_root():
@@ -149,3 +150,19 @@ def test_subfield_closed_under_field_operations(p, n, t):
         for b in sub:
             assert f.add(a, b) in sub
             assert f.mul(a, b) in sub
+
+
+def test_trace_table_matches_frobenius_sum():
+    """trace[a] = a + a^p + ... + a^(p^(n-1)), computed with mul and add, for
+    every field with q <= 729."""
+    for q in odd_prime_powers(729):
+        f = field_for(q)
+        for a in range(q):
+            total, conj = a, a
+            for _ in range(f.n - 1):
+                power = 1
+                for _ in range(f.p):
+                    power = f.mul(power, conj)
+                conj = power
+                total = f.add(total, conj)
+            assert f.trace[a] == total, (q, a)

@@ -4,6 +4,7 @@ from paleysync import (
     BadDivisorError,
     DegenerateMError,
     EmptySubsetError,
+    Graph,
     NotUndirectedError,
     build_field,
     build_paley,
@@ -15,7 +16,7 @@ from paleysync import (
     union_graph,
     validate_graph,
 )
-from conftest import field_for, valid_graph_ms
+from conftest import field_for, odd_prime_powers, valid_graph_ms
 
 
 def test_normalize_even_r():
@@ -171,3 +172,37 @@ def test_residue_graph_embeds_in_complement(q, m):
     image = relabel(g, multiplier_map(field, 1))
     for v in range(q):
         assert not (g.adjacency[v] & image.adjacency[v])
+
+
+def _graph_from_definition(field, diffs):
+    """u ~ v iff field.sub(u, v) lies in diffs; v runs over u - d, d in diffs."""
+    sub = field.sub
+    rows = []
+    for u in range(field.q):
+        row = 0
+        for d in diffs:
+            v = sub(u, d)
+            assert sub(u, v) == d
+            row |= 1 << v
+        rows.append(row)
+    return Graph(field.q, tuple(rows))
+
+
+def _every_orbital_up_to(limit):
+    for q in odd_prime_powers(limit):
+        m_bars = {normalize_params(q, m).m_bar for m in range(1, q) if (q - 1) % m == 0}
+        for m_bar in sorted(m_bars):
+            for i in range(m_bar):
+                yield q, m_bar, i
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [list(_every_orbital_up_to(125)), [(243, 11, 1), (343, 3, 2), (625, 3, 1), (729, 4, 3)]],
+    ids=["every orbital q<=125", "one orbital on 243, 343, 625, 729"],
+)
+def test_union_graph_matches_definition(cases):
+    for q, m_bar, i in cases:
+        family = orbital_family(field_for(q), m_bar)
+        expected = _graph_from_definition(family.field, family.difference_cosets[i])
+        assert union_graph(family, {i}) == expected, (q, m_bar, i)
