@@ -15,7 +15,7 @@ import sys
 
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
 from .errors import BadInputError
-from .gf import build_field, prime_power
+from .gf import build_field, odd_prime_powers, prime_power
 from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
@@ -159,20 +159,9 @@ def _cmd_classify(args) -> int:
     return EXIT_BUDGET if result.status != "complete" else EXIT_OK
 
 
-def _odd_prime_powers(limit: int) -> list[int]:
-    out = []
-    for q in range(3, limit + 1, 2):
-        try:
-            prime_power(q)
-        except BadInputError:
-            continue
-        out.append(q)
-    return out
-
-
 def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
     rows = []
-    for q in _odd_prime_powers(q_max):
+    for q in odd_prime_powers(q_max):
         p, n = prime_power(q)
         field = build_field(p, n)
         ms = [m for m in range(1, q) if (q - 1) % m == 0]

@@ -63,6 +63,11 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, n
 
 
+def odd_prime_powers(limit: int) -> list[int]:
+    """Every odd prime power q <= limit, ascending."""
+    return [q for q in range(3, limit + 1, 2) if len(factorize(q)) == 1]
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small: list[int] = []

@@ -3,8 +3,11 @@
 The clique solver is a bitset branch-and-bound with greedy-coloring upper
 bounds at every node (vertices pre-ordered by degeneracy).  The chromatic
 solver tests k-colorability for k = lower, lower+1, ... with MRV branching,
-canonical introduction of new colors, and clique-seeded pre-coloring.  Both
-honor a node budget and report explicit timeout bounds instead of guessing.
+canonical introduction of new colors, and clique-seeded pre-coloring; its
+depth-first search runs off an explicit stack of copy-on-branch states, so
+its depth is bounded by memory, not by the interpreter's recursion limit.
+Both honor a node budget and report explicit timeout bounds instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ def _degeneracy_order(adj: list[int], n: int) -> tuple[list[int], int]:
     for _ in range(n):
         best_v, best_d = -1, n + 1
         m = alive
+        # inline bit loop: the iter_bits generator is measurably slower on this hot path
         while m:
             b = m & -m
             v = b.bit_length() - 1
@@ -100,6 +104,7 @@ def _greedy_clique(adj: list[int], n: int, seeds: list[int]) -> list[int]:
         while cand:
             pick, pick_key = -1, (-1, 0)
             m = cand
+            # inline bit loop: the iter_bits generator is measurably slower on this hot path
             while m:
                 b = m & -m
                 v = b.bit_length() - 1
@@ -268,127 +273,105 @@ def independence_number(g: Graph, budget: int | None = None, upper_hint: int | N
                          witness_hint=witness_hint)
 
 
+def _assign(adj: list[int], k: int, color: list[int], domain: list[int],
+            used: int, v: int, c: int) -> int:
+    """Color v with c in place, then every vertex the assignment forces: one
+    whose only option is a single existing color, or a fresh color when every
+    existing one is excluded (WLOG the lowest fresh one).  Pending vertices
+    are taken last in, first out and re-checked when taken, so a cascade
+    never colors two neighbors alike.  Returns the new count of used colors,
+    or -1 when some vertex is left without an option."""
+    pending: list[int] = []
+    while v >= 0:
+        color[v] = c
+        if c == used:
+            used += 1
+        bit = 1 << c
+        for w in iter_bits(adj[v]):
+            if color[w] < 0 and domain[w] & bit:
+                domain[w] ^= bit
+                if domain[w] == 0:
+                    return -1
+                pending.append(w)
+        v = -1
+        while pending and v < 0:
+            u = pending.pop()
+            if color[u] >= 0:
+                continue
+            opts = domain[u] & ((1 << used) - 1)
+            if opts == 0:
+                if used == k:
+                    return -1
+                v, c = u, used
+            elif used == k and opts & (opts - 1) == 0:
+                v, c = u, opts.bit_length() - 1
+    return used
+
+
 def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
     """Decide proper k-colorability.  Returns ("sat", coloring) /
-    ("unsat", None); raises _Exhausted on budget."""
+    ("unsat", None); raises _Exhausted on budget.
+
+    Depth-first search over an explicit stack of pending branches
+    (color, domain, used, v, c): the parent's state and the choice v := c.
+    Popping a branch copies the parent's lists and applies the choice and
+    everything it forces to the copies, so no state is ever undone.  A node
+    that survives branches on its MRV vertex and spends one budget step; its
+    choices are pushed in reverse so that the existing colors are tried in
+    ascending order and the lowest fresh color last.
+    """
     if n == 0:
         return "sat", ()
-    if k <= 0:
-        return "unsat", None
-    if len(seed_clique) > k:
+    if k <= 0 or len(seed_clique) > k:
         return "unsat", None
     if k >= n:
         return "sat", tuple(range(n))
-    full = (1 << k) - 1
     color = [-1] * n
-    domain = [full] * n
+    domain = [(1 << k) - 1] * n
     degs = [adj[v].bit_count() for v in range(n)]
     used = 0
     for v in seed_clique:
-        c = used
-        color[v] = c
+        color[v] = used
+        bit = 1 << used
         used += 1
-        bit = 1 << c
         for u in iter_bits(adj[v]):
             if color[u] < 0:
                 domain[u] &= ~bit
                 if domain[u] == 0:
                     return "unsat", None
-    remaining = n - len(seed_clique)
-    trail: list[tuple[int, int]] = []  # (vertex, cleared color bit), for undo
-
-    def _propagate(v: int, c: int, used: int, remaining: int):
-        """Assign color c to v, then keep assigning every forced vertex (one
-        whose only current option is a single existing color, or a fresh color
-        when every existing one is excluded).  Assignment effects are applied
-        immediately and forcedness is re-validated when a vertex is popped, so
-        cascades can never produce a conflicting pair.  Everything is recorded
-        for undo."""
-        mark = len(trail)
-        assigned: list[int] = []
-        pending: list[int] = []
-
-        def apply(u: int, cu: int) -> bool:
-            nonlocal used, remaining
-            color[u] = cu
-            assigned.append(u)
-            if cu == used:
-                used += 1
-            remaining -= 1
-            bit = 1 << cu
-            for w in iter_bits(adj[u]):
-                if color[w] < 0 and domain[w] & bit:
-                    domain[w] ^= bit
-                    trail.append((w, bit))
-                    if domain[w] == 0:
-                        return False
-                    pending.append(w)
-            return True
-
-        ok = apply(v, c)
-        while ok and pending:
-            u = pending.pop()
-            if color[u] >= 0:
+    stack = [(color, domain, used, -1, 0)]  # the seeded root: no choice to apply
+    while stack:
+        color, domain, used, v, c = stack.pop()
+        if v >= 0:
+            color, domain = color.copy(), domain.copy()
+            used = _assign(adj, k, color, domain, used, v, c)
+            if used < 0:
                 continue
-            opts = domain[u] & ((1 << used) - 1)
-            if used < k:
-                if opts == 0:
-                    # every used color is excluded by a colored neighbor, so u
-                    # takes an unused color in any completion; WLOG the lowest.
-                    ok = apply(u, used)
-            elif opts == 0:
-                ok = False
-            elif opts & (opts - 1) == 0:
-                ok = apply(u, opts.bit_length() - 1)
-        return ok, used, remaining, mark, assigned
-
-    def _undo(mark: int, assigned: list[int]) -> None:
-        for u in assigned:
-            color[u] = -1
-        while len(trail) > mark:
-            u, bit = trail.pop()
-            domain[u] |= bit
-
-    def solve(remaining: int, used: int) -> bool:
-        if remaining == 0:
-            return True
-        budget.step()
         used_mask = (1 << used) - 1
-        new_allowed = used < k
-        best_v, best_key = -1, None
-        for v in range(n):
-            if color[v] < 0:
-                cnt = (domain[v] & used_mask).bit_count() + (1 if new_allowed else 0)
-                key = (cnt, -degs[v], v)
+        fresh = 1 if used < k else 0
+        v, best_key = -1, None
+        for u in range(n):
+            if color[u] < 0:
+                cnt = (domain[u] & used_mask).bit_count() + fresh
+                key = (cnt, -degs[u], u)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_v = v
+                    v = u
                     if cnt == 0:
                         break
-        v = best_v
-        options = domain[v] & used_mask
-        while options:
-            b = options & -options
-            options ^= b
-            if _branch(v, b.bit_length() - 1, used, remaining):
-                return True
-        if new_allowed:
+        if v < 0:
+            return "sat", tuple(color)
+        budget.step()
+        if fresh:
             # Color `used` was never assigned anywhere, so it is still in the
             # domain; introducing exactly the lowest unused color keeps the
             # search complete while killing color-permutation symmetry.
-            if _branch(v, used, used, remaining):
-                return True
-        return False
-
-    def _branch(v: int, c: int, used: int, remaining: int) -> bool:
-        ok, used2, remaining2, mark, assigned = _propagate(v, c, used, remaining)
-        if ok and solve(remaining2, used2):
-            return True
-        _undo(mark, assigned)
-        return False
-
-    if solve(remaining, used):
-        return "sat", tuple(color)
+            stack.append((color, domain, used, v, used))
+        options = domain[v] & used_mask
+        while options:
+            c = options.bit_length() - 1
+            options ^= 1 << c
+            stack.append((color, domain, used, v, c))
     return "unsat", None
 
 
@@ -582,16 +565,7 @@ def brute_force_invariants(g: Graph) -> InvariantCertificate:
             size = mask.bit_count()
             if size <= best_size:
                 continue
-            ok = True
-            m = mask
-            while m:
-                b = m & -m
-                v = b.bit_length() - 1
-                m ^= b
-                if (rows[v] & mask) != (mask & ~(1 << v)):
-                    ok = False
-                    break
-            if ok:
+            if all((rows[v] & mask) == (mask & ~(1 << v)) for v in iter_bits(mask)):
                 best_mask, best_size = mask, size
         return tuple(iter_bits(best_mask))
 

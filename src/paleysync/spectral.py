@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import TooLargeError
 from .gf import FieldTables, build_field, divisors, prime_power
-from .paley import Graph, validate_residue_params
+from .paley import Graph, iter_bits, validate_residue_params
 
 EIGEN_CAP = 200
 INTEGER_EIGENVALUE_TOL = 1e-6
@@ -111,13 +111,8 @@ def eigen_oracle(g: Graph) -> list[float]:
         raise TooLargeError(f"{n} vertices exceeds the eigensolver cap {EIGEN_CAP}")
     mat = np.zeros((n, n))
     for u in range(n):
-        row = g.adjacency[u]
-        v = 0
-        while row:
-            if row & 1:
-                mat[u, v] = 1.0
-            row >>= 1
-            v += 1
+        for v in iter_bits(g.adjacency[u]):
+            mat[u, v] = 1.0
     vals = np.linalg.eigvalsh(mat)
     return [float(x) for x in vals[::-1]]
 

@@ -1,12 +1,9 @@
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
 from paleysync import build_field, build_paley, graph_from_edges, paley_certificate, prime_power
+from paleysync.gf import odd_prime_powers
 
 
 def field_for(q):
@@ -42,18 +39,6 @@ def square_field_sweep():
         for m in valid_graph_ms(q):
             results[(q, m)] = paley_certificate(field, m)
     return results
-
-
-def odd_prime_powers(limit):
-    out = []
-    for q in range(3, limit + 1, 2):
-        try:
-            p, _ = prime_power(q)
-        except ValueError:
-            continue
-        if p != 2:
-            out.append(q)
-    return out
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,39 @@ def test_k_colorable_statuses():
     assert unsat == "unsat"
 
 
+def test_k_colorable_deep_search_has_no_recursion_limit():
+    # A 1200-cycle with chords (i, i+7) on every fifth vertex: the search
+    # colors one vertex per level, so its depth grows with n.
+    n = 1200
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 5)]
+    status, coloring, _ = k_colorable(graph_from_edges(n, edges), 3)
+    assert status == "sat"
+    assert all(coloring[u] != coloring[v] for u, v in edges)
+
+
+@pytest.mark.parametrize(
+    "q, m, k, budget, status, nodes",
+    [
+        (37, 3, 5, 20_000, "unsat", 760),
+        (81, 4, 5, 20_000, "unsat", 3131),
+        (61, 5, 5, 20_000, "sat", 28),
+        (49, 4, 7, 20_000, "sat", 21),
+        (81, 5, 9, 20_000, "sat", 45),
+        (81, 4, 5, 1000, "timeout", 1001),  # a timed-out search reports budget + 1 nodes
+    ],
+)
+def test_k_colorable_search_order_is_pinned(q, m, k, budget, status, nodes):
+    """Budgets are node counts, so the node count of a search is part of its
+    answer: a change to the branching order must re-record these values."""
+    g = residue_graph(q, m)
+    got, coloring, spent = k_colorable(g, k, budget=budget, clique_hint=clique_number(g).witness)
+    assert (got, spent) == (status, nodes)
+    if status == "sat":
+        assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    else:
+        assert coloring is None
+
+
 def test_relabeling_invariance():
     field = build_field(13)
     g = build_paley(field, 3)
