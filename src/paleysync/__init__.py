@@ -23,6 +23,7 @@ from .errors import (
     InvalidWitnessError,
     NotOddPrimeError,
     NotUndirectedError,
+    OracleMismatchError,
     SizeLimitError,
     TooLargeError,
 )

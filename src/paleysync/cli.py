@@ -3,7 +3,8 @@
 Commands: field, graph, invariants, spectrum, classify, scan.  Output is
 deterministic: JSON keys in fixed order, floats at 12 significant digits,
 CSV columns fixed.  Exit codes: 0 ok, 1 bad arguments, 2 budget exhausted
-(partial output still emitted), 3 oracle mismatch.
+(partial output still emitted), 3 oracle mismatch, 4 internal error (any
+other RuntimeError, such as a RecursionError).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
-from .errors import BadInputError
+from .errors import BadInputError, OracleMismatchError
 from .gf import build_field, odd_prime_powers, prime_power
 from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 1
 EXIT_BUDGET = 2
 EXIT_ORACLE_MISMATCH = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _fmt_float(x: float) -> str:
@@ -178,7 +180,9 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
                 lam = _fmt_float(rep.lambda_min)
                 if oracle and q <= EIGEN_CAP:
                     if _spectrum_oracle_diff(field, params.m_bar, rep) > ORACLE_TOL:
-                        raise RuntimeError(f"oracle mismatch: spectrum of ({q},{params.m_bar})")
+                        raise OracleMismatchError(
+                            f"oracle mismatch: spectrum of ({q},{params.m_bar})"
+                        )
             if (
                 result.witness is not None
                 and result.witness.get("orbital_subset") == [0]
@@ -190,7 +194,9 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
                 bf = brute_force_invariants(build_paley(field, params.m_bar))
                 solver = paley_certificate(field, params.m_bar, budget=budget)
                 if (solver.omega, solver.alpha, solver.chi) != (bf.omega, bf.alpha, bf.chi):
-                    raise RuntimeError(f"oracle mismatch: invariants of ({q},{params.m_bar})")
+                    raise OracleMismatchError(
+                        f"oracle mismatch: invariants of ({q},{params.m_bar})"
+                    )
             rule = result.reasons[0].rule if result.reasons else ""
             rows.append(
                 {
@@ -217,20 +223,20 @@ def _self_check_rows(rows) -> None:
     """Post-hoc validation pass: no emitted row may violate a module invariant."""
     for row in rows:
         if row["r"] * row["m"] != row["q"] - 1:
-            raise RuntimeError(f"scan row invariant broken (r*m != q-1): {row}")
+            raise OracleMismatchError(f"scan row invariant broken (r*m != q-1): {row}")
         if row["primitive"] == "false" and row["verdict"] != NON_SYNCHRONIZING:
-            raise RuntimeError(f"imprimitive row must be NonSynchronizing: {row}")
+            raise OracleMismatchError(f"imprimitive row must be NonSynchronizing: {row}")
         if row["theta"]:
             theta = float(row["theta"])
             lam = float(row["lambda_min"])
             if lam >= 0:
-                raise RuntimeError(f"lambda_min must be negative: {row}")
+                raise OracleMismatchError(f"lambda_min must be negative: {row}")
             if row["omega"]:
                 theta_bar = row["q"] / theta
                 if int(row["omega"]) > theta_bar + 1e-6 or int(row["chi"]) < theta_bar - 1e-6:
-                    raise RuntimeError(f"sandwich violated: {row}")
+                    raise OracleMismatchError(f"sandwich violated: {row}")
         if row["verdict"] == UNKNOWN and row["status"] == "complete":
-            raise RuntimeError(f"Unknown verdict must not be 'complete': {row}")
+            raise OracleMismatchError(f"Unknown verdict must not be 'complete': {row}")
 
 
 def _cmd_scan(args) -> int:
@@ -315,9 +321,12 @@ def run(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_ARGS
-    except RuntimeError as exc:
+    except OracleMismatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ORACLE_MISMATCH
+    except RuntimeError as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

@@ -35,3 +35,7 @@ class TooLargeError(ValueError):
 
 class BadInputError(ValueError):
     """Invalid argument (q not an odd prime power, index out of range, ...)."""
+
+
+class OracleMismatchError(RuntimeError):
+    """An independent oracle or a self-check disagrees with a computed result."""

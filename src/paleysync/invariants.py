@@ -3,9 +3,13 @@
 The clique solver is a bitset branch-and-bound with greedy-coloring upper
 bounds at every node (vertices pre-ordered by degeneracy).  The chromatic
 solver tests k-colorability for k = lower, lower+1, ... with MRV branching,
-canonical introduction of new colors, and clique-seeded pre-coloring; its
-depth-first search runs off an explicit stack of copy-on-branch states, so
-its depth is bounded by memory, not by the interpreter's recursion limit.
+canonical introduction of new colors, and clique-seeded pre-coloring.  Its
+domains are kept transposed, as one allow-mask per color (the vertices that
+may still take it), so coloring v with c is allow[c] &= ~adj[v], and
+forcing, wipe-out and the MRV choice are a few mask operations per color
+rather than a walk over neighbors.  Its depth-first search runs off an
+explicit stack of branches, each holding k-long lists of masks, so its depth
+is bounded by memory, not by the interpreter's recursion limit.
 Both honor a node budget and report explicit timeout bounds instead of
 guessing.
 """
@@ -273,39 +277,96 @@ def independence_number(g: Graph, budget: int | None = None, upper_hint: int | N
                          witness_hint=witness_hint)
 
 
-def _assign(adj: list[int], k: int, color: list[int], domain: list[int],
-            used: int, v: int, c: int) -> int:
-    """Color v with c in place, then every vertex the assignment forces: one
-    whose only option is a single existing color, or a fresh color when every
-    existing one is excluded (WLOG the lowest fresh one).  Pending vertices
-    are taken last in, first out and re-checked when taken, so a cascade
-    never colors two neighbors alike.  Returns the new count of used colors,
-    or -1 when some vertex is left without an option."""
+def _assign(adj: list[int], k: int, allow: list[int], cls: list[int],
+            uncol: int, used: int, v: int, c: int) -> tuple[int, int]:
+    """Color v with c in place, then every vertex the assignment forces.
+
+    State: allow[c] holds the vertices that may still take color c, cls[c]
+    the vertices colored c, and uncol the uncolored vertices; colors from
+    `used` on were never assigned, so their allow-masks are still full.
+    Coloring v with c costs allow[c] &= ~adj[v].  The uncolored neighbors
+    that lose c by it (`hit`) are pushed as one mask on a stack of pending
+    masks, and the cascade takes the highest forced vertex of the top mask:
+    while colors are left unused, one with no used color left (it takes the
+    lowest fresh color, WLOG); once all k are used, one with a single color
+    left.  Returns (uncol, used), with used = -1 when some vertex is left
+    without an option.
+    """
     pending: list[int] = []
-    while v >= 0:
-        color[v] = c
+    while True:
+        bit = 1 << v
+        uncol ^= bit
+        cls[c] |= bit
         if c == used:
             used += 1
-        bit = 1 << c
-        for w in iter_bits(adj[v]):
-            if color[w] < 0 and domain[w] & bit:
-                domain[w] ^= bit
-                if domain[w] == 0:
-                    return -1
-                pending.append(w)
-        v = -1
-        while pending and v < 0:
-            u = pending.pop()
-            if color[u] >= 0:
-                continue
-            opts = domain[u] & ((1 << used) - 1)
-            if opts == 0:
-                if used == k:
-                    return -1
-                v, c = u, used
-            elif used == k and opts & (opts - 1) == 0:
-                v, c = u, opts.bit_length() - 1
-    return used
+        nbrs = adj[v]
+        hit = nbrs & uncol & allow[c]
+        allow[c] &= ~nbrs
+        if used == k:
+            ones = twos = 0
+            for a in allow:
+                twos |= ones & a
+                ones |= a
+            if hit & ~ones:
+                return uncol, -1
+            forced = uncol & ones & ~twos
+        else:
+            some = 0
+            for a in allow[:used]:
+                some |= a
+            forced = uncol & ~some
+        if hit:
+            pending.append(hit)
+        while pending:
+            top = pending.pop()
+            found = top & forced
+            if found:
+                v = found.bit_length() - 1
+                # Popping a pending vertex that is colored or not forced does
+                # nothing, and the state does not change between pops, so the
+                # bits of `top` above v would all be popped for nothing before
+                # v is reached: dropping them keeps the cascade order.
+                rest = top & ((1 << v) - 1)
+                if rest:
+                    pending.append(rest)
+                break
+        else:
+            return uncol, used
+        if used < k:
+            c = used
+        else:
+            c = 0
+            while not allow[c] >> v & 1:
+                c += 1
+
+
+def _fewest_options(allow: list[int], uncol: int, used: int) -> int:
+    """The uncolored vertices with the fewest used colors left.
+
+    Threshold masks: ge[j] holds the uncolored vertices with at least j of
+    the `used` colors left, and the answer is the first nonempty
+    ge[j] & ~ge[j + 1].  Searches almost always stop at j <= 2, so the
+    first three levels are accumulated unrolled and the full table is built
+    only when every uncolored vertex has three colors or more.
+    """
+    ones = twos = threes = 0
+    for a in allow[:used]:
+        threes |= twos & a
+        twos |= ones & a
+        ones |= a
+    fewest = uncol & ~ones or uncol & ones & ~twos or uncol & twos & ~threes
+    if fewest:
+        return fewest
+    ge = [uncol] + [0] * used
+    for c in range(used):
+        a = allow[c]
+        for j in range(c + 1, 0, -1):
+            ge[j] |= ge[j - 1] & a
+    ge.append(0)
+    j = 3
+    while ge[j] == ge[j + 1]:
+        j += 1
+    return ge[j] ^ ge[j + 1]
 
 
 def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
@@ -313,12 +374,14 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
     ("unsat", None); raises _Exhausted on budget.
 
     Depth-first search over an explicit stack of pending branches
-    (color, domain, used, v, c): the parent's state and the choice v := c.
-    Popping a branch copies the parent's lists and applies the choice and
-    everything it forces to the copies, so no state is ever undone.  A node
-    that survives branches on its MRV vertex and spends one budget step; its
-    choices are pushed in reverse so that the existing colors are tried in
-    ascending order and the lowest fresh color last.
+    (allow, cls, uncol, used, v, c): the parent's state as k allow-masks,
+    k color-class masks and the uncolored set (see _assign), and the choice
+    v := c.  Popping a branch copies the two k-long lists and applies the
+    choice and everything it forces to the copies, so no state is ever
+    undone.  A node that survives branches on its MRV vertex, the key
+    (options, -degree, v) read off threshold masks, and spends one budget
+    step; its choices are pushed in reverse so that the existing colors are
+    tried in ascending order and the lowest fresh color last.
     """
     if n == 0:
         return "sat", ()
@@ -326,52 +389,56 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
         return "unsat", None
     if k >= n:
         return "sat", tuple(range(n))
-    color = [-1] * n
-    domain = [(1 << k) - 1] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    used = 0
-    for v in seed_clique:
-        color[v] = used
-        bit = 1 << used
-        used += 1
-        for u in iter_bits(adj[v]):
-            if color[u] < 0:
-                domain[u] &= ~bit
-                if domain[u] == 0:
-                    return "unsat", None
-    stack = [(color, domain, used, -1, 0)]  # the seeded root: no choice to apply
+    uncol = (1 << n) - 1
+    allow = [uncol] * k
+    cls = [0] * k
+    for c, v in enumerate(seed_clique):
+        cls[c] = 1 << v
+        uncol ^= 1 << v
+        allow[c] &= ~adj[v]
+    used = len(seed_clique)
+    if used == k:
+        some = 0
+        for a in allow:
+            some |= a
+        if uncol & ~some:
+            return "unsat", None
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    stack = [(allow, cls, uncol, used, -1, 0)]  # the seeded root: no choice to apply
     while stack:
-        color, domain, used, v, c = stack.pop()
+        allow, cls, uncol, used, v, c = stack.pop()
         if v >= 0:
-            color, domain = color.copy(), domain.copy()
-            used = _assign(adj, k, color, domain, used, v, c)
+            allow, cls = allow.copy(), cls.copy()
+            uncol, used = _assign(adj, k, allow, cls, uncol, used, v, c)
             if used < 0:
                 continue
-        used_mask = (1 << used) - 1
-        fresh = 1 if used < k else 0
-        v, best_key = -1, None
-        for u in range(n):
-            if color[u] < 0:
-                cnt = (domain[u] & used_mask).bit_count() + fresh
-                key = (cnt, -degs[u], u)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    v = u
-                    if cnt == 0:
-                        break
-        if v < 0:
-            return "sat", tuple(color)
+        if not uncol:
+            coloring = [0] * n
+            for c, members in enumerate(cls):
+                for u in iter_bits(members):
+                    coloring[u] = c
+            return "sat", tuple(coloring)
+        # MRV key (options, -degree, v): the fewest options, then the
+        # highest degree class, then the lowest vertex.
+        fewest = _fewest_options(allow, uncol, used)
+        for members in degree_classes:
+            if fewest & members:
+                fewest &= members
+                break
+        v = (fewest & -fewest).bit_length() - 1
         budget.step()
-        if fresh:
-            # Color `used` was never assigned anywhere, so it is still in the
-            # domain; introducing exactly the lowest unused color keeps the
-            # search complete while killing color-permutation symmetry.
-            stack.append((color, domain, used, v, used))
-        options = domain[v] & used_mask
-        while options:
-            c = options.bit_length() - 1
-            options ^= 1 << c
-            stack.append((color, domain, used, v, c))
+        if used < k:
+            # Color `used` was never assigned anywhere, so v may take it;
+            # introducing exactly the lowest unused color keeps the search
+            # complete while killing color-permutation symmetry.
+            stack.append((allow, cls, uncol, used, v, used))
+        for c in range(used - 1, -1, -1):
+            if allow[c] >> v & 1:
+                stack.append((allow, cls, uncol, used, v, c))
     return "unsat", None
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import paleysync.cli as cli
 from paleysync.cli import run
 
 
@@ -74,6 +75,25 @@ def test_bad_arguments_exit_one(capsys):
     assert _run(capsys, "graph", "13", "4")[0] == 1  # connection set not symmetric
     assert _run(capsys, "classify", "13", "5")[0] == 1  # m does not divide q-1
     assert _run(capsys, "nonsense")[0] == 1
+
+
+def test_scan_oracle_disagreement_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_spectrum_oracle_diff", lambda *args: 1.0)
+    code, _ = _run(capsys, "scan", "--q-max", "13", "--oracle")
+    assert code == 3
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("search timed out"), RecursionError("too deep")])
+def test_other_runtime_errors_are_not_oracle_mismatches(capsys, monkeypatch, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify", boom)
+    code = run(["classify", "13", "3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "oracle mismatch" not in err
+    assert type(exc).__name__ in err
 
 
 def test_scan_csv(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -177,14 +178,32 @@ def test_k_colorable_statuses():
     assert unsat == "unsat"
 
 
-def test_k_colorable_deep_search_has_no_recursion_limit():
-    # A 1200-cycle with chords (i, i+7) on every fifth vertex: the search
+def chorded_cycle_edges(n):
+    # An n-cycle with chords (i, i+7) on every fifth vertex: the search
     # colors one vertex per level, so its depth grows with n.
-    n = 1200
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 5)]
-    status, coloring, _ = k_colorable(graph_from_edges(n, edges), 3)
+    return [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 5)]
+
+
+def test_k_colorable_deep_search_has_no_recursion_limit():
+    edges = chorded_cycle_edges(1200)
+    status, coloring, _ = k_colorable(graph_from_edges(1200, edges), 3)
     assert status == "sat"
     assert all(coloring[u] != coloring[v] for u, v in edges)
+
+
+def test_k_colorable_deep_search_memory_is_small():
+    # A pending branch keeps its parent's state alive through all 1200
+    # levels, so the state must be k masks: a pair of n-long lists per
+    # level would peak near 22 MiB.
+    g = graph_from_edges(1200, chorded_cycle_edges(1200))
+    tracemalloc.start()
+    try:
+        status, _, _ = k_colorable(g, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == "sat"
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -208,6 +227,27 @@ def test_k_colorable_search_order_is_pinned(q, m, k, budget, status, nodes):
         assert all(coloring[u] != coloring[v] for u, v in g.edges())
     else:
         assert coloring is None
+
+
+@pytest.mark.parametrize(
+    "n, seed, p_edge, k, status, nodes",
+    [
+        (60, 1, 0.3, 6, "unsat", 104),
+        (60, 1, 0.3, 7, "sat", 26),
+        (70, 3, 0.2, 5, "unsat", 498),
+        (70, 3, 0.2, 6, "sat", 67),
+        (50, 4, 0.7, 13, "unsat", 1600),
+        (50, 4, 0.7, 14, "sat", 45),
+    ],
+)
+def test_k_colorable_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge, k, status, nodes):
+    """Residue graphs are regular; these graphs have 13-17 distinct degrees,
+    so they pin the degree tie-break of the branching order as well."""
+    g = random_graph(n, seed, p_edge)
+    got, coloring, spent = k_colorable(g, k, budget=20_000, clique_hint=clique_number(g).witness)
+    assert (got, spent) == (status, nodes)
+    if status == "sat":
+        assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
 def test_relabeling_invariance():
