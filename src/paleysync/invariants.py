@@ -345,25 +345,15 @@ def _fewest_options(allow: list[int], uncol: int, used: int) -> int:
 
     Threshold masks: ge[j] holds the uncolored vertices with at least j of
     the `used` colors left, and the answer is the first nonempty
-    ge[j] & ~ge[j + 1].  Searches almost always stop at j <= 2, so the
-    first three levels are accumulated unrolled and the full table is built
-    only when every uncolored vertex has three colors or more.
+    ge[j] & ~ge[j + 1].
     """
-    ones = twos = threes = 0
-    for a in allow[:used]:
-        threes |= twos & a
-        twos |= ones & a
-        ones |= a
-    fewest = uncol & ~ones or uncol & ones & ~twos or uncol & twos & ~threes
-    if fewest:
-        return fewest
     ge = [uncol] + [0] * used
     for c in range(used):
         a = allow[c]
         for j in range(c + 1, 0, -1):
             ge[j] |= ge[j - 1] & a
     ge.append(0)
-    j = 3
+    j = 0
     while ge[j] == ge[j + 1]:
         j += 1
     return ge[j] ^ ge[j + 1]

@@ -219,7 +219,9 @@ def test_k_colorable_deep_search_memory_is_small():
 )
 def test_k_colorable_search_order_is_pinned(q, m, k, budget, status, nodes):
     """Budgets are node counts, so the node count of a search is part of its
-    answer: a change to the branching order must re-record these values."""
+    answer: a change to the branching order must re-record these values.
+    (49, 4, 7) and (81, 5, 9) branch on vertices with up to 6 and 8 colors
+    left, so the MRV threshold table is pinned well past its first levels."""
     g = residue_graph(q, m)
     got, coloring, spent = k_colorable(g, k, budget=budget, clique_hint=clique_number(g).witness)
     assert (got, spent) == (status, nodes)
