@@ -1,11 +1,15 @@
 """Synchronization decision engine for the 1-dimensional affine groups
 generated by translations and multiplications by m-th power residues.
 
-The pipeline is: input validation, cheap arithmetic fast paths (rule
-labels below), a single-graph decision for m in {2, 3} where equality of
-clique and chromatic number is an exact criterion, and finally the
-exhaustive check of every proper union of undirected orbitals.  Every
-verdict carries an ordered reason trace naming the rule that fired.
+The pipeline is: input validation (`paley.normalize_params`), cheap
+arithmetic fast paths (rule labels below), a single-graph decision for m in
+{2, 3} where equality of clique and chromatic number is an exact criterion,
+and finally the exhaustive check of every proper union of undirected
+orbitals.  Past the fast paths every verdict rests on one per-graph
+question (Lemma 2.3), omega = chi, which one search, `_omega_equals_chi`,
+answers for the residue graph and for each orbital union alike; one builder,
+`_non_synchronizing`, turns its certificate into a verdict.  Every verdict
+carries an ordered reason trace naming the rule that fired.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 from math import gcd
 
-from .errors import BadDivisorError, BadInputError
-from .gf import FieldTables, build_field, is_prime, prime_power
+from .errors import BadInputError
+from .gf import FieldTables, build_field, is_prime
 from .invariants import (
     DEFAULT_BUDGET,
     InvariantCertificate,
@@ -26,7 +30,15 @@ from .invariants import (
     subfield_clique,
     verify_certificate,
 )
-from .paley import Graph, build_paley, iter_bits, normalize_params, orbital_family, union_graph
+from .paley import (
+    Graph,
+    PaleyParams,
+    build_paley,
+    iter_bits,
+    normalize_params,
+    orbital_family,
+    union_graph,
+)
 from .spectral import SpectralReport, feasible_clique_sizes, theta_pair
 
 SYNCHRONIZING = "Synchronizing"
@@ -83,29 +95,17 @@ class Classification:
         }
 
 
-def _validated(q: int, m: int):
-    p, n = prime_power(q)
-    if p == 2:
-        raise BadInputError(f"q={q} must be odd")
-    if m < 1 or (q - 1) % m:
-        raise BadInputError(f"m={m} does not divide q-1={q - 1}")
-    return p, n, normalize_params(q, m)
-
-
 def primitivity(q: int, m: int) -> bool:
     """True iff the residue multiplier group acts irreducibly: r = (q-1)/m
     divides no p^i - 1 for 1 <= i <= n-1 (vacuously true for prime q)."""
-    p, n = prime_power(q)
-    if m < 1 or (q - 1) % m:
-        raise BadDivisorError(f"m={m} does not divide q-1={q - 1}")
-    r = (q - 1) // m
-    return all((p**i - 1) % r for i in range(1, n))
+    params = normalize_params(q, m)
+    return all((params.p**i - 1) % params.r for i in range(1, params.n))
 
 
 def fast_paths(q: int, m: int) -> Classification | None:
     """Apply the first conclusive arithmetic rule; None when none fires."""
-    p, n, params = _validated(q, m)
-    r, mb = params.r, params.m_bar
+    params = normalize_params(q, m)
+    p, n, r, mb = params.p, params.n, params.r, params.m_bar
 
     def done(verdict: str, rule: str, detail: str) -> Classification:
         return Classification(q, p, n, m, verdict, (Reason(rule, detail),), None, "complete")
@@ -155,59 +155,29 @@ def fast_paths(q: int, m: int) -> Classification | None:
     return None
 
 
-def _single_orbital_status(field: FieldTables, mb: int, budget: int, spectral_prune: bool = True):
-    """Decide whether the residue graph with index mb has equal clique and
-    chromatic numbers.  Returns (kind, certificate, detail) with kind one of
-    "eq" | "neq" | "timeout"; the certificate is attached only for "eq".
+def _omega_equals_chi(
+    g: Graph, budget: int, feasible=None, upper_hint: int | None = None, witness_hint=None
+):
+    """Decide omega(g) = chi(g), the one per-graph question of Lemma 2.3.
+
+    Runs the maximum-clique search, then, when a feasible set of common
+    values is given, rejects an omega outside it, then tests
+    k-colorability at k = omega; each search gets the whole budget.
+    Returns (outcome, omega_res, cert): outcome "eq" | "neq" | "timeout",
+    omega_res the clique search (not exact when that search timed out),
+    and, for "eq" only, the certificate of omega = chi = k, completed by an
+    independence search and checked against g before it leaves, so no
+    unverified witness is ever emitted.
     """
-    q, n = field.q, field.n
-    feas = feasible_clique_sizes(q, mb, field=field)
-    if spectral_prune and not feas:
-        return (
-            "neq",
-            None,
-            f"no k=p^t passes the divisibility and least-eigenvalue filter for ({q},{mb})",
-        )
-    if n % 2 == 0 and subfield_clique(field, mb, n // 2) is not None:
-        cert = paley_certificate(field, mb, budget)
-        return (
-            "eq",
-            cert,
-            f"omega=chi={cert.omega} by the subfield product certificate",
-        )
-    g = build_paley(field, mb)
-    rep = theta_pair(field, mb)
-    best_sub = best_subfield_clique(field, mb)
-    omega_res = clique_number(
-        g, upper_hint=int(rep.theta_complement + 1e-6), budget=budget, witness_hint=best_sub
-    )
+    omega_res = clique_number(g, upper_hint=upper_hint, budget=budget, witness_hint=witness_hint)
     if not omega_res.exact:
-        return (
-            "timeout",
-            None,
-            f"clique search exhausted budget with bounds [{omega_res.lower}, {omega_res.upper}]",
-        )
+        return "timeout", omega_res, None
     k = omega_res.value
-    if spectral_prune and k not in feas:
-        return (
-            "neq",
-            None,
-            f"omega={k} is not in the feasible common-value set {sorted(feas)}",
-        )
+    if feasible is not None and k not in feasible:
+        return "neq", omega_res, None
     status, coloring, _ = k_colorable(g, k, budget=budget, clique_hint=omega_res.witness)
-    if status == "unsat":
-        return ("neq", None, f"omega={k} but the graph is not {k}-colorable")
-    if status == "timeout":
-        return ("timeout", None, f"{k}-colorability undecided within budget")
-    cert = _equal_invariants_certificate(g, omega_res, coloring, budget)
-    return ("eq", cert, f"omega=chi={k} found by exact search")
-
-
-def _equal_invariants_certificate(g: Graph, omega_res, coloring, budget: int) -> InvariantCertificate:
-    """Certificate of omega = chi = k for g, from its exact maximum clique and
-    a proper k-coloring, completed by an independence search.  It is checked
-    against g before it leaves, so no unverified witness is ever emitted."""
-    k = omega_res.value
+    if status != "sat":
+        return ("neq" if status == "unsat" else "timeout"), omega_res, None
     alpha_res = independence_number(g, budget=budget)
     cert = InvariantCertificate(
         omega=k,
@@ -217,14 +187,75 @@ def _equal_invariants_certificate(g: Graph, omega_res, coloring, budget: int) ->
         independent_set=alpha_res.witness,
         coloring=coloring,
         status="exact",
-        bounds={
-            "omega": (k, k),
-            "alpha": (alpha_res.lower, alpha_res.upper),
-            "chi": (k, k),
-        },
+        bounds={"omega": (k, k), "alpha": (alpha_res.lower, alpha_res.upper), "chi": (k, k)},
     )
     verify_certificate(g, cert)
-    return cert
+    return "eq", omega_res, cert
+
+
+def _single_orbital_status(field: FieldTables, mb: int, budget: int):
+    """Decide whether the residue graph with index mb has equal clique and
+    chromatic numbers.  Returns (kind, certificate, rule, detail) with kind
+    one of "eq" | "neq" | "timeout" and rule the one that settled it; the
+    certificate is attached only for "eq".
+    """
+    q, n = field.q, field.n
+    feas = feasible_clique_sizes(q, mb, field=field)
+    if not feas:
+        return (
+            "neq",
+            None,
+            RULE_SPECTRAL,
+            f"no k=p^t passes the divisibility and least-eigenvalue filter for ({q},{mb})",
+        )
+    if n % 2 == 0 and subfield_clique(field, mb, n // 2) is not None:
+        cert = paley_certificate(field, mb, budget)
+        return (
+            "eq",
+            cert,
+            RULE_EXHAUSTIVE,
+            f"omega=chi={cert.omega} by the subfield product certificate",
+        )
+    rep = theta_pair(field, mb)
+    kind, omega_res, cert = _omega_equals_chi(
+        build_paley(field, mb),
+        budget,
+        feas,
+        upper_hint=int(rep.theta_complement + 1e-6),
+        witness_hint=best_subfield_clique(field, mb),
+    )
+    if not omega_res.exact:
+        bounds = f"[{omega_res.lower}, {omega_res.upper}]"
+        return "timeout", None, RULE_BUDGET, f"clique search exhausted budget with bounds {bounds}"
+    k = omega_res.value
+    if kind == "eq":
+        return "eq", cert, RULE_EXHAUSTIVE, f"omega=chi={k} found by exact search"
+    if kind == "timeout":
+        return "timeout", None, RULE_BUDGET, f"{k}-colorability undecided within budget"
+    if k not in feas:
+        detail = f"omega={k} is not in the feasible common-value set {sorted(feas)}"
+    else:
+        detail = f"omega={k} but the graph is not {k}-colorable"
+    return "neq", None, RULE_EXHAUSTIVE, detail
+
+
+def _non_synchronizing(
+    field: FieldTables, params: PaleyParams, reasons, subset: list[int], cert: InvariantCertificate
+) -> Classification:
+    """The NonSynchronizing verdict witnessed by omega = chi on the union of
+    the orbitals in `subset`; a single orbital also reports its theta pair."""
+    witness = {
+        "orbital_subset": subset,
+        "omega": cert.omega,
+        "chi": cert.chi,
+        "alpha": cert.alpha,
+        "certificate": cert.to_json_dict(),
+    }
+    return Classification(
+        params.q, params.p, params.n, params.m, NON_SYNCHRONIZING, tuple(reasons), witness,
+        "complete", certificate=cert,
+        spectral=theta_pair(field, params.m_bar) if len(subset) == 1 else None,
+    )
 
 
 def _rotations(mask: int, width: int, full: int) -> list[int]:
@@ -247,16 +278,6 @@ def _canonical_pair_masks(width: int) -> list[int]:
     whole rotation class."""
     full = (1 << width) - 1
     return [mask for mask in range(1, full) if _pair_canonical(mask, width, full) == mask]
-
-
-def _witness_dict(subset: list[int], cert: InvariantCertificate) -> dict:
-    return {
-        "orbital_subset": subset,
-        "omega": cert.omega,
-        "chi": cert.chi,
-        "alpha": cert.alpha,
-        "certificate": cert.to_json_dict(),
-    }
 
 
 def exhaustive_decision(
@@ -298,59 +319,30 @@ def exhaustive_decision(
             # Pair {single orbital, its complement}: equality of the two
             # invariants transfers between a residue graph and its complement,
             # so the single-orbital decision settles both members.
-            kind, cert, detail = _single_orbital_status(field, mb, per_graph, spectral_prune)
-            single = mask if mask.bit_count() == 1 else comp
-            subset = sorted(iter_bits(single))
-            if kind == "eq":
-                reasons.append(
-                    Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}")
-                )
-                return Classification(
-                    q, p, n, m, NON_SYNCHRONIZING, tuple(reasons), _witness_dict(subset, cert),
-                    "complete", certificate=cert, spectral=theta_pair(field, mb),
-                )
+            subset = sorted(iter_bits(mask if mask.bit_count() == 1 else comp))
+            kind, cert, rule, detail = _single_orbital_status(field, mb, per_graph)
             if kind == "neq":
-                reasons.append(
-                    Reason(
-                        RULE_SPECTRAL if "filter" in detail else RULE_EXHAUSTIVE,
-                        f"single orbitals and their complements cleared: {detail}",
-                    )
-                )
-            else:
+                reasons.append(Reason(rule, f"single orbitals and their complements cleared: {detail}"))
+            elif kind == "timeout":
                 any_timeout = True
-                reasons.append(Reason(RULE_BUDGET, f"single-orbital check: {detail}"))
-            continue
-        for sub_mask in (mask, comp):
-            subset = sorted(iter_bits(sub_mask))
-            g = union_graph(family, subset)
-            omega_res = clique_number(g, budget=per_graph)
-            searched += 1
-            if not omega_res.exact:
-                any_timeout = True
-                reasons.append(
-                    Reason(
-                        RULE_BUDGET,
-                        f"Delta-subset {subset}: clique bounds [{omega_res.lower}, {omega_res.upper}]",
-                    )
-                )
-                continue
-            k = omega_res.value
-            status, coloring, _ = k_colorable(g, k, budget=per_graph, clique_hint=omega_res.witness)
-            if status == "sat":
-                cert = _equal_invariants_certificate(g, omega_res, coloring, per_graph)
-                reasons.append(
-                    Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={k}")
-                )
-                return Classification(
-                    q, p, n, m, NON_SYNCHRONIZING, tuple(reasons), _witness_dict(subset, cert),
-                    "complete", certificate=cert,
-                    spectral=theta_pair(field, mb) if len(subset) == 1 else None,
-                )
-            if status == "timeout":
-                any_timeout = True
-                reasons.append(
-                    Reason(RULE_BUDGET, f"Delta-subset {subset}: {k}-colorability undecided")
-                )
+                reasons.append(Reason(rule, f"single-orbital check: {detail}"))
+        else:
+            for sub_mask in (mask, comp):
+                subset = sorted(iter_bits(sub_mask))
+                kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), per_graph)
+                searched += 1
+                if kind == "eq":
+                    break
+                if kind == "timeout":
+                    any_timeout = True
+                    if omega_res.exact:
+                        detail = f"{omega_res.value}-colorability undecided"
+                    else:
+                        detail = f"clique bounds [{omega_res.lower}, {omega_res.upper}]"
+                    reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
+        if kind == "eq":
+            reasons.append(Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}"))
+            return _non_synchronizing(field, params, reasons, subset, cert)
 
     if any_timeout:
         reasons.append(
@@ -375,24 +367,18 @@ def classify(
 ) -> Classification:
     """Full pipeline: validate, fast paths, single-graph criterion for
     m in {2, 3}, exhaustive orbital-union check, else Unknown."""
-    p, n, params = _validated(q, m)
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    fp = fast_paths(q, m)
+    fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
+    params = normalize_params(q, m)
+    p, n, mb = params.p, params.n, params.m_bar
+    budget = budget if budget is not None else DEFAULT_BUDGET
     field = build_field(p, n)
-    mb = params.m_bar
     carried: list[Reason] = []
     if m in (2, 3):  # here m_bar == m, and equality on one graph is an iff
-        kind, cert, detail = _single_orbital_status(field, m, budget)
+        kind, cert, _, detail = _single_orbital_status(field, m, budget)
         if kind == "eq":
-            subset = [0]
-            return Classification(
-                q, p, n, m, NON_SYNCHRONIZING,
-                (Reason(RULE_SINGLE_GRAPH, detail),),
-                _witness_dict(subset, cert),
-                "complete", certificate=cert, spectral=theta_pair(field, m),
-            )
+            return _non_synchronizing(field, params, [Reason(RULE_SINGLE_GRAPH, detail)], [0], cert)
         if kind == "neq":
             return Classification(
                 q, p, n, m, SYNCHRONIZING, (Reason(RULE_SINGLE_GRAPH, detail),), None, "complete"

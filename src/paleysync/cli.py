@@ -15,8 +15,8 @@ import os
 import sys
 
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
-from .errors import BadInputError, OracleMismatchError
-from .gf import build_field, odd_prime_powers, prime_power
+from .errors import OracleMismatchError
+from .gf import build_field, odd_prime_power, odd_prime_powers
 from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
@@ -78,10 +78,7 @@ def _dot_text(g: Graph, name: str) -> str:
 
 
 def _field_for(q: int):
-    p, n = prime_power(q)
-    if p == 2:
-        raise BadInputError(f"q={q} must be odd")
-    return build_field(p, n)
+    return build_field(*odd_prime_power(q))
 
 
 def _cmd_field(args) -> int:
@@ -113,6 +110,14 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _invariants_oracle(field, m: int, cert) -> tuple[dict, bool]:
+    """Brute-force omega, alpha and chi of the residue graph, and whether
+    the certificate has the same three."""
+    bf = brute_force_invariants(build_paley(field, m))
+    oracle = {"omega": bf.omega, "alpha": bf.alpha, "chi": bf.chi}
+    return oracle, (cert.omega, cert.alpha, cert.chi) == tuple(oracle.values())
+
+
 def _cmd_invariants(args) -> int:
     field = _field_for(args.q)
     cert = paley_certificate(field, args.m, budget=args.budget)
@@ -122,9 +127,8 @@ def _cmd_invariants(args) -> int:
         "certificate": cert.to_json_dict(),
     }
     if args.oracle and args.q <= 16:
-        oracle = brute_force_invariants(build_paley(field, args.m))
-        report["oracle"] = {"omega": oracle.omega, "alpha": oracle.alpha, "chi": oracle.chi}
-        if (cert.omega, cert.alpha, cert.chi) != (oracle.omega, oracle.alpha, oracle.chi):
+        report["oracle"], agrees = _invariants_oracle(field, args.m, cert)
+        if not agrees:
             _emit(_json_text(report), args.out)
             sys.stderr.write("oracle mismatch: solver disagrees with brute force\n")
             return EXIT_ORACLE_MISMATCH
@@ -164,8 +168,8 @@ def _cmd_classify(args) -> int:
 def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
     rows = []
     for q in odd_prime_powers(q_max):
-        p, n = prime_power(q)
-        field = build_field(p, n)
+        field = _field_for(q)
+        p, n = field.p, field.n
         ms = [m for m in range(1, q) if (q - 1) % m == 0]
         if m_set is not None:
             ms = [m for m in ms if m in m_set]
@@ -191,9 +195,8 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
                 omega = str(result.certificate.omega)
                 chi = str(result.certificate.chi)
             if oracle and q <= 16 and params.m_bar >= 2:
-                bf = brute_force_invariants(build_paley(field, params.m_bar))
                 solver = paley_certificate(field, params.m_bar, budget=budget)
-                if (solver.omega, solver.alpha, solver.chi) != (bf.omega, bf.alpha, bf.chi):
+                if not _invariants_oracle(field, params.m_bar, solver)[1]:
                     raise OracleMismatchError(
                         f"oracle mismatch: invariants of ({q},{params.m_bar})"
                     )

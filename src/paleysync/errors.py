@@ -9,10 +9,6 @@ class SizeLimitError(ValueError):
     """Requested field exceeds the configured size limit."""
 
 
-class BadDivisorError(ValueError):
-    """A divisibility precondition (m | q-1, t | n, ...) fails."""
-
-
 class NotUndirectedError(ValueError):
     """2m does not divide q-1, so the difference set is not symmetric."""
 
@@ -35,6 +31,10 @@ class TooLargeError(ValueError):
 
 class BadInputError(ValueError):
     """Invalid argument (q not an odd prime power, index out of range, ...)."""
+
+
+class BadDivisorError(BadInputError):
+    """A divisibility precondition (m | q-1, t | n, ...) fails."""
 
 
 class OracleMismatchError(RuntimeError):

@@ -63,6 +63,14 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, n
 
 
+def odd_prime_power(q: int) -> tuple[int, int]:
+    """Decompose an odd prime power q = p**n; BadInputError otherwise."""
+    p, n = prime_power(q)
+    if p == 2:
+        raise BadInputError(f"q={q} must be odd")
+    return p, n
+
+
 def odd_prime_powers(limit: int) -> list[int]:
     """Every odd prime power q <= limit, ascending."""
     return [q for q in range(3, limit + 1, 2) if len(factorize(q)) == 1]

@@ -23,11 +23,10 @@ from .errors import (
     BadDivisorError,
     BadInputError,
     InvalidWitnessError,
-    NotUndirectedError,
     TooLargeError,
 )
 from .gf import FieldTables, divisors, subfield_elements
-from .paley import Graph, build_paley, complement, iter_bits
+from .paley import Graph, build_paley, complement, iter_bits, validate_residue_params
 from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
@@ -217,7 +216,6 @@ def _clique_expand(state: _CliqueState, r_len: int, cand: int) -> None:
 
 def clique_number(
     g: Graph,
-    lower_hint: int = 0,
     upper_hint: int | None = None,
     budget: int | None = None,
     witness_hint=None,
@@ -226,7 +224,7 @@ def clique_number(
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
     early exit once matched).  witness_hint, when given, must be a clique and
-    seeds the incumbent.  lower_hint is advisory only.
+    seeds the incumbent.
     """
     n = g.n_vertices
     adj = list(g.adjacency)
@@ -584,8 +582,7 @@ def subfield_clique(field: FieldTables, m: int, t: int):
     """Subfield GF(p^t) as a clique of the m-th power residue graph, present
     exactly when (p^t - 1) | (q-1)/m (the subfield's units are residues)."""
     q = field.q
-    if (q - 1) % (2 * m):
-        raise NotUndirectedError(f"2m={2 * m} does not divide q-1={q - 1}")
+    validate_residue_params(q, m)
     if t < 1 or field.n % t:
         raise BadDivisorError(f"t={t} does not divide n={field.n}")
     sub_order = field.p**t - 1
@@ -734,7 +731,7 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
         gamma = field.gamma
         indep_hint = tuple(sorted(mul(c, gamma) for c in best_sub))
     omega_res = clique_number(g, upper_hint=omega_ub, budget=bud, witness_hint=best_sub)
-    alpha_res = clique_number(complement(g), upper_hint=alpha_ub, budget=bud, witness_hint=indep_hint)
+    alpha_res = independence_number(g, budget=bud, upper_hint=alpha_ub, witness_hint=indep_hint)
     chi_lo = chi_lb_spectral
     if omega_res.exact:
         chi_lo = max(chi_lo, omega_res.value)

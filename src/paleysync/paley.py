@@ -22,7 +22,7 @@ from .errors import (
     EmptySubsetError,
     NotUndirectedError,
 )
-from .gf import FieldTables, carry_masks, subgroup_coset, translation_walk
+from .gf import FieldTables, carry_masks, odd_prime_power, subgroup_coset, translation_walk
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class PaleyParams:
     (r_bar, m_bar) with r_bar even, r_bar * m_bar = q - 1."""
 
     q: int
+    p: int
+    n: int
     m: int
     r: int
     r_bar: int
@@ -39,16 +41,18 @@ class PaleyParams:
 
 
 def normalize_params(q: int, m: int) -> PaleyParams:
+    """Validate a residue pair and normalize it: q must be an odd prime
+    power (BadInputError) and m a divisor of q-1 (BadDivisorError).  Every
+    entry point that takes (q, m) checks it here."""
+    p, n = odd_prime_power(q)
     if m < 1 or (q - 1) % m:
         raise BadDivisorError(f"m={m} does not divide q-1={q - 1}")
     r = (q - 1) // m
     if r % 2 == 0:
         r_bar, m_bar = r, m
-    else:
-        if m % 2:  # q-1 = r*m odd: impossible for odd q
-            raise BadInputError(f"q={q} must be odd")
+    else:  # q-1 = r*m is even, so m is
         r_bar, m_bar = 2 * r, m // 2
-    return PaleyParams(q, m, r, r_bar, m_bar, graph_valid=(r % 2 == 0))
+    return PaleyParams(q, p, n, m, r, r_bar, m_bar, graph_valid=(r % 2 == 0))
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,7 @@ def eigen_oracle(g: Graph) -> list[float]:
     return [float(x) for x in vals[::-1]]
 
 
-def feasible_clique_sizes(
-    q: int,
-    m: int,
-    field: FieldTables | None = None,
-    tolerance: float = INTEGER_EIGENVALUE_TOL,
-) -> frozenset[int]:
+def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> frozenset[int]:
     """All k = p^t (t | n, t < n) that survive the necessary conditions for the
     residue graph to have clique number = chromatic number = k:
     (k-1) must divide the degree and the least eigenvalue must equal
@@ -142,6 +137,6 @@ def feasible_clique_sizes(
         k = p**t
         if degree % (k - 1):
             continue
-        if abs(lam_min + degree / (k - 1)) < tolerance:
+        if abs(lam_min + degree / (k - 1)) < INTEGER_EIGENVALUE_TOL:
             out.add(k)
     return frozenset(out)

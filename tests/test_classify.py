@@ -7,6 +7,7 @@ from paleysync import (
     NON_SYNCHRONIZING,
     SYNCHRONIZING,
     UNKNOWN,
+    BadDivisorError,
     BadInputError,
     InvalidWitnessError,
     build_field,
@@ -71,14 +72,16 @@ def test_fast_path_imprimitivity_precedes_everything():
 
 
 def test_classify_validation():
-    with pytest.raises(BadInputError):
-        classify(12, 2)
-    with pytest.raises(BadInputError):
-        classify(13, 5)
-    with pytest.raises(BadInputError):
-        classify(16, 3)
-    with pytest.raises(BadInputError):
-        classify(13, 0)
+    # one validator behind every entry point: the same input, the same error
+    for entry in (classify, fast_paths, primitivity, normalize_params):
+        with pytest.raises(BadInputError, match="is not a prime power"):
+            entry(12, 2)
+        with pytest.raises(BadDivisorError):
+            entry(13, 5)
+        with pytest.raises(BadInputError, match="must be odd"):
+            entry(16, 3)
+        with pytest.raises(BadDivisorError):
+            entry(13, 0)
 
 
 def test_classify_key_verdicts():
@@ -296,11 +299,14 @@ def test_classification_is_frozen():
 
 
 def test_equal_invariants_certificate_is_verified(monkeypatch):
-    """Both "omega = chi" search paths check their certificate before it
-    leaves: an improper coloring from the colorability test is refused."""
+    """Both callers of the "omega = chi" search, an orbital union and the
+    single-orbital exact search, check their certificate before it leaves:
+    an improper coloring from the colorability test is refused.  On GF(81)
+    with m = 8 the feasible set is {3} and no half-degree subfield is a
+    clique, so the default mode reaches the single-orbital search."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
     with pytest.raises(InvalidWitnessError):
         exhaustive_decision(build_field(13), 3, spectral_prune=False)
     with pytest.raises(InvalidWitnessError):
-        module._single_orbital_status(build_field(13), 3, 10_000, spectral_prune=False)
+        exhaustive_decision(build_field(3, 4), 8)

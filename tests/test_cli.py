@@ -3,6 +3,7 @@ import json
 import pytest
 
 import paleysync.cli as cli
+from paleysync import InvariantCertificate
 from paleysync.cli import run
 
 
@@ -71,9 +72,15 @@ def test_deterministic_output(capsys):
 
 
 def test_bad_arguments_exit_one(capsys):
-    assert _run(capsys, "classify", "12", "2")[0] == 1  # not an odd prime power
-    assert _run(capsys, "graph", "13", "4")[0] == 1  # connection set not symmetric
-    assert _run(capsys, "classify", "13", "5")[0] == 1  # m does not divide q-1
+    for argv, message in [
+        (("classify", "12", "2"), "q=12 is not a prime power"),
+        (("classify", "16", "3"), "q=16 must be odd"),
+        (("graph", "16", "3"), "q=16 must be odd"),
+        (("graph", "13", "4"), "2m=8 does not divide q-1=12; difference set not symmetric"),
+        (("classify", "13", "5"), "m=5 does not divide q-1=12"),
+    ]:
+        assert run(list(argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert _run(capsys, "nonsense")[0] == 1
 
 
@@ -81,6 +88,15 @@ def test_scan_oracle_disagreement_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_spectrum_oracle_diff", lambda *args: 1.0)
     code, _ = _run(capsys, "scan", "--q-max", "13", "--oracle")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [("invariants", "13", "2"), ("scan", "--q-max", "13")])
+def test_invariants_oracle_disagreement_exits_three(capsys, monkeypatch, argv):
+    wrong = InvariantCertificate(0, 0, 0, (), (), None, "exact", {})
+    monkeypatch.setattr(cli, "brute_force_invariants", lambda g: wrong)
+    code = run([*argv, "--oracle"])
+    assert code == 3
+    assert "oracle mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("search timed out"), RecursionError("too deep")])

@@ -1,0 +1,89 @@
+"""Pinned classifier output.
+
+Each group of the corpus below is serialized (the `Classification` JSON with
+its certificate and spectral report, or the `scan` CSV and exit code) and
+hashed; the digests were recorded before the omega = chi searches of
+`classify.py` were folded into one.  The corpus reaches every reason kind
+the classifier emits: each fast-path rule, the single-graph criterion, the
+spectral filter, both exhaustive texts, the single-orbital and union
+timeouts, the subfield product certificate and an exact-search witness.
+
+A deliberate change of output re-records the digests: print
+`{name: _digest(items) for name, items in _corpus().items()}`.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+from paleysync import build_field, classify, exhaustive_decision, normalize_params
+from paleysync.cli import _round_floats, run
+from paleysync.gf import odd_prime_powers
+from conftest import field_for
+
+PINNED = {
+    "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
+    "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
+    "search-only": "721de0e0f44216beec680b7c3aee7c892696365f48271963a70d8faee72e7a12",
+    "gf81-8": "c400ca4e79efdfba7b1cc3127347e0d10513115051dc71ed2547d72568afd7b9",
+    "default": "70400d61aad2a170f8f8546624695b1ec43486f7413ae321e52a77f8c29d94d3",
+    "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
+}
+
+
+def _blob(result) -> dict:
+    out = result.to_json_dict()
+    out["certificate"] = result.certificate.to_json_dict() if result.certificate else None
+    out["spectral"] = result.spectral.to_json_dict() if result.spectral else None
+    return out
+
+
+def _divisors(q):
+    return [m for m in range(1, q) if (q - 1) % m == 0]
+
+
+def _corpus() -> dict:
+    small = odd_prime_powers(49)
+    groups = {
+        # fast paths, the single-graph criterion and budget-starved unions
+        "classify": [
+            _blob(classify(q, m, budget=b))
+            for q in small
+            for m in _divisors(q)
+            for b in (None, 1, 30)
+        ],
+        # Thm 5.2(2), (5) and (3); the last returns before any field is built
+        "classify-large": [_blob(classify(q, m)) for q, m in ((343, 3), (125, 2), (16807, 3))],
+        # search-only unions: clique-bound and colorability timeouts, witnesses
+        "search-only": [
+            _blob(exhaustive_decision(field_for(q), m, budget=b, spectral_prune=False))
+            for q in small
+            for m in _divisors(q)
+            if 2 <= normalize_params(q, m).m_bar <= 8
+            for b in (1, 5)
+        ],
+        # the single-orbital search: a timeout at budget 1, an exact witness after
+        "gf81-8": [_blob(exhaustive_decision(build_field(3, 4), 8, budget=b)) for b in (1, 5, 50)],
+        # the spectral filter and the subfield product certificate
+        "default": [
+            _blob(exhaustive_decision(field_for(q), m))
+            for q in odd_prime_powers(25)
+            for m in _divisors(q)
+            if normalize_params(q, m).m_bar >= 2
+        ],
+    }
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = run(["scan", "--q-max", "81"])
+    groups["scan"] = [code, stdout.getvalue()]
+    return groups
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(json.dumps(_round_floats(items)).encode()).hexdigest()
+
+
+def test_classifier_output_matches_pinned_digests():
+    digests = {name: _digest(items) for name, items in _corpus().items()}
+    assert digests == PINNED
