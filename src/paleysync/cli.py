@@ -173,13 +173,16 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
         ms = [m for m in range(1, q) if (q - 1) % m == 0]
         if m_set is not None:
             ms = [m for m in ms if m in m_set]
+        reports = {}  # m_bar -> SpectralReport: every m with the same m_bar shares one
         for m in ms:
             params = normalize_params(q, m)
             result = classify(q, m, budget=budget, exhaustive_cap=SCAN_EXHAUSTIVE_CAP)
             prim = primitivity(q, m)
             omega = chi = theta = lam = ""
             if params.m_bar >= 2:
-                rep = theta_pair(field, params.m_bar)
+                rep = reports.get(params.m_bar)
+                if rep is None:
+                    rep = reports[params.m_bar] = theta_pair(field, params.m_bar)
                 theta = _fmt_float(rep.theta)
                 lam = _fmt_float(rep.lambda_min)
                 if oracle and q <= EIGEN_CAP:

@@ -216,12 +216,25 @@ def _poly_pow_mod(base: list[int], e: int, modulus: tuple[int, ...], p: int, n: 
     return result
 
 
+def _has_nonzero_root(f: tuple[int, ...], p: int) -> bool:
+    """Whether the polynomial f (low degree first) vanishes at some a in GF(p)*."""
+    for a in range(1, p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def _find_primitive_modulus(p: int, n: int, q: int) -> tuple[int, ...]:
     """Lexicographically smallest (low-degree coefficients first) monic degree-n
     polynomial over GF(p) whose root x generates the full multiplicative group.
 
     ord(x) = q-1 in GF(p)[x]/(f) forces f irreducible, so a single order test
     suffices: x^(q-1) = 1 and x^((q-1)/ell) != 1 for every prime ell | q-1.
+    A root in GF(p) is a linear factor, so for n >= 2 such an f is reducible
+    and is skipped before the (far dearer) order test.
     """
     one = [1] + [0] * (n - 1)
     x = [0, 1] + [0] * (n - 2)
@@ -230,6 +243,8 @@ def _find_primitive_modulus(p: int, n: int, q: int) -> tuple[int, ...]:
         if tail[0] == 0:
             continue  # x would divide f
         f = tuple(tail) + (1,)
+        if _has_nonzero_root(f, p):
+            continue
         if _poly_pow_mod(x, q - 1, f, p, n) != one:
             continue
         if any(_poly_pow_mod(x, (q - 1) // ell, f, p, n) == one for ell in prime_factors):

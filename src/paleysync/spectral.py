@@ -17,7 +17,6 @@ from .gf import FieldTables, build_field, divisors, prime_power
 from .paley import Graph, iter_bits, validate_residue_params
 
 EIGEN_CAP = 200
-INTEGER_EIGENVALUE_TOL = 1e-6
 PRODUCT_TOL = 1e-9
 
 
@@ -25,21 +24,17 @@ def gauss_periods(field: FieldTables, m: int) -> tuple[float, ...]:
     """The m period sums eta_j, j = 0..m-1.
 
     eta_j is the character sum over the coset gamma^j * {m-th powers}; the
-    sums are real because every coset is negation-closed.  Terms with equal
-    trace residue are aggregated first and the final sum is compensated
-    (math.fsum), so accuracy is limited only by the cosine table.
+    sums are real because every coset is negation-closed.  The exponent k of
+    gamma^k picks the coset k mod m, so the terms are listed once in
+    exponent order and each period is the compensated sum (math.fsum) of
+    every m-th term: O(q) work, accuracy limited only by the cosine table.
     """
     q, p = field.q, field.p
     validate_residue_params(q, m)
     cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
-    counts = [[0] * p for _ in range(m)]
     tr = field.trace
-    ex = field.exp
-    for k in range(q - 1):
-        counts[k % m][tr[ex[k]]] += 1
-    return tuple(
-        math.fsum(cnt[t] * cos_t[t] for t in range(p) if cnt[t]) for cnt in counts
-    )
+    terms = [cos_t[tr[e]] for e in field.exp]
+    return tuple(math.fsum(terms[j::m]) for j in range(m))
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,17 @@ def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> f
     """All k = p^t (t | n, t < n) that survive the necessary conditions for the
     residue graph to have clique number = chromatic number = k:
     (k-1) must divide the degree and the least eigenvalue must equal
-    -degree/(k-1).  An empty result proves the two invariants differ."""
+    r = -degree/(k-1).  An empty result proves the two invariants differ.
+
+    The test is exact.  With c[j][t] the number of elements of coset j whose
+    trace is t, eta_j = sum_t c[j][t] * zeta^t for a primitive p-th root of
+    unity zeta; since 1, zeta, ..., zeta^(p-2) are linearly independent over
+    Q and 1 + zeta + ... + zeta^(p-1) = 0, eta_j is rational iff
+    c[j][1] = ... = c[j][p-1], and then eta_j = c[j][0] - c[j][1].  k is
+    accepted when some rational period equals the integer r and no period
+    lies below it.  An irrational period never equals r, so comparing its
+    float value with r decides only a strict inequality.
+    """
     p, n = prime_power(q)
     validate_residue_params(q, m)
     if n == 1:
@@ -129,7 +134,17 @@ def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> f
     if field is None:
         field = build_field(p, n)
     degree = (q - 1) // m
-    lam_min = min(gauss_periods(field, m))
+    counts = [[0] * p for _ in range(m)]
+    tr = field.trace
+    for k, e in enumerate(field.exp):
+        counts[k % m][tr[e]] += 1
+    cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
+    least_rational = least_irrational = math.inf
+    for c in counts:
+        if len(set(c[1:])) == 1:
+            least_rational = min(least_rational, c[0] - c[1])
+        else:
+            least_irrational = min(least_irrational, math.fsum(a * b for a, b in zip(c, cos_t)))
     out = set()
     for t in divisors(n):
         if t >= n:
@@ -137,6 +152,7 @@ def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> f
         k = p**t
         if degree % (k - 1):
             continue
-        if abs(lam_min + degree / (k - 1)) < INTEGER_EIGENVALUE_TOL:
+        r = -degree // (k - 1)
+        if r == least_rational and least_irrational > r:
             out.add(k)
     return frozenset(out)

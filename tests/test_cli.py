@@ -160,3 +160,19 @@ def test_budget_env_override(capsys, monkeypatch):
     code, out = _run(capsys, "invariants", "81", "4")
     assert code == 2
     assert json.loads(out)["certificate"]["status"] == "timeout"
+
+
+def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
+    calls = []
+    theta_pair = cli.theta_pair
+
+    def counting(field, m):
+        calls.append((field.q, m))
+        return theta_pair(field, m)
+
+    monkeypatch.setattr(cli, "theta_pair", counting)
+    code, out = _run(capsys, "scan", "--q-max", "81")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    pairs = {(int(row[0]), int(row[5])) for row in rows if int(row[5]) >= 2}
+    assert sorted(calls) == sorted(pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -166,3 +167,19 @@ def test_trace_table_matches_frobenius_sum():
                 conj = power
                 total = f.add(total, conj)
             assert f.trace[a] == total, (q, a)
+
+
+# sha256 of the lines "p,n:c0,...,cn" (the modulus, low degree first) of every
+# field with n >= 2 and q <= 2187, ascending q; recorded before the linear-factor
+# rejection was added to the modulus search.
+MODULI_DIGEST = "13970eb74657515c9a26eee5796f0a357f833ee9a48d0cf476b00d98f7d9aa4e"
+
+
+def test_primitive_moduli_are_pinned():
+    lines = []
+    for q in odd_prime_powers(2187):
+        f = field_for(q)
+        if f.n >= 2:
+            lines.append(f"{f.p},{f.n}:" + ",".join(map(str, f.spec.modulus)))
+    assert len(lines) == 22
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MODULI_DIGEST

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
+import paleysync
 from paleysync import (
     NotUndirectedError,
     TooLargeError,
@@ -13,7 +18,7 @@ from paleysync import (
     graph_from_edges,
     theta_pair,
 )
-from conftest import field_for, valid_graph_ms
+from conftest import field_for, odd_prime_powers, valid_graph_ms
 
 
 def test_periods_gf9():
@@ -110,3 +115,56 @@ def test_report_json_shape():
     assert list(blob) == [
         "q", "m", "degree", "periods", "lambda_min", "theta", "theta_complement", "tolerance",
     ]
+
+
+def _count_table_periods(field, m):
+    """The count-table formula: eta_j = sum_t c[j][t] * cos(2 pi t / p), with
+    c[j][t] the number of elements of coset j whose trace is t.  Only the
+    nonzero counts are kept (in a dict), so this is O(q), not O(m * p)."""
+    p, tr = field.p, field.trace
+    cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
+    terms = [[] for _ in range(m)]
+    for (j, t), c in Counter((k % m, tr[e]) for k, e in enumerate(field.exp)).items():
+        terms[j].append(c * cos_t[t])
+    return [math.fsum(row) for row in terms]
+
+
+def _valid_pairs(q_max):
+    return [(q, m) for q in odd_prime_powers(q_max) for m in valid_graph_ms(q)]
+
+
+def test_periods_match_count_table_formula():
+    for q, m in _valid_pairs(729):
+        ours = gauss_periods(field_for(q), m)
+        ref = _count_table_periods(field_for(q), m)
+        assert max(abs(a - b) for a, b in zip(ours, ref)) < 1e-12, (q, m)
+
+
+def test_feasible_sizes_match_tolerance_rule():
+    """The exact rationality test accepts the same k as comparing the float
+    least period with -degree/(k-1) to 1e-6, on every extension field q <= 729."""
+    checked = 0
+    for q, m in _valid_pairs(729):
+        field = field_for(q)
+        if field.n == 1:
+            continue
+        degree = (q - 1) // m
+        lam_min = min(_count_table_periods(field, m))
+        expected = {
+            k
+            for k in (field.p**t for t in range(1, field.n) if field.n % t == 0)
+            if degree % (k - 1) == 0 and abs(lam_min + degree / (k - 1)) < 1e-6
+        }
+        assert feasible_clique_sizes(q, m, field=field) == expected, (q, m)
+        checked += 1
+    assert checked == 126
+
+
+def test_import_loads_no_numpy():
+    """numpy is imported only inside eigen_oracle, so importing the package
+    stays light."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paleysync.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, paleysync; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
