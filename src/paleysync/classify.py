@@ -26,8 +26,7 @@ from .invariants import (
     clique_number,
     independence_number,
     k_colorable,
-    paley_certificate,
-    subfield_clique,
+    subfield_certificate,
     verify_certificate,
 )
 from .paley import (
@@ -199,7 +198,7 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int):
     one of "eq" | "neq" | "timeout" and rule the one that settled it; the
     certificate is attached only for "eq".
     """
-    q, n = field.q, field.n
+    q = field.q
     feas = feasible_clique_sizes(q, mb, field=field)
     if not feas:
         return (
@@ -208,8 +207,8 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int):
             RULE_SPECTRAL,
             f"no k=p^t passes the divisibility and least-eigenvalue filter for ({q},{mb})",
         )
-    if n % 2 == 0 and subfield_clique(field, mb, n // 2) is not None:
-        cert = paley_certificate(field, mb, budget)
+    cert = subfield_certificate(field, mb)
+    if cert is not None:
         return (
             "eq",
             cert,
@@ -258,26 +257,22 @@ def _non_synchronizing(
     )
 
 
-def _rotations(mask: int, width: int, full: int) -> list[int]:
-    out = [mask]
-    m = mask
-    for _ in range(width - 1):
-        m = ((m << 1) | (m >> (width - 1))) & full
-        out.append(m)
-    return out
-
-
-def _pair_canonical(mask: int, width: int, full: int) -> int:
-    return min(min(_rotations(mask, width, full)), min(_rotations(full ^ mask, width, full)))
-
-
 def _canonical_pair_masks(width: int) -> list[int]:
     """One representative per {rotation class, complement} family of proper
-    nonempty orbital subsets.  Rotating indices multiplies every difference
-    coset by gamma, which is a graph isomorphism, so one member decides its
-    whole rotation class."""
+    nonempty orbital subsets: the least member, i.e. a mask no larger than
+    any rotation of itself or of its complement.  Rotating indices
+    multiplies every difference coset by gamma, which is a graph
+    isomorphism, so one member decides its whole rotation class."""
     full = (1 << width) - 1
-    return [mask for mask in range(1, full) if _pair_canonical(mask, width, full) == mask]
+    return [
+        mask
+        for mask in range(1, full)
+        if all(
+            mask <= (x << s | x >> (width - s)) & full
+            for x in (mask, full ^ mask)
+            for s in range(width)
+        )
+    ]
 
 
 def exhaustive_decision(
@@ -301,13 +296,12 @@ def exhaustive_decision(
     family = orbital_family(field, m)
     pair_masks = _canonical_pair_masks(mb)
     full = (1 << mb) - 1
-    n_graphs = sum(
-        1 if spectral_prune and min(mask.bit_count(), mb - mask.bit_count()) == 1 else 2
-        for mask in pair_masks
-    )
+    # Two graphs per pair, but one for the single-orbital pair (mask 1, the
+    # least mask, so always listed) when the spectral filter settles it.
+    n_graphs = 2 * len(pair_masks) - spectral_prune
     # Even split, but never below a useful floor (and never above the caller's
     # total when that total is itself tiny).
-    per_graph = max(min(10_000, budget), budget // max(1, n_graphs))
+    per_graph = max(min(10_000, budget), budget // n_graphs)
 
     reasons: list[Reason] = []
     any_timeout = False
@@ -315,11 +309,11 @@ def exhaustive_decision(
 
     for mask in pair_masks:
         comp = full ^ mask
-        if spectral_prune and min(mask.bit_count(), comp.bit_count()) == 1:
+        if spectral_prune and mask == 1:
             # Pair {single orbital, its complement}: equality of the two
             # invariants transfers between a residue graph and its complement,
             # so the single-orbital decision settles both members.
-            subset = sorted(iter_bits(mask if mask.bit_count() == 1 else comp))
+            subset = [0]
             kind, cert, rule, detail = _single_orbital_status(field, mb, per_graph)
             if kind == "neq":
                 reasons.append(Reason(rule, f"single orbitals and their complements cleared: {detail}"))

@@ -6,7 +6,7 @@ class NotOddPrimeError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Requested field exceeds the configured size limit."""
+    """Requested field exceeds the size limit."""
 
 
 class NotUndirectedError(ValueError):

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import BadDivisorError, BadInputError, NotOddPrimeError, SizeLimitError
 
-DEFAULT_SIZE_LIMIT = 1 << 20
+SIZE_LIMIT = 1 << 20  # tables are O(q)
 
 
 def is_prime(n: int) -> bool:
@@ -204,15 +204,18 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int, 
     return prod[:n]
 
 
-def _poly_pow_mod(base: list[int], e: int, modulus: tuple[int, ...], p: int, n: int) -> list[int]:
+def _x_pow_mod(e: int, f: tuple[int, ...], p: int, n: int) -> list[int]:
+    """x^e modulo the monic degree-n polynomial f over GF(p), read off the
+    bits of e from the top: a squaring for each bit, then on a set bit a
+    multiply by x, which is a shift and one reduction by f."""
     result = [1] + [0] * (n - 1)
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, acc, modulus, p, n)
-        e >>= 1
-        if e:
-            acc = _poly_mul_mod(acc, acc, modulus, p, n)
+    for bit in bin(e)[2:]:
+        result = _poly_mul_mod(result, result, f, p, n)
+        if bit == "1":
+            lead = result[-1]
+            result = [0] + result[:-1]
+            if lead:
+                result = [(r - lead * c) % p for r, c in zip(result, f)]
     return result
 
 
@@ -237,7 +240,6 @@ def _find_primitive_modulus(p: int, n: int, q: int) -> tuple[int, ...]:
     and is skipped before the (far dearer) order test.
     """
     one = [1] + [0] * (n - 1)
-    x = [0, 1] + [0] * (n - 2)
     prime_factors = list(factorize(q - 1))
     for tail in itertools.product(range(p), repeat=n):
         if tail[0] == 0:
@@ -245,9 +247,9 @@ def _find_primitive_modulus(p: int, n: int, q: int) -> tuple[int, ...]:
         f = tuple(tail) + (1,)
         if _has_nonzero_root(f, p):
             continue
-        if _poly_pow_mod(x, q - 1, f, p, n) != one:
+        if _x_pow_mod(q - 1, f, p, n) != one:
             continue
-        if any(_poly_pow_mod(x, (q - 1) // ell, f, p, n) == one for ell in prime_factors):
+        if any(_x_pow_mod((q - 1) // ell, f, p, n) == one for ell in prime_factors):
             continue
         return f
     raise BadInputError(f"no primitive polynomial of degree {n} over GF({p})")  # unreachable
@@ -286,7 +288,7 @@ def carry_masks(p: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def build_field(p: int, n: int = 1, size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldTables:
+def build_field(p: int, n: int = 1) -> FieldTables:
     """Construct GF(p^n) deterministically.
 
     The reduction modulus is the lexicographically smallest primitive monic
@@ -298,8 +300,8 @@ def build_field(p: int, n: int = 1, size_limit: int = DEFAULT_SIZE_LIMIT) -> Fie
     if n < 1:
         raise BadInputError(f"n={n} must be a positive integer")
     q = p**n
-    if q > size_limit:
-        raise SizeLimitError(f"q={q} exceeds the size limit {size_limit}")
+    if q > SIZE_LIMIT:
+        raise SizeLimitError(f"q={q} exceeds the size limit {SIZE_LIMIT}")
 
     exp = [0] * (q - 1)
     if n == 1:

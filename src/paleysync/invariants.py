@@ -459,7 +459,6 @@ def _normalize_coloring(coloring) -> tuple[int, ...]:
 def chromatic_number(
     g: Graph,
     lower: int | None = None,
-    upper: int | None = None,
     budget: int | None = None,
     clique_hint=None,
 ) -> SearchResult:
@@ -468,9 +467,7 @@ def chromatic_number(
     k-colorability is tested upward from the lower bound, so the first
     satisfiable k is exact.  `lower` must be sound if supplied; the clique
     witness (computed here when not passed in) seeds every k-test.  The
-    search's own upper bound always comes from a greedy coloring it can
-    exhibit; a supplied `upper` is only cross-checked, and a proved
-    contradiction with it raises BadInputError instead of returning.
+    search's upper bound comes from a greedy coloring it can exhibit.
     """
     n = g.n_vertices
     if n == 0:
@@ -502,8 +499,6 @@ def chromatic_number(
             return SearchResult(True, k, k, _normalize_coloring(coloring), spent)
         if status == "timeout":
             return SearchResult(False, k, ub, ub_witness, spent)
-        if upper is not None and k >= upper:
-            raise BadInputError(f"claimed upper bound {upper} refuted: not {k}-colorable")
         k += 1
     return SearchResult(True, ub, ub, ub_witness, spent)
 
@@ -594,14 +589,11 @@ def subfield_clique(field: FieldTables, m: int, t: int):
 def best_subfield_clique(field: FieldTables, m: int) -> tuple[int, ...] | None:
     """Largest proper subfield GF(p^t), t | n and t < n, that is a clique of
     the m-th power residue graph; None when no proper subfield is one."""
-    best = None
-    for t in divisors(field.n):
-        if t == field.n:
-            continue
+    for t in reversed(divisors(field.n)[:-1]):
         sc = subfield_clique(field, m, t)
-        if sc is not None and (best is None or len(sc) > len(best)):
-            best = sc
-    return best
+        if sc is not None:
+            return sc
+    return None
 
 
 def brute_force_invariants(g: Graph) -> InvariantCertificate:
@@ -685,15 +677,45 @@ def _coset_coloring(field: FieldTables, subgroup) -> tuple[int, ...]:
     return tuple(color)
 
 
+def subfield_certificate(field: FieldTables, m: int) -> InvariantCertificate | None:
+    """The omega = alpha = chi = p^(n/2) certificate of the m-th power residue
+    graph on GF(q), present exactly when the half-degree subfield C =
+    GF(p^(n/2)) is a clique; None otherwise.
+
+    Its gamma-multiple A = gamma*C is an independent set, and |C|*|A| = q
+    pins omega = |C| and alpha = |A| on a vertex-transitive graph; the
+    additive cosets of A color properly with |C| colors, so chi = omega with
+    no search.  verify_certificate checks every witness before it leaves.
+    """
+    n = field.n
+    clique = subfield_clique(field, m, n // 2) if n % 2 == 0 else None
+    if clique is None:
+        return None
+    k = len(clique)
+    indep = tuple(sorted(field.mul(c, field.gamma) for c in clique))
+    cert = InvariantCertificate(
+        omega=k,
+        alpha=k,
+        chi=k,
+        clique=clique,
+        independent_set=indep,
+        coloring=_coset_coloring(field, indep),
+        status="exact",
+        bounds={"omega": (k, k), "alpha": (k, k), "chi": (k, k)},
+    )
+    verify_certificate(build_paley(field, m), cert)
+    return cert
+
+
 def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> InvariantCertificate:
     """Exact invariants of the m-th power residue graph on GF(q).
 
-    Shortcut: when the half-degree subfield GF(p^(n/2)) is a clique, its
-    gamma-multiple is an independent set of the same size, the product
-    certificate pins omega = alpha = p^(n/2), and the additive cosets of the
-    multiplied subfield give a proper coloring with exactly omega colors, so
-    chi = omega with no search.  Otherwise: spectral bounds + search.
+    The subfield certificate when it applies (no search); otherwise
+    spectral bounds + search, seeded by the largest subfield clique.
     """
+    cert = subfield_certificate(field, m)
+    if cert is not None:
+        return cert
     g = build_paley(field, m)
     q = field.q
     rep = theta_pair(field, m)
@@ -701,44 +723,15 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     chi_lb_spectral = ceil(rep.theta_complement - 1e-6)
     alpha_ub = int(rep.theta + 1e-6)
 
-    best_sub = best_subfield_clique(field, m)
-    if best_sub is not None and len(best_sub) ** 2 == q:
-        mul = field.mul
-        gamma = field.gamma
-        indep = tuple(sorted(mul(c, gamma) for c in best_sub))
-        pair = product_certificate(g, best_sub, indep)
-        if pair is None:  # unreachable: |C| * |A| = q by construction
-            raise InvalidWitnessError("product certificate failed to fire")
-        omega, alpha = pair
-        coloring = _coset_coloring(field, indep)
-        cert = InvariantCertificate(
-            omega=omega,
-            alpha=alpha,
-            chi=omega,
-            clique=best_sub,
-            independent_set=indep,
-            coloring=coloring,
-            status="exact",
-            bounds={"omega": (omega, omega), "alpha": (alpha, alpha), "chi": (omega, omega)},
-        )
-        verify_certificate(g, cert)
-        return cert
-
     bud = budget if budget is not None else DEFAULT_BUDGET
+    best_sub = best_subfield_clique(field, m)
     indep_hint = None
     if best_sub is not None:
-        mul = field.mul
-        gamma = field.gamma
-        indep_hint = tuple(sorted(mul(c, gamma) for c in best_sub))
+        indep_hint = tuple(sorted(field.mul(c, field.gamma) for c in best_sub))
     omega_res = clique_number(g, upper_hint=omega_ub, budget=bud, witness_hint=best_sub)
     alpha_res = independence_number(g, budget=bud, upper_hint=alpha_ub, witness_hint=indep_hint)
-    chi_lo = chi_lb_spectral
-    if omega_res.exact:
-        chi_lo = max(chi_lo, omega_res.value)
-    else:
-        chi_lo = max(chi_lo, omega_res.lower)
     # chi >= q / alpha needs an upper bound on alpha; exact alpha is best.
-    chi_lo = max(chi_lo, ceil(q / alpha_res.upper))
+    chi_lo = max(chi_lb_spectral, omega_res.lower, ceil(q / alpha_res.upper))
     chi_res = chromatic_number(g, lower=chi_lo, budget=bud, clique_hint=omega_res.witness)
 
     exact = omega_res.exact and alpha_res.exact and chi_res.exact

@@ -23,6 +23,7 @@ from paleysync import (
     prime_power,
     verify_certificate,
 )
+from paleysync.classify import _canonical_pair_masks
 from conftest import field_for, valid_graph_ms
 
 
@@ -288,6 +289,28 @@ def test_exhaustive_cap_reports_skip():
     result = classify(361, 9, exhaustive_cap=8)
     assert result.verdict == UNKNOWN
     assert result.status == "skipped_exhaustive"
+
+
+def test_canonical_pair_masks_are_orbit_minima():
+    """One pair per orbit of the proper nonempty masks under rotation and
+    complement, namely the orbit's least member; orbits built here from
+    bit strings, apart from the shifts the enumeration uses."""
+    lengths = []
+    for width in range(1, 15):
+        full = (1 << width) - 1
+        seen: set[int] = set()
+        reps = []
+        for mask in range(1, full):
+            if mask in seen:
+                continue
+            orbit = set()
+            for word in (format(mask, f"0{width}b"), format(full ^ mask, f"0{width}b")):
+                orbit.update(int(word[s:] + word[:s], 2) for s in range(width))
+            seen |= orbit
+            reps.append(min(orbit))
+        assert _canonical_pair_masks(width) == sorted(reps), width
+        lengths.append(len(reps))
+    assert lengths == [0, 1, 1, 3, 3, 7, 9, 19, 29, 55, 93, 179, 315, 595]
 
 
 def test_classification_is_frozen():

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import paleysync.cli as cli
-from paleysync import InvariantCertificate
+from paleysync import InvariantCertificate, build_field, exhaustive_decision
 from paleysync.cli import run
 
 
@@ -25,6 +26,15 @@ def test_graph_dot(capsys):
     assert code == 0
     assert out.startswith("graph paley_5_2 {")
     assert "0 -- 1;" in out
+
+
+def test_graph_json_five_cycle(capsys):
+    code, out = _run(capsys, "graph", "5", "2")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["n_vertices"] == 5
+    assert blob["degree"] == 2
+    assert blob["edges"] == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
 
 
 def test_classify_json(capsys):
@@ -88,6 +98,15 @@ def test_scan_oracle_disagreement_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_spectrum_oracle_diff", lambda *args: 1.0)
     code, _ = _run(capsys, "scan", "--q-max", "13", "--oracle")
     assert code == 3
+
+
+def test_spectrum_oracle_disagreement_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_spectrum_oracle_diff", lambda *args: 1.0)
+    code = run(["spectrum", "13", "2", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["oracle_max_abs_diff"] == 1.0
+    assert "oracle mismatch" in captured.err
 
 
 @pytest.mark.parametrize("argv", [("invariants", "13", "2"), ("scan", "--q-max", "13")])
@@ -176,3 +195,38 @@ def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     pairs = {(int(row[0]), int(row[5])) for row in rows if int(row[5]) >= 2}
     assert sorted(calls) == sorted(pairs)
+
+
+def _scan_81_8_by_search(monkeypatch, omega=None):
+    """Route (81, 8) through the single-orbital search: NonSynchronizing with
+    subset [0] and omega = chi = 3, so the scan fills its omega/chi columns
+    (every other NonSynchronizing row comes from a fast path).  `omega`
+    replaces the certificate's clique number."""
+    classify = cli.classify
+
+    def by_search(q, m, **kwargs):
+        if (q, m) != (81, 8):
+            return classify(q, m, **kwargs)
+        result = exhaustive_decision(build_field(3, 4), 8, budget=50)
+        if omega is not None:
+            result = dataclasses.replace(
+                result, certificate=dataclasses.replace(result.certificate, omega=omega)
+            )
+        return result
+
+    monkeypatch.setattr(cli, "classify", by_search)
+    return run(["scan", "--q-max", "81", "--m-set", "8"])
+
+
+def test_scan_reports_omega_chi_of_a_single_orbital_witness(capsys, monkeypatch):
+    code = _scan_81_8_by_search(monkeypatch)
+    out = capsys.readouterr().out
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("81,"))
+    assert row.endswith(",3,3,27,-5,complete")
+
+
+def test_scan_sandwich_violation_exits_three(capsys, monkeypatch):
+    code = _scan_81_8_by_search(monkeypatch, omega=4)
+    assert code == 3
+    assert "sandwich violated" in capsys.readouterr().err

@@ -39,7 +39,7 @@ def test_even_characteristic_rejected():
 
 def test_size_limit():
     with pytest.raises(SizeLimitError):
-        build_field(3, 2, size_limit=8)
+        build_field(3, 13)  # q = 1,594,323 > 2^20: refused before any table is built
 
 
 def test_prime_field_arithmetic_examples():

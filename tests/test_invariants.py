@@ -161,13 +161,6 @@ def test_hints_only_prune():
     assert hinted.value == clique_number(g).value == 3
 
 
-def test_chromatic_refutes_false_upper_claim():
-    from paleysync import BadInputError
-
-    with pytest.raises(BadInputError):
-        chromatic_number(FIVE_CYCLE, upper=2)  # odd cycle needs 3 colors
-
-
 def test_k_colorable_statuses():
     g = residue_graph(13, 2)
     sat, coloring, _ = k_colorable(g, 5)
