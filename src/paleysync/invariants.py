@@ -7,11 +7,11 @@ canonical introduction of new colors, and clique-seeded pre-coloring.  Its
 domains are kept transposed, as one allow-mask per color (the vertices that
 may still take it), so coloring v with c is allow[c] &= ~adj[v], and
 forcing, wipe-out and the MRV choice are a few mask operations per color
-rather than a walk over neighbors.  Its depth-first search runs off an
-explicit stack of branches, each holding k-long lists of masks, so its depth
-is bounded by memory, not by the interpreter's recursion limit.
-Both honor a node budget and report explicit timeout bounds instead of
-guessing.
+rather than a walk over neighbors.  Both depth-first searches run off
+explicit stacks (the clique search's frames hold a candidate set and its
+color order, the coloring's branches k-long lists of masks), so their depth
+is bounded by memory, not by the interpreter's recursion limit.  Both honor
+a node budget and report explicit timeout bounds instead of guessing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf import FieldTables, divisors, subfield_elements
-from .paley import Graph, build_paley, complement, iter_bits, validate_residue_params
+from .paley import Graph, build_paley, complement, iter_bits, relabel, validate_residue_params
 from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
@@ -34,10 +34,6 @@ BRUTE_FORCE_CAP = 16
 
 
 class _Exhausted(Exception):
-    pass
-
-
-class _Done(Exception):
     pass
 
 
@@ -147,71 +143,82 @@ def _dsatur_coloring(adj: list[int], n: int) -> list[int]:
     return colors
 
 
-def _check_clique(adj: list[int], vertices) -> bool:
-    vs = list(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if not (adj[u] >> v) & 1:
-                return False
+def _is_witness(adj: list[int], vertices, adjacent: bool) -> bool:
+    """True when `vertices` are distinct vertices of the graph and every pair
+    of them is adjacent (a clique) or, with adjacent=False, none is (an
+    independent set)."""
+    n = len(adj)
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < n or mask >> v & 1:
+            return False
+        mask |= 1 << v
+    for v in vertices:
+        others = mask ^ (1 << v)
+        if adj[v] & others != (others if adjacent else 0):
+            return False
     return True
 
 
-def _check_independent(adj: list[int], vertices) -> bool:
-    vs = list(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if (adj[u] >> v) & 1:
-                return False
-    return True
+def _max_clique(adj: list[int], n: int, best: list[int], cap: int,
+                budget: _Budget) -> tuple[list[int], bool]:
+    """Branch-and-bound maximum clique from the incumbent `best`; returns
+    (best, exact), exact False when the budget ran out first.
 
-
-class _CliqueState:
-    __slots__ = ("adj", "best_len", "best", "stack", "budget", "cap")
-
-    def __init__(self, adj, best, budget, cap):
-        self.adj = adj
-        self.best = list(best)
-        self.best_len = len(best)
-        self.stack: list[int] = []
-        self.budget = budget
-        self.cap = cap
-
-
-def _clique_expand(state: _CliqueState, r_len: int, cand: int) -> None:
-    state.budget.step()
-    adj = state.adj
-    # Greedy color partition of the candidate set; the class index bounds the
-    # clique size attainable from each vertex.
-    order: list[int] = []
-    bound: list[int] = []
-    q = cand
-    c = 0
-    while q:
-        c += 1
-        avail = q
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            order.append(v)
-            bound.append(c)
-            avail &= ~adj[v] & ~b
-            q ^= b
-    stack = state.stack
-    for i in range(len(order) - 1, -1, -1):
-        if r_len + bound[i] <= state.best_len:
-            return
-        v = order[i]
-        cand &= ~(1 << v)
-        sub = cand & adj[v]
-        stack.append(v)
-        if sub:
-            _clique_expand(state, r_len + 1, sub)
-        elif r_len + 1 > state.best_len:
-            state.best_len = r_len + 1
-            state.best = stack.copy()
-            if state.best_len >= state.cap:
-                raise _Done
-        stack.pop()
+    A node greedily colors its candidate set, the class index bounding the
+    clique through each vertex, and tries the vertices from the last class
+    down until a bound cannot beat the incumbent.  The open node's (order,
+    bound, i, cand) live in locals: going down pushes them with the chosen
+    vertex, and closing a node pops them.  Each node opened spends one
+    budget step; reaching `cap` ends the search.
+    """
+    best_len = len(best)
+    frames: list[tuple[list[int], list[int], int, int]] = []
+    clique: list[int] = []
+    cand = (1 << n) - 1
+    while True:
+        try:
+            budget.step()
+        except _Exhausted:
+            return best, False
+        order: list[int] = []
+        bound: list[int] = []
+        q = cand
+        c = 0
+        while q:
+            c += 1
+            avail = q
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                order.append(v)
+                bound.append(c)
+                avail &= ~adj[v] & ~b
+                q ^= b
+        r_len = len(clique)
+        i = len(order)
+        while True:
+            i -= 1
+            if i < 0 or r_len + bound[i] <= best_len:
+                if not frames:
+                    return best, True
+                order, bound, i, cand = frames.pop()
+                clique.pop()
+                r_len -= 1
+                continue
+            v = order[i]
+            cand &= ~(1 << v)
+            sub = cand & adj[v]
+            if sub:
+                frames.append((order, bound, i, cand))
+                clique.append(v)
+                cand = sub
+                break
+            if r_len + 1 > best_len:
+                best = clique + [v]
+                best_len = r_len + 1
+                if best_len >= cap:
+                    return best, True
 
 
 def clique_number(
@@ -236,7 +243,7 @@ def clique_number(
     start = _greedy_clique(adj, n, list(reversed(order))[: min(n, 48)])
     if witness_hint:
         wit = sorted(witness_hint)
-        if not _check_clique(adj, wit):
+        if not _is_witness(adj, wit, adjacent=True):
             raise InvalidWitnessError("witness_hint is not a clique")
         if len(wit) > len(start):
             start = wit
@@ -247,25 +254,10 @@ def clique_number(
     rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
-    adj2 = [0] * n
-    for v in range(n):
-        r = 0
-        for u in iter_bits(adj[v]):
-            r |= 1 << rank[u]
-        adj2[rank[v]] = r
     bud = _Budget(budget if budget is not None else DEFAULT_BUDGET)
-    state = _CliqueState(adj2, [rank[v] for v in start], bud, cap)
-    exact = True
-    try:
-        _clique_expand(state, 0, (1 << n) - 1)
-    except _Done:
-        pass
-    except _Exhausted:
-        exact = False
-    witness = tuple(sorted(order[i] for i in state.best))
-    if exact:
-        return SearchResult(True, len(witness), len(witness), witness, bud.spent)
-    return SearchResult(False, len(witness), cap, witness, bud.spent)
+    best, exact = _max_clique(relabel(g, rank).adjacency, n, [rank[v] for v in start], cap, bud)
+    witness = tuple(sorted(order[i] for i in best))
+    return SearchResult(exact, len(witness), len(witness) if exact else cap, witness, bud.spent)
 
 
 def independence_number(g: Graph, budget: int | None = None, upper_hint: int | None = None,
@@ -435,7 +427,7 @@ def k_colorable(g: Graph, k: int, budget: int | None = None, clique_hint=()):
     status "sat" | "unsat" | "timeout"."""
     adj = list(g.adjacency)
     seed = sorted(clique_hint)
-    if seed and not _check_clique(adj, seed):
+    if seed and not _is_witness(adj, seed, adjacent=True):
         raise InvalidWitnessError("clique_hint is not a clique")
     bud = _Budget(budget if budget is not None else DEFAULT_BUDGET)
     try:
@@ -477,7 +469,7 @@ def chromatic_number(
     spent = 0
 
     clique = sorted(clique_hint) if clique_hint else None
-    if clique is not None and not _check_clique(adj, clique):
+    if clique is not None and not _is_witness(adj, clique, adjacent=True):
         raise InvalidWitnessError("clique_hint is not a clique")
     if clique is None:
         cres = clique_number(g, budget=bud_total)
@@ -493,6 +485,8 @@ def chromatic_number(
 
     k = lo
     while k < ub:
+        if spent > bud_total:  # the clique search ran out of budget
+            return SearchResult(False, k, ub, ub_witness, spent)
         status, coloring, nodes = k_colorable(g, k, budget=bud_total - spent, clique_hint=clique)
         spent += nodes
         if status == "sat":
@@ -536,9 +530,9 @@ class InvariantCertificate:
 def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
     """Raise InvalidWitnessError unless every witness checks out against g."""
     adj = list(g.adjacency)
-    if not _check_clique(adj, cert.clique):
+    if not _is_witness(adj, cert.clique, adjacent=True):
         raise InvalidWitnessError("clique witness is not a clique")
-    if not _check_independent(adj, cert.independent_set):
+    if not _is_witness(adj, cert.independent_set, adjacent=False):
         raise InvalidWitnessError("independent-set witness is not independent")
     if cert.omega is not None and len(cert.clique) != cert.omega:
         raise InvalidWitnessError("clique witness size differs from omega")
@@ -564,9 +558,9 @@ def product_certificate(g: Graph, clique, independent_set):
     adj = list(g.adjacency)
     c = sorted(set(clique))
     a = sorted(set(independent_set))
-    if not _check_clique(adj, c):
+    if not _is_witness(adj, c, adjacent=True):
         raise InvalidWitnessError("supplied clique is not a clique")
-    if not _check_independent(adj, a):
+    if not _is_witness(adj, a, adjacent=False):
         raise InvalidWitnessError("supplied independent set is not independent")
     if len(c) * len(a) == g.n_vertices:
         return len(c), len(a)

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from paleysync import (
+    Graph,
     InvalidWitnessError,
     TooLargeError,
     brute_force_invariants,
@@ -16,11 +17,13 @@ from paleysync import (
     independence_number,
     k_colorable,
     multiplier_map,
+    orbital_family,
     paley_certificate,
     product_certificate,
     relabel,
     subfield_clique,
     theta_pair,
+    union_graph,
     verify_certificate,
 )
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
@@ -245,6 +248,58 @@ def test_k_colorable_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge,
         assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
+@pytest.mark.parametrize(
+    "subset, budget, exact, bounds, nodes",
+    [
+        ({0, 1}, None, True, (4, 4), 2517),
+        ({2, 3, 4}, None, True, (9, 9), 14346),
+        ({0, 2}, None, True, (5, 5), 1575),
+        ({1, 3, 4}, None, True, (9, 9), 10360),
+        ({2, 3, 4}, 1000, False, (9, 73), 1001),  # a timed-out search reports budget + 1 nodes
+    ],
+)
+def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
+    """Budgets are node counts, so the node count of a search is part of its
+    answer: a change to the branching order must re-record these values.
+    The graphs are orbital unions of GF(121) at m = 5."""
+    g = union_graph(orbital_family(build_field(11, 2), 5), subset)
+    res = clique_number(g, budget=budget)
+    assert (res.exact, (res.lower, res.upper), res.nodes) == (exact, bounds, nodes)
+    assert len(res.witness) == res.lower
+    assert all(g.has_edge(u, v) for u in res.witness for v in res.witness if u < v)
+
+
+@pytest.mark.parametrize(
+    "n, seed, p_edge, omega, nodes, witness",
+    [
+        (60, 1, 0.3, 5, 35, (4, 24, 35, 37, 56)),
+        (50, 4, 0.7, 11, 193, (7, 14, 16, 20, 24, 28, 32, 37, 38, 39, 41)),
+        (120, 2, 0.5, 9, 1342, (5, 6, 19, 32, 38, 61, 91, 94, 102)),
+    ],
+)
+def test_clique_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge, omega, nodes, witness):
+    res = clique_number(random_graph(n, seed, p_edge))
+    assert (res.value, res.nodes, res.witness) == (omega, nodes, witness)
+
+
+def test_clique_deep_search_has_no_recursion_limit():
+    # K_1000 beside a complete tripartite decoy K_{501,501,501}: the decoy
+    # has the larger degrees, so the greedy seed is a triangle and the
+    # search descends through the whole K_1000, one level per vertex.
+    big, part = 1000, 501
+    n = big + 3 * part
+    clique_rows = [((1 << big) - 1) ^ (1 << v) for v in range(big)]
+    decoy = ((1 << n) - 1) ^ ((1 << big) - 1)
+    decoy_rows = []
+    for j in range(3):
+        own = ((1 << part) - 1) << (big + j * part)
+        decoy_rows += [decoy & ~own] * part
+    res = clique_number(Graph(n, tuple(clique_rows + decoy_rows)))
+    assert res.value == big
+    assert res.witness == tuple(range(big))
+    assert res.nodes == big
+
+
 def test_relabeling_invariance():
     field = build_field(13)
     g = build_paley(field, 3)
@@ -298,3 +353,30 @@ def test_verify_certificate_rejects_tampering():
     bad = cert.__class__(**{**cert.__dict__, "omega": 4})
     with pytest.raises(InvalidWitnessError):
         verify_certificate(g, bad)
+
+
+@pytest.mark.parametrize(
+    "independent_set, alpha",
+    [
+        ((1, 6, 12, 99), 4),  # a vertex out of range
+        ((1, 6, 12, 6), 4),  # a repeated vertex
+        ((-1, 1), 2),  # a negative vertex
+    ],
+)
+def test_verify_certificate_rejects_forged_independent_sets(independent_set, alpha):
+    """Paley(13) has alpha = 3, and (1, 6, 12) is a maximum independent set:
+    each forgery passes the pair test alone."""
+    g = residue_graph(13, 2)
+    cert = paley_certificate(build_field(13), 2)
+    forged = cert.__class__(**{**cert.__dict__, "alpha": alpha, "independent_set": independent_set})
+    with pytest.raises(InvalidWitnessError, match="independent-set witness is not independent"):
+        verify_certificate(g, forged)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100])
+def test_chromatic_number_stops_when_its_clique_search_spends_the_budget(budget):
+    g = union_graph(orbital_family(build_field(11, 2), 5), {2, 3, 4})
+    res = chromatic_number(g, budget=budget)
+    assert not res.exact
+    assert (res.lower, res.upper, res.nodes) == (9, 33, budget + 1)
+    assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
