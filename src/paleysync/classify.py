@@ -24,10 +24,9 @@ from .invariants import (
     InvariantCertificate,
     best_subfield_clique,
     clique_number,
-    independence_number,
+    equal_certificate,
     k_colorable,
     subfield_certificate,
-    verify_certificate,
 )
 from .paley import (
     Graph,
@@ -164,9 +163,12 @@ def _omega_equals_chi(
     k-colorability at k = omega; each search gets the whole budget.
     Returns (outcome, omega_res, cert): outcome "eq" | "neq" | "timeout",
     omega_res the clique search (not exact when that search timed out),
-    and, for "eq" only, the certificate of omega = chi = k, completed by an
-    independence search and checked against g before it leaves, so no
-    unverified witness is ever emitted.
+    and, for "eq" only, the certificate of omega = chi = k that
+    `equal_certificate` builds from the clique and the coloring and checks
+    against g, so no unverified witness is ever emitted.  Its alpha = q/k is
+    read off the coloring, its witness the color class of vertex 0; the
+    pinned output digests were re-recorded when that replaced an
+    independence search, which had left alpha None on a timeout.
     """
     omega_res = clique_number(g, upper_hint=upper_hint, budget=budget, witness_hint=witness_hint)
     if not omega_res.exact:
@@ -177,19 +179,7 @@ def _omega_equals_chi(
     status, coloring, _ = k_colorable(g, k, budget=budget, clique_hint=omega_res.witness)
     if status != "sat":
         return ("neq" if status == "unsat" else "timeout"), omega_res, None
-    alpha_res = independence_number(g, budget=budget)
-    cert = InvariantCertificate(
-        omega=k,
-        alpha=alpha_res.value if alpha_res.exact else None,
-        chi=k,
-        clique=omega_res.witness,
-        independent_set=alpha_res.witness,
-        coloring=coloring,
-        status="exact",
-        bounds={"omega": (k, k), "alpha": (alpha_res.lower, alpha_res.upper), "chi": (k, k)},
-    )
-    verify_certificate(g, cert)
-    return "eq", omega_res, cert
+    return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
 
 
 def _single_orbital_status(field: FieldTables, mb: int, budget: int):

@@ -2,9 +2,10 @@
 
 Commands: field, graph, invariants, spectrum, classify, scan.  Output is
 deterministic: JSON keys in fixed order, floats at 12 significant digits,
-CSV columns fixed.  Exit codes: 0 ok, 1 bad arguments, 2 budget exhausted
-(partial output still emitted), 3 oracle mismatch, 4 internal error (any
-other RuntimeError, such as a RecursionError).
+CSV columns fixed.  Exit codes: 0 ok, 1 bad arguments (including an
+--out path that cannot be written), 2 budget exhausted (partial output
+still emitted), 3 oracle mismatch, 4 internal error (any other
+RuntimeError, such as a RecursionError).
 """
 
 from __future__ import annotations
@@ -259,6 +260,17 @@ def _cmd_scan(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """--budget (and PALEY_BUDGET) as a node count: a nonnegative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return budget
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paleysync",
@@ -270,10 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--emit", default="json", choices=emits)
         if budget:
-            env = os.environ.get("PALEY_BUDGET")
+            # A string default goes through _budget only when --budget is absent.
             sp.add_argument(
-                "--budget", type=int, default=int(env) if env else DEFAULT_BUDGET,
-                help="search node budget",
+                "--budget", type=_budget, default=os.environ.get("PALEY_BUDGET") or DEFAULT_BUDGET,
+                help="node budget of each exact search (default: $PALEY_BUDGET or 10^8)",
             )
         if oracle:
             sp.add_argument("--oracle", action="store_true", help="cross-check against oracles")
@@ -324,7 +336,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_ARGS
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_ARGS
     except OracleMismatchError as exc:

@@ -333,21 +333,14 @@ def build_field(p: int, n: int = 1) -> FieldTables:
         log[code] = k
 
     # Trace is GF(p)-linear: tabulate it on the basis x^i (code p**i), then
-    # accumulate it along the translation walk.
-    spec = FieldSpec(p, n, q, modulus, exp[1])
-    tables = FieldTables(spec, tuple(exp), tuple(log), ())
-    basis_trace = []
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc = tables.add(acc, exp[log[p**i] * p**j % (q - 1)])
-        if acc >= p:
-            raise BadInputError("trace of a basis element left the prime subfield")
-        basis_trace.append(acc)
+    # accumulate it along the translation walk.  Tr(x^i) is the trace of
+    # multiplication by x^i, whose diagonal on the basis x^k is digit k of
+    # x^(i+k) = exp[i + k]; for n = 1 that is exp[0] = 1.
+    basis_trace = [sum(exp[i + k] // p**k % p for k in range(n)) % p for i in range(n)]
     trace = [0] * q
     for u, (prev, i) in enumerate(translation_walk(p, n), 1):
         trace[u] = (trace[prev] + basis_trace[i]) % p
-    return FieldTables(spec, tables.exp, tables.log, tuple(trace))
+    return FieldTables(FieldSpec(p, n, q, modulus, exp[1]), tuple(exp), tuple(log), tuple(trace))
 
 
 def subgroup_coset(field: FieldTables, m: int, j: int = 0) -> frozenset[int]:

@@ -528,7 +528,10 @@ class InvariantCertificate:
 
 
 def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
-    """Raise InvalidWitnessError unless every witness checks out against g."""
+    """Raise InvalidWitnessError unless every witness checks out against g and
+    an exact certificate carries all three numbers."""
+    if cert.status == "exact" and None in (cert.omega, cert.alpha, cert.chi):
+        raise InvalidWitnessError("exact certificate is missing omega, alpha or chi")
     adj = list(g.adjacency)
     if not _is_witness(adj, cert.clique, adjacent=True):
         raise InvalidWitnessError("clique witness is not a clique")
@@ -550,21 +553,6 @@ def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
             raise InvalidWitnessError("coloring does not use exactly chi colors")
     if cert.omega is not None and cert.chi is not None and cert.omega > cert.chi:
         raise InvalidWitnessError("omega exceeds chi")
-
-
-def product_certificate(g: Graph, clique, independent_set):
-    """If |C|*|A| equals the vertex count of a vertex-transitive graph, C and A
-    are extremal, so (omega, alpha) is exact without any search."""
-    adj = list(g.adjacency)
-    c = sorted(set(clique))
-    a = sorted(set(independent_set))
-    if not _is_witness(adj, c, adjacent=True):
-        raise InvalidWitnessError("supplied clique is not a clique")
-    if not _is_witness(adj, a, adjacent=False):
-        raise InvalidWitnessError("supplied independent set is not independent")
-    if len(c) * len(a) == g.n_vertices:
-        return len(c), len(a)
-    return None
 
 
 def subfield_clique(field: FieldTables, m: int, t: int):
@@ -671,34 +659,47 @@ def _coset_coloring(field: FieldTables, subgroup) -> tuple[int, ...]:
     return tuple(color)
 
 
+def equal_certificate(g: Graph, clique, coloring) -> InvariantCertificate:
+    """The omega = chi = k certificate of a Cayley graph on q vertices, from a
+    k-clique and a proper k-coloring, with no search.
+
+    A Cayley graph is vertex-transitive, so omega * alpha <= q, while a proper
+    k-coloring has a class of at least q/k vertices: with omega = k, alpha is
+    q/k and every color class is a maximum independent set.  The class of
+    vertex 0 is the alpha witness.  verify_certificate checks every witness
+    before it leaves.
+    """
+    k = len(clique)
+    alpha = g.n_vertices // k
+    cert = InvariantCertificate(
+        omega=k,
+        alpha=alpha,
+        chi=k,
+        clique=tuple(clique),
+        independent_set=tuple(v for v, c in enumerate(coloring) if c == coloring[0]),
+        coloring=tuple(coloring),
+        status="exact",
+        bounds={"omega": (k, k), "alpha": (alpha, alpha), "chi": (k, k)},
+    )
+    verify_certificate(g, cert)
+    return cert
+
+
 def subfield_certificate(field: FieldTables, m: int) -> InvariantCertificate | None:
     """The omega = alpha = chi = p^(n/2) certificate of the m-th power residue
     graph on GF(q), present exactly when the half-degree subfield C =
     GF(p^(n/2)) is a clique; None otherwise.
 
-    Its gamma-multiple A = gamma*C is an independent set, and |C|*|A| = q
-    pins omega = |C| and alpha = |A| on a vertex-transitive graph; the
-    additive cosets of A color properly with |C| colors, so chi = omega with
-    no search.  verify_certificate checks every witness before it leaves.
+    Its gamma-multiple gamma*C is an independent set, so its additive cosets
+    color properly with |C| colors and equal_certificate applies, the coset
+    of 0 being gamma*C itself.
     """
     n = field.n
     clique = subfield_clique(field, m, n // 2) if n % 2 == 0 else None
     if clique is None:
         return None
-    k = len(clique)
-    indep = tuple(sorted(field.mul(c, field.gamma) for c in clique))
-    cert = InvariantCertificate(
-        omega=k,
-        alpha=k,
-        chi=k,
-        clique=clique,
-        independent_set=indep,
-        coloring=_coset_coloring(field, indep),
-        status="exact",
-        bounds={"omega": (k, k), "alpha": (k, k), "chi": (k, k)},
-    )
-    verify_certificate(build_paley(field, m), cert)
-    return cert
+    indep = [field.mul(c, field.gamma) for c in clique]
+    return equal_certificate(build_paley(field, m), clique, _coset_coloring(field, indep))
 
 
 def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> InvariantCertificate:

@@ -19,8 +19,10 @@ from paleysync import (
     exhaustive_decision,
     fast_paths,
     normalize_params,
+    orbital_family,
     primitivity,
     prime_power,
+    union_graph,
     verify_certificate,
 )
 from paleysync.classify import _canonical_pair_masks
@@ -161,6 +163,23 @@ def test_exhaustive_gf9_witness():
     assert cert.omega == cert.chi == 3
     assert cert.alpha == 3  # omega * alpha = q on the witness
     verify_certificate(build_paley(build_field(3, 2), 2), cert)
+
+
+def test_search_witness_certificate_is_fully_exact():
+    """An omega = chi = k union found by search carries alpha = q/k, read off
+    its coloring: the class of vertex 0, no independence search."""
+    field = build_field(5, 2)
+    result = exhaustive_decision(field, 6, budget=5, spectral_prune=False)
+    assert result.verdict == NON_SYNCHRONIZING
+    cert = result.certificate
+    assert cert.status == "exact"
+    assert cert.omega == cert.chi == 5
+    assert cert.alpha * cert.omega == field.q
+    assert cert.bounds["alpha"] == (5, 5)
+    color_of_0 = cert.coloring[0]
+    assert cert.independent_set == tuple(v for v, c in enumerate(cert.coloring) if c == color_of_0)
+    subset = result.witness["orbital_subset"]
+    verify_certificate(union_graph(orbital_family(field, 6), subset), cert)
 
 
 def test_exhaustive_gf13_synchronizing_by_search():

@@ -230,3 +230,31 @@ def test_scan_sandwich_violation_exits_three(capsys, monkeypatch):
     code = _scan_81_8_by_search(monkeypatch, omega=4)
     assert code == 3
     assert "sandwich violated" in capsys.readouterr().err
+
+
+def test_budget_env_is_ignored_without_budget_option(capsys, monkeypatch):
+    monkeypatch.setenv("PALEY_BUDGET", "abc")
+    code, out = _run(capsys, "field", "3", "2")
+    assert code == 0
+    assert json.loads(out)["field"]["q"] == 9
+
+
+@pytest.mark.parametrize(
+    "env, argv", [("abc", ()), (None, ("--budget", "-1"))], ids=["env", "option"]
+)
+def test_bad_budget_is_a_usage_error(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("PALEY_BUDGET", env)
+    code = run(["classify", "9", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "is not a nonnegative integer" in captured.err
+
+
+def test_out_to_missing_directory_exits_one(tmp_path, capsys):
+    code = run(["classify", "9", "2", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err

@@ -19,7 +19,6 @@ from paleysync import (
     multiplier_map,
     orbital_family,
     paley_certificate,
-    product_certificate,
     relabel,
     subfield_clique,
     theta_pair,
@@ -98,32 +97,6 @@ def test_solver_matches_brute_force_on_random_graphs(seed):
     assert clique_number(g).value == bf.omega
     assert independence_number(g).value == bf.alpha
     assert chromatic_number(g).value == bf.chi
-
-
-def test_product_certificate_fires_on_gf9():
-    field = build_field(3, 2)
-    g = build_paley(field, 2)
-    clique = subfield_clique(field, 2, 1)
-    indep = tuple(sorted(field.mul(c, field.gamma) for c in clique))
-    assert product_certificate(g, clique, indep) == (3, 3)
-
-
-def test_product_certificate_absent_on_five_cycle():
-    assert product_certificate(FIVE_CYCLE, (0, 1), (0, 2)) is None
-
-
-def test_product_certificate_single_vertex():
-    g = graph_from_edges(1, [])
-    assert product_certificate(g, (0,), (0,)) == (1, 1)
-
-
-def test_product_certificate_rejects_bad_witnesses():
-    g = residue_graph(9, 2)
-    with pytest.raises(InvalidWitnessError):
-        product_certificate(g, (0, 1, 2, 3), (0,))  # not a clique
-    clique = clique_number(g).witness
-    with pytest.raises(InvalidWitnessError):
-        product_certificate(g, clique, clique)  # a clique is not independent here
 
 
 def test_subfield_clique_examples():
@@ -353,6 +326,14 @@ def test_verify_certificate_rejects_tampering():
     bad = cert.__class__(**{**cert.__dict__, "omega": 4})
     with pytest.raises(InvalidWitnessError):
         verify_certificate(g, bad)
+
+
+def test_verify_certificate_rejects_exact_certificate_without_alpha():
+    g = residue_graph(9, 2)
+    cert = paley_certificate(build_field(3, 2), 2)
+    partial = cert.__class__(**{**cert.__dict__, "alpha": None})
+    with pytest.raises(InvalidWitnessError, match="missing omega, alpha or chi"):
+        verify_certificate(g, partial)
 
 
 @pytest.mark.parametrize(

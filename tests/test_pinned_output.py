@@ -3,10 +3,18 @@
 Each group of the corpus below is serialized (the `Classification` JSON with
 its certificate and spectral report, or the `scan` CSV and exit code) and
 hashed; the digests were recorded before the omega = chi searches of
-`classify.py` were folded into one.  The corpus reaches every reason kind
-the classifier emits: each fast-path rule, the single-graph criterion, the
-spectral filter, both exhaustive texts, the single-orbital and union
-timeouts, the subfield product certificate and an exact-search witness.
+`classify.py` were folded into one.  The search-only, gf81-8 and default
+digests were re-recorded when `invariants.equal_certificate` took over the
+certificate of an omega = chi = k found by search: its alpha is q/k, read off
+the coloring with the class of vertex 0 as witness, where an independence
+search had given another witness, or alpha None on a timeout.  With the
+alpha fields (alpha, independent_set, bounds.alpha) masked, the corpus did not
+change; 27 records differ, 19 in the witness alone and 8 from None to q/k.
+
+The corpus reaches every reason kind the classifier emits: each fast-path
+rule, the single-graph criterion, the spectral filter, both exhaustive texts,
+the single-orbital and union timeouts, the subfield product certificate and
+an exact-search witness.
 
 A deliberate change of output re-records the digests: print
 `{name: _digest(items) for name, items in _corpus().items()}`.
@@ -25,9 +33,9 @@ from conftest import field_for
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
-    "search-only": "721de0e0f44216beec680b7c3aee7c892696365f48271963a70d8faee72e7a12",
-    "gf81-8": "c400ca4e79efdfba7b1cc3127347e0d10513115051dc71ed2547d72568afd7b9",
-    "default": "70400d61aad2a170f8f8546624695b1ec43486f7413ae321e52a77f8c29d94d3",
+    "search-only": "3d41a69e41c0700dcb6e2409adf104132edf5b9bcfcb513d016e629246843e85",
+    "gf81-8": "6d24d291b1f4e62af17e95b96e330a8156368dd7d598fbeb40caed09ebcdc979",
+    "default": "aacca0094d82cb11a4a256a9393f275422dec49cb1659e3aee288509fbc3e312",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
 }
 
