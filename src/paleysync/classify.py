@@ -20,8 +20,8 @@ from math import gcd
 from .errors import BadInputError
 from .gf import FieldTables, build_field, is_prime
 from .invariants import (
-    DEFAULT_BUDGET,
     InvariantCertificate,
+    _Budget,
     best_subfield_clique,
     clique_number,
     equal_certificate,
@@ -154,35 +154,32 @@ def fast_paths(q: int, m: int) -> Classification | None:
 
 
 def _omega_equals_chi(
-    g: Graph, budget: int, feasible=None, upper_hint: int | None = None, witness_hint=None
+    g: Graph, meter: _Budget, feasible=None, upper_hint: int | None = None, witness_hint=None
 ):
     """Decide omega(g) = chi(g), the one per-graph question of Lemma 2.3.
 
     Runs the maximum-clique search, then, when a feasible set of common
     values is given, rejects an omega outside it, then tests
-    k-colorability at k = omega; each search gets the whole budget.
+    k-colorability at k = omega; both searches draw on the caller's meter.
     Returns (outcome, omega_res, cert): outcome "eq" | "neq" | "timeout",
     omega_res the clique search (not exact when that search timed out),
     and, for "eq" only, the certificate of omega = chi = k that
     `equal_certificate` builds from the clique and the coloring and checks
-    against g, so no unverified witness is ever emitted.  Its alpha = q/k is
-    read off the coloring, its witness the color class of vertex 0; the
-    pinned output digests were re-recorded when that replaced an
-    independence search, which had left alpha None on a timeout.
+    against g, so no unverified witness is ever emitted.
     """
-    omega_res = clique_number(g, upper_hint=upper_hint, budget=budget, witness_hint=witness_hint)
+    omega_res = clique_number(g, upper_hint=upper_hint, budget=meter, witness_hint=witness_hint)
     if not omega_res.exact:
         return "timeout", omega_res, None
     k = omega_res.value
     if feasible is not None and k not in feasible:
         return "neq", omega_res, None
-    status, coloring, _ = k_colorable(g, k, budget=budget, clique_hint=omega_res.witness)
+    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=omega_res.witness)
     if status != "sat":
         return ("neq" if status == "unsat" else "timeout"), omega_res, None
     return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
 
 
-def _single_orbital_status(field: FieldTables, mb: int, budget: int):
+def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
     """Decide whether the residue graph with index mb has equal clique and
     chromatic numbers.  Returns (kind, certificate, rule, detail) with kind
     one of "eq" | "neq" | "timeout" and rule the one that settled it; the
@@ -208,7 +205,7 @@ def _single_orbital_status(field: FieldTables, mb: int, budget: int):
     rep = theta_pair(field, mb)
     kind, omega_res, cert = _omega_equals_chi(
         build_paley(field, mb),
-        budget,
+        meter,
         feas,
         upper_hint=int(rep.theta_complement + 1e-6),
         witness_hint=best_subfield_clique(field, mb),
@@ -266,7 +263,7 @@ def _canonical_pair_masks(width: int) -> list[int]:
 
 
 def exhaustive_decision(
-    field: FieldTables, m: int, budget: int | None = None, spectral_prune: bool = True
+    field: FieldTables, m: int, budget: int | _Budget | None = None, spectral_prune: bool = True
 ) -> Classification:
     """Exact decision by checking omega = chi on every proper nonempty union
     of undirected orbitals (one representative per rotation/complement family;
@@ -276,62 +273,55 @@ def exhaustive_decision(
     forces a search-based decision there (slower, independent confirmation).
 
     The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
-    required.  Budget exhaustion yields an honest Unknown."""
+    required.  A spent node meter ends the check with an honest Unknown."""
     q, p, n = field.q, field.p, field.n
     params = normalize_params(q, m)
     mb = params.m_bar
     if mb < 2:
         raise BadInputError(f"m_bar={mb} < 2: no proper orbital unions to check")
-    budget = budget if budget is not None else DEFAULT_BUDGET
+    meter = _Budget.of(budget)
     family = orbital_family(field, m)
     pair_masks = _canonical_pair_masks(mb)
     full = (1 << mb) - 1
-    # Two graphs per pair, but one for the single-orbital pair (mask 1, the
-    # least mask, so always listed) when the spectral filter settles it.
-    n_graphs = 2 * len(pair_masks) - spectral_prune
-    # Even split, but never below a useful floor (and never above the caller's
-    # total when that total is itself tiny).
-    per_graph = max(min(10_000, budget), budget // n_graphs)
 
     reasons: list[Reason] = []
-    any_timeout = False
     searched = 0
+    unreached = len(pair_masks)
 
     for mask in pair_masks:
-        comp = full ^ mask
+        if meter.spent > meter.limit:  # every later search would time out at once
+            break
+        unreached -= 1
         if spectral_prune and mask == 1:
             # Pair {single orbital, its complement}: equality of the two
             # invariants transfers between a residue graph and its complement,
             # so the single-orbital decision settles both members.
             subset = [0]
-            kind, cert, rule, detail = _single_orbital_status(field, mb, per_graph)
+            kind, cert, rule, detail = _single_orbital_status(field, mb, meter)
             if kind == "neq":
                 reasons.append(Reason(rule, f"single orbitals and their complements cleared: {detail}"))
             elif kind == "timeout":
-                any_timeout = True
                 reasons.append(Reason(rule, f"single-orbital check: {detail}"))
         else:
-            for sub_mask in (mask, comp):
+            for sub_mask in (mask, full ^ mask):
                 subset = sorted(iter_bits(sub_mask))
-                kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), per_graph)
+                kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter)
                 searched += 1
-                if kind == "eq":
-                    break
                 if kind == "timeout":
-                    any_timeout = True
                     if omega_res.exact:
                         detail = f"{omega_res.value}-colorability undecided"
                     else:
                         detail = f"clique bounds [{omega_res.lower}, {omega_res.upper}]"
                     reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
+                if kind != "neq":
+                    break
         if kind == "eq":
             reasons.append(Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}"))
             return _non_synchronizing(field, params, reasons, subset, cert)
 
-    if any_timeout:
-        reasons.append(
-            Reason(RULE_BUDGET, "exhaustive check incomplete: some orbital unions undecided")
-        )
+    if meter.spent > meter.limit:
+        detail = f"{unreached} of {len(pair_masks)} canonical pairs not reached"
+        reasons.append(Reason(RULE_BUDGET, f"exhaustive check incomplete: budget spent, {detail}"))
         return Classification(q, p, n, m, UNKNOWN, tuple(reasons), None, "budget_exhausted")
     reasons.append(
         Reason(
@@ -356,11 +346,11 @@ def classify(
         return fp
     params = normalize_params(q, m)
     p, n, mb = params.p, params.n, params.m_bar
-    budget = budget if budget is not None else DEFAULT_BUDGET
+    meter = _Budget.of(budget)
     field = build_field(p, n)
     carried: list[Reason] = []
     if m in (2, 3):  # here m_bar == m, and equality on one graph is an iff
-        kind, cert, _, detail = _single_orbital_status(field, m, budget)
+        kind, cert, _, detail = _single_orbital_status(field, m, meter)
         if kind == "eq":
             return _non_synchronizing(field, params, [Reason(RULE_SINGLE_GRAPH, detail)], [0], cert)
         if kind == "neq":
@@ -373,5 +363,5 @@ def classify(
             Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
         )
         return Classification(q, p, n, m, UNKNOWN, tuple(carried), None, "skipped_exhaustive")
-    result = exhaustive_decision(field, m, budget)
+    result = exhaustive_decision(field, m, meter)
     return replace(result, reasons=tuple(carried) + result.reasons)

@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
             # A string default goes through _budget only when --budget is absent.
             sp.add_argument(
                 "--budget", type=_budget, default=os.environ.get("PALEY_BUDGET") or DEFAULT_BUDGET,
-                help="node budget of each exact search (default: $PALEY_BUDGET or 10^8)",
+                help="node budget of a command or scan row (default: $PALEY_BUDGET or 10^8)",
             )
         if oracle:
             sp.add_argument("--oracle", action="store_true", help="cross-check against oracles")

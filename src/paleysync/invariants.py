@@ -10,8 +10,8 @@ forcing, wipe-out and the MRV choice are a few mask operations per color
 rather than a walk over neighbors.  Both depth-first searches run off
 explicit stacks (the clique search's frames hold a candidate set and its
 color order, the coloring's branches k-long lists of masks), so their depth
-is bounded by memory, not by the interpreter's recursion limit.  Both honor
-a node budget and report explicit timeout bounds instead of guessing.
+is bounded by memory, not by the interpreter's recursion limit.  All searches
+of one public call share one node meter, and report explicit timeout bounds.
 """
 
 from __future__ import annotations
@@ -38,17 +38,27 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    __slots__ = ("remaining", "spent")
+    """The node meter of one public call: the step past `limit` raises
+    _Exhausted and leaves `spent` at limit + 1, where it stays."""
+
+    __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        self.remaining = limit
+        self.limit = limit
         self.spent = 0
 
+    @classmethod
+    def of(cls, budget: _Budget | int | None) -> _Budget:
+        """An enclosing call's meter itself, else a new one (None: DEFAULT_BUDGET)."""
+        if isinstance(budget, _Budget):
+            return budget
+        return cls(DEFAULT_BUDGET if budget is None else budget)
+
     def step(self) -> None:
-        self.remaining -= 1
-        self.spent += 1
-        if self.remaining < 0:
+        if self.spent >= self.limit:
+            self.spent = self.limit + 1
             raise _Exhausted
+        self.spent += 1
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,7 @@ def _max_clique(adj: list[int], n: int, best: list[int], cap: int,
 def clique_number(
     g: Graph,
     upper_hint: int | None = None,
-    budget: int | None = None,
+    budget: int | _Budget | None = None,
     witness_hint=None,
 ) -> SearchResult:
     """Exact maximum clique with witness.
@@ -254,14 +264,16 @@ def clique_number(
     rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
-    bud = _Budget(budget if budget is not None else DEFAULT_BUDGET)
-    best, exact = _max_clique(relabel(g, rank).adjacency, n, [rank[v] for v in start], cap, bud)
+    meter = _Budget.of(budget)
+    before = meter.spent
+    best, exact = _max_clique(relabel(g, rank).adjacency, n, [rank[v] for v in start], cap, meter)
     witness = tuple(sorted(order[i] for i in best))
-    return SearchResult(exact, len(witness), len(witness) if exact else cap, witness, bud.spent)
+    return SearchResult(exact, len(witness), len(witness) if exact else cap, witness,
+                        meter.spent - before)
 
 
-def independence_number(g: Graph, budget: int | None = None, upper_hint: int | None = None,
-                        witness_hint=None) -> SearchResult:
+def independence_number(g: Graph, budget: int | _Budget | None = None,
+                        upper_hint: int | None = None, witness_hint=None) -> SearchResult:
     """Exact independence number: maximum clique of the complement."""
     return clique_number(complement(g), upper_hint=upper_hint, budget=budget,
                          witness_hint=witness_hint)
@@ -422,19 +434,20 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
     return "unsat", None
 
 
-def k_colorable(g: Graph, k: int, budget: int | None = None, clique_hint=()):
+def k_colorable(g: Graph, k: int, budget: int | _Budget | None = None, clique_hint=()):
     """Public k-colorability test: returns (status, coloring, nodes) with
     status "sat" | "unsat" | "timeout"."""
     adj = list(g.adjacency)
     seed = sorted(clique_hint)
     if seed and not _is_witness(adj, seed, adjacent=True):
         raise InvalidWitnessError("clique_hint is not a clique")
-    bud = _Budget(budget if budget is not None else DEFAULT_BUDGET)
+    meter = _Budget.of(budget)
+    before = meter.spent
     try:
-        status, coloring = _k_colorable(adj, g.n_vertices, k, seed, bud)
+        status, coloring = _k_colorable(adj, g.n_vertices, k, seed, meter)
     except _Exhausted:
-        return "timeout", None, bud.spent
-    return status, coloring, bud.spent
+        status, coloring = "timeout", None
+    return status, coloring, meter.spent - before
 
 
 def _normalize_coloring(coloring) -> tuple[int, ...]:
@@ -451,7 +464,7 @@ def _normalize_coloring(coloring) -> tuple[int, ...]:
 def chromatic_number(
     g: Graph,
     lower: int | None = None,
-    budget: int | None = None,
+    budget: int | _Budget | None = None,
     clique_hint=None,
 ) -> SearchResult:
     """Exact chromatic number with a proper coloring witness.
@@ -465,16 +478,14 @@ def chromatic_number(
     if n == 0:
         return SearchResult(True, 0, 0, (), 0)
     adj = list(g.adjacency)
-    bud_total = budget if budget is not None else DEFAULT_BUDGET
-    spent = 0
+    meter = _Budget.of(budget)
+    before = meter.spent
 
     clique = sorted(clique_hint) if clique_hint else None
     if clique is not None and not _is_witness(adj, clique, adjacent=True):
         raise InvalidWitnessError("clique_hint is not a clique")
     if clique is None:
-        cres = clique_number(g, budget=bud_total)
-        spent += cres.nodes
-        clique = list(cres.witness)
+        clique = list(clique_number(g, budget=meter).witness)
 
     greedy = _dsatur_coloring(adj, n)
     ub = max(greedy) + 1
@@ -485,16 +496,13 @@ def chromatic_number(
 
     k = lo
     while k < ub:
-        if spent > bud_total:  # the clique search ran out of budget
-            return SearchResult(False, k, ub, ub_witness, spent)
-        status, coloring, nodes = k_colorable(g, k, budget=bud_total - spent, clique_hint=clique)
-        spent += nodes
+        status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
         if status == "sat":
-            return SearchResult(True, k, k, _normalize_coloring(coloring), spent)
+            return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":
-            return SearchResult(False, k, ub, ub_witness, spent)
+            return SearchResult(False, k, ub, ub_witness, meter.spent - before)
         k += 1
-    return SearchResult(True, ub, ub, ub_witness, spent)
+    return SearchResult(True, ub, ub, ub_witness, meter.spent - before)
 
 
 @dataclass(frozen=True)
@@ -718,16 +726,16 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     chi_lb_spectral = ceil(rep.theta_complement - 1e-6)
     alpha_ub = int(rep.theta + 1e-6)
 
-    bud = budget if budget is not None else DEFAULT_BUDGET
+    meter = _Budget.of(budget)
     best_sub = best_subfield_clique(field, m)
     indep_hint = None
     if best_sub is not None:
         indep_hint = tuple(sorted(field.mul(c, field.gamma) for c in best_sub))
-    omega_res = clique_number(g, upper_hint=omega_ub, budget=bud, witness_hint=best_sub)
-    alpha_res = independence_number(g, budget=bud, upper_hint=alpha_ub, witness_hint=indep_hint)
+    omega_res = clique_number(g, upper_hint=omega_ub, budget=meter, witness_hint=best_sub)
+    alpha_res = independence_number(g, budget=meter, upper_hint=alpha_ub, witness_hint=indep_hint)
     # chi >= q / alpha needs an upper bound on alpha; exact alpha is best.
     chi_lo = max(chi_lb_spectral, omega_res.lower, ceil(q / alpha_res.upper))
-    chi_res = chromatic_number(g, lower=chi_lo, budget=bud, clique_hint=omega_res.witness)
+    chi_res = chromatic_number(g, lower=chi_lo, budget=meter, clique_hint=omega_res.witness)
 
     exact = omega_res.exact and alpha_res.exact and chi_res.exact
     cert = InvariantCertificate(

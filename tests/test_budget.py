@@ -1,0 +1,87 @@
+"""One node budget per public call.
+
+Every search under `classify`, `exhaustive_decision`, `paley_certificate` or
+`chromatic_number` draws on one node meter, so the nodes that the
+`clique_number` and `k_colorable` calls under one public call report add up
+to at most budget + 1.  The searches are wrapped in both modules that call
+them, taken from sys.modules because the package attribute
+`paleysync.classify` is the function, not the module.
+"""
+
+import sys
+
+import pytest
+
+from paleysync import (
+    UNKNOWN,
+    build_field,
+    build_paley,
+    chromatic_number,
+    classify,
+    exhaustive_decision,
+    paley_certificate,
+)
+
+MODULES = ("paleysync.classify", "paleysync.invariants")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Record (nodes, timed_out) of every clique and colorability search, in
+    call order, and the index of the search before each union graph built."""
+    log = {"searches": [], "unions": []}
+    invariants = sys.modules["paleysync.invariants"]
+    clique_number, k_colorable = invariants.clique_number, invariants.k_colorable
+    union_graph = sys.modules["paleysync.classify"].union_graph
+
+    def traced_clique(*args, **kwargs):
+        res = clique_number(*args, **kwargs)
+        log["searches"].append((res.nodes, not res.exact))
+        return res
+
+    def traced_colorable(*args, **kwargs):
+        res = k_colorable(*args, **kwargs)
+        log["searches"].append((res[2], res[0] == "timeout"))
+        return res
+
+    def traced_union(*args, **kwargs):
+        log["unions"].append(len(log["searches"]))
+        return union_graph(*args, **kwargs)
+
+    for name in MODULES:
+        monkeypatch.setattr(sys.modules[name], "clique_number", traced_clique)
+        monkeypatch.setattr(sys.modules[name], "k_colorable", traced_colorable)
+    monkeypatch.setattr(sys.modules["paleysync.classify"], "union_graph", traced_union)
+    return log
+
+
+CALLS = {
+    "certificate-73-3": lambda b: paley_certificate(build_field(73), 3, budget=b),
+    "certificate-79-3": lambda b: paley_certificate(build_field(79), 3, budget=b),
+    "certificate-81-4": lambda b: paley_certificate(build_field(3, 4), 4, budget=b),
+    "chromatic-73-3": lambda b: chromatic_number(build_paley(build_field(73), 3), budget=b),
+    "classify-121-5": lambda b: classify(121, 5, budget=b),
+    "classify-343-9": lambda b: classify(343, 9, budget=b),
+    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b),
+}
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50, 2000, 10_000])
+@pytest.mark.parametrize("call", CALLS)
+def test_one_public_call_spends_at_most_its_budget(searches, call, budget):
+    CALLS[call](budget)
+    assert searches["searches"]
+    assert sum(nodes for nodes, _ in searches["searches"]) <= budget + 1
+
+
+def test_no_union_graph_is_built_on_a_spent_budget(searches):
+    result = classify(343, 9, budget=10_000)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    timed_out = [i for i, (_, timeout) in enumerate(searches["searches"]) if timeout]
+    # the first timeout spends the budget, and no search or union follows it
+    assert timed_out == [len(searches["searches"]) - 1]
+    assert [i for i in searches["unions"] if i > timed_out[0]] == []
+    assert sum(nodes for nodes, _ in searches["searches"]) == 10_001
+    # one budget reason for the timed-out union, one for the unreached pairs
+    assert [r.rule for r in result.reasons[-2:]] == ["budget", "budget"]
+    assert result.reasons[-1].detail.endswith("27 of 29 canonical pairs not reached")

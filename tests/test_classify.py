@@ -169,7 +169,7 @@ def test_search_witness_certificate_is_fully_exact():
     """An omega = chi = k union found by search carries alpha = q/k, read off
     its coloring: the class of vertex 0, no independence search."""
     field = build_field(5, 2)
-    result = exhaustive_decision(field, 6, budget=5, spectral_prune=False)
+    result = exhaustive_decision(field, 6, budget=20, spectral_prune=False)
     assert result.verdict == NON_SYNCHRONIZING
     cert = result.certificate
     assert cert.status == "exact"

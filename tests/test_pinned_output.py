@@ -10,6 +10,11 @@ the coloring with the class of vertex 0 as witness, where an independence
 search had given another witness, or alpha None on a timeout.  With the
 alpha fields (alpha, independent_set, bounds.alpha) masked, the corpus did not
 change; 27 records differ, 19 in the witness alone and 8 from None to q/k.
+The search-only and gf81-8 digests were re-recorded again when every search
+under one call came to share one node budget: 99 records differ, every one
+with b in {1, 5} and every one a call that spent more than b nodes when each
+search had b nodes to itself; a spent budget now ends the orbital-union loop
+with one reason naming the pairs not reached.
 
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the single-graph criterion, the spectral filter, both exhaustive texts,
@@ -33,8 +38,8 @@ from conftest import field_for
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
-    "search-only": "3d41a69e41c0700dcb6e2409adf104132edf5b9bcfcb513d016e629246843e85",
-    "gf81-8": "6d24d291b1f4e62af17e95b96e330a8156368dd7d598fbeb40caed09ebcdc979",
+    "search-only": "ba7751aec99122eccf2dc5d3932a9eb6110b1fea478c62b25b2e3597cbd60517",
+    "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
     "default": "aacca0094d82cb11a4a256a9393f275422dec49cb1659e3aee288509fbc3e312",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
 }
