@@ -249,11 +249,13 @@ def _canonical_pair_masks(width: int) -> list[int]:
     nonempty orbital subsets: the least member, i.e. a mask no larger than
     any rotation of itself or of its complement.  Rotating indices
     multiplies every difference coset by gamma, which is a graph
-    isomorphism, so one member decides its whole rotation class."""
+    isomorphism, so one member decides its whole rotation class.  An even
+    mask is never least: shifted right by one bit it is a smaller rotation
+    of itself, so only odd masks are tried."""
     full = (1 << width) - 1
     return [
         mask
-        for mask in range(1, full)
+        for mask in range(1, full, 2)
         if all(
             mask <= (x << s | x >> (width - s)) & full
             for x in (mask, full ^ mask)

@@ -12,6 +12,17 @@ explicit stacks (the clique search's frames hold a candidate set and its
 color order, the coloring's branches k-long lists of masks), so their depth
 is bounded by memory, not by the interpreter's recursion limit.  All searches
 of one public call share one node meter, and report explicit timeout bounds.
+
+On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
+complement and orbital union on GF(q)) the clique search is cut to the
+neighborhood of vertex 0: omega(G) = 1 + omega(G[N(0)]).  This is sound
+because a Cayley graph is vertex-transitive, so a translation carries any
+maximum clique onto one through vertex 0, whose other vertices all lie in
+N(0).  The search inside N(0) starts from an incumbent one short of the
+greedy clique and a cap one short of G's, and vertex 0 joins what it finds;
+a timeout keeps G's cap as its upper bound.  The greedy coloring of G that
+the search over all vertices opens with is tried first, so the cut never
+searches a graph that search would close at its root.
 """
 
 from __future__ import annotations
@@ -80,27 +91,38 @@ class SearchResult:
 
 
 def _degeneracy_order(adj: list[int], n: int) -> tuple[list[int], int]:
-    """Min-degree elimination order (ties broken by smallest index)."""
+    """Min-degree elimination order (ties broken by smallest index).
+
+    bucket[d] holds the remaining vertices of degree d, so each step takes
+    the lowest bit of the least nonempty bucket, and removing v moves its
+    remaining neighbors down one bucket, a mask at a time.  The least
+    degree falls by at most one per step, so its scan restarts one below.
+    """
+    bucket = [0] * n
+    for v in range(n):
+        bucket[adj[v].bit_count()] |= 1 << v
     alive = (1 << n) - 1
-    degs = [adj[v].bit_count() for v in range(n)]
     order = []
-    degeneracy = 0
+    degeneracy = d = 0
     for _ in range(n):
-        best_v, best_d = -1, n + 1
-        m = alive
-        # inline bit loop: the iter_bits generator is measurably slower on this hot path
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            if degs[v] < best_d:
-                best_d = degs[v]
-                best_v = v
-        degeneracy = max(degeneracy, best_d)
-        order.append(best_v)
-        alive ^= 1 << best_v
-        for u in iter_bits(adj[best_v] & alive):
-            degs[u] -= 1
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        bucket[d] ^= low
+        alive ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        degeneracy = max(degeneracy, d)
+        nbrs = adj[v] & alive
+        k = d
+        while nbrs:
+            moved = bucket[k] & nbrs
+            if moved:
+                bucket[k] ^= moved
+                bucket[k - 1] |= moved
+                nbrs ^= moved
+            k += 1
+        d = max(d - 1, 0)
     return order, degeneracy
 
 
@@ -170,10 +192,31 @@ def _is_witness(adj: list[int], vertices, adjacent: bool) -> bool:
     return True
 
 
-def _max_clique(adj: list[int], n: int, best: list[int], cap: int,
-                budget: _Budget) -> tuple[list[int], bool]:
-    """Branch-and-bound maximum clique from the incumbent `best`; returns
-    (best, exact), exact False when the budget ran out first.
+def _greedy_classes(adj: list[int], cand: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of `cand`, lowest vertex first: (order, bound) lists
+    the vertices class by class, bound[i] being the class index of
+    order[i], so the last bound is the number of classes."""
+    order: list[int] = []
+    bound: list[int] = []
+    c = 0
+    while cand:
+        c += 1
+        avail = cand
+        while avail:
+            b = avail & -avail
+            v = b.bit_length() - 1
+            order.append(v)
+            bound.append(c)
+            avail &= ~adj[v] & ~b
+            cand ^= b
+    return order, bound
+
+
+def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
+                budget: _Budget) -> tuple[list[int] | None, bool]:
+    """Branch-and-bound for a clique inside the candidate set `cand` with
+    more than `floor` vertices; returns (the largest one found, or None when
+    none beats `floor`, and exact), exact False when the budget ran out first.
 
     A node greedily colors its candidate set, the class index bounding the
     clique through each vertex, and tries the vertices from the last class
@@ -182,29 +225,16 @@ def _max_clique(adj: list[int], n: int, best: list[int], cap: int,
     vertex, and closing a node pops them.  Each node opened spends one
     budget step; reaching `cap` ends the search.
     """
-    best_len = len(best)
+    best = None
+    best_len = floor
     frames: list[tuple[list[int], list[int], int, int]] = []
     clique: list[int] = []
-    cand = (1 << n) - 1
     while True:
         try:
             budget.step()
         except _Exhausted:
             return best, False
-        order: list[int] = []
-        bound: list[int] = []
-        q = cand
-        c = 0
-        while q:
-            c += 1
-            avail = q
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                order.append(v)
-                bound.append(c)
-                avail &= ~adj[v] & ~b
-                q ^= b
+        order, bound = _greedy_classes(adj, cand)
         r_len = len(clique)
         i = len(order)
         while True:
@@ -241,7 +271,8 @@ def clique_number(
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
     early exit once matched).  witness_hint, when given, must be a clique and
-    seeds the incumbent.
+    seeds the incumbent.  On a Cayley graph the search runs inside N(0) with
+    vertex 0 fixed (see the module docstring).
     """
     n = g.n_vertices
     adj = list(g.adjacency)
@@ -264,10 +295,20 @@ def clique_number(
     rank = [0] * n
     for i, v in enumerate(order):
         rank[v] = i
+    radj = relabel(g, rank).adjacency
+    fixed: list[int] = []
+    cand = (1 << n) - 1
+    if g.cayley:
+        # Some maximum clique holds vertex 0 (module docstring).  G's own
+        # coloring can bound omega tighter than that of N(0), so it goes first.
+        if _greedy_classes(radj, cand)[1][-1] <= len(start):
+            return SearchResult(True, len(start), len(start), tuple(sorted(start)), 0)
+        fixed = [rank[0]]
+        cand = radj[rank[0]]
     meter = _Budget.of(budget)
     before = meter.spent
-    best, exact = _max_clique(relabel(g, rank).adjacency, n, [rank[v] for v in start], cap, meter)
-    witness = tuple(sorted(order[i] for i in best))
+    found, exact = _max_clique(radj, cand, len(start) - len(fixed), cap - len(fixed), meter)
+    witness = tuple(sorted(order[i] for i in fixed + found)) if found else tuple(sorted(start))
     return SearchResult(exact, len(witness), len(witness) if exact else cap, witness,
                         meter.spent - before)
 

@@ -12,7 +12,7 @@ basis vector along gf.translation_walk (two shifts split by a carry mask).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -57,10 +57,16 @@ def normalize_params(q: int, m: int) -> PaleyParams:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n_vertices-1 with bitmask rows."""
+    """Undirected simple graph on vertices 0..n_vertices-1 with bitmask rows.
+
+    `cayley` records that the graph is a Cayley graph (of GF(q)+ here), so
+    vertex-transitive: the clique search may fix vertex 0.  It does not take
+    part in equality, which compares the graphs alone.
+    """
 
     n_vertices: int
     adjacency: tuple[int, ...]
+    cayley: bool = dataclass_field(default=False, compare=False)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
@@ -116,13 +122,16 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    """The complement; the complement of a Cayley graph is one (of the
+    complementary connection set)."""
     n = g.n_vertices
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adjacency)))
+    return Graph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adjacency)), g.cayley)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the vertex map v -> perm[v]."""
+    """Image of g under the vertex map v -> perm[v].  The image carries no
+    Cayley mark, so searches on it take the generic path."""
     n = g.n_vertices
     rows = [0] * n
     for v in range(n):
@@ -144,7 +153,7 @@ def _difference_graph(field: FieldTables, diffs: frozenset[int]) -> Graph:
     for prev, i in translation_walk(p, n):
         r, t, step = rows[prev], top[i], p**i
         rows.append(((r & ~t) << step) | ((r & t) >> step * (p - 1)))
-    return Graph(field.q, tuple(rows))
+    return Graph(field.q, tuple(rows), cayley=True)
 
 
 def validate_residue_params(q: int, m: int) -> None:

@@ -315,7 +315,7 @@ def test_canonical_pair_masks_are_orbit_minima():
     complement, namely the orbit's least member; orbits built here from
     bit strings, apart from the shifts the enumeration uses."""
     lengths = []
-    for width in range(1, 15):
+    for width in range(1, 16):
         full = (1 << width) - 1
         seen: set[int] = set()
         reps = []
@@ -329,7 +329,7 @@ def test_canonical_pair_masks_are_orbit_minima():
             reps.append(min(orbit))
         assert _canonical_pair_masks(width) == sorted(reps), width
         lengths.append(len(reps))
-    assert lengths == [0, 1, 1, 3, 3, 7, 9, 19, 29, 55, 93, 179, 315, 595]
+    assert lengths == [0, 1, 1, 3, 3, 7, 9, 19, 29, 55, 93, 179, 315, 595, 1095]
 
 
 def test_classification_is_frozen():

@@ -17,6 +17,7 @@ from paleysync import (
     independence_number,
     k_colorable,
     multiplier_map,
+    normalize_params,
     orbital_family,
     paley_certificate,
     relabel,
@@ -25,6 +26,10 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
+from paleysync.classify import _canonical_pair_masks
+from paleysync.gf import odd_prime_powers
+from paleysync.invariants import _degeneracy_order, _is_witness
+from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
 FIVE_CYCLE = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -221,6 +226,9 @@ def test_k_colorable_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge,
         assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
+GF121_M5 = orbital_family(build_field(11, 2), 5)
+
+
 @pytest.mark.parametrize(
     "subset, budget, exact, bounds, nodes",
     [
@@ -234,12 +242,78 @@ def test_k_colorable_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge,
 def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
     """Budgets are node counts, so the node count of a search is part of its
     answer: a change to the branching order must re-record these values.
-    The graphs are orbital unions of GF(121) at m = 5."""
-    g = union_graph(orbital_family(build_field(11, 2), 5), subset)
+    The rows are those of orbital unions of GF(121) at m = 5, in a plain
+    Graph with no Cayley mark, so they pin the search over all vertices."""
+    g = union_graph(GF121_M5, subset)
+    g = Graph(g.n_vertices, g.adjacency)
     res = clique_number(g, budget=budget)
     assert (res.exact, (res.lower, res.upper), res.nodes) == (exact, bounds, nodes)
     assert len(res.witness) == res.lower
     assert all(g.has_edge(u, v) for u in res.witness for v in res.witness if u < v)
+
+
+@pytest.mark.parametrize(
+    "subset, budget, exact, bounds, nodes",
+    [
+        ({0, 1}, None, True, (4, 4), 74),
+        ({2, 3, 4}, None, True, (9, 9), 835),
+        ({0, 2}, None, True, (5, 5), 41),
+        ({1, 3, 4}, None, True, (9, 9), 607),
+        ({2, 3, 4}, 100, False, (9, 73), 101),
+    ],
+)
+def test_cayley_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
+    """The same unions as Cayley graphs: the search runs inside N(0) with
+    vertex 0 fixed, and the timeout keeps the upper bound of the full
+    search."""
+    g = union_graph(GF121_M5, subset)
+    res = clique_number(g, budget=budget)
+    assert (res.exact, (res.lower, res.upper), res.nodes) == (exact, bounds, nodes)
+    assert _is_witness(list(g.adjacency), res.witness, adjacent=True)
+    assert len(res.witness) == res.lower
+
+
+def _cayley_graphs(q_max):
+    """Every residue graph and its complement, and every orbital union with
+    2 <= m_bar <= 8 (both members of each canonical pair), for q <= q_max;
+    each distinct graph once, mapped to the first (q, m, kind) that builds it."""
+    graphs = {}
+    for q in odd_prime_powers(q_max):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            g = build_paley(field, m)
+            graphs.setdefault(g, (q, m, "residue"))
+            graphs.setdefault(complement(g), (q, m, "complement"))
+        for m in range(1, q):
+            if (q - 1) % m or not 2 <= normalize_params(q, m).m_bar <= 8:
+                continue
+            family = orbital_family(field, m)
+            full = (1 << family.m_bar) - 1
+            for mask in _canonical_pair_masks(family.m_bar):
+                for subset in (mask, full ^ mask):
+                    graphs.setdefault(union_graph(family, iter_bits(subset)), (q, m, subset))
+    return graphs
+
+
+def test_cayley_clique_search_agrees_with_the_generic_search():
+    """The search inside N(0) finds the omega of the search over all
+    vertices, and a witness that beats the greedy start (the lower bound of
+    a budget-0 call) contains vertex 0."""
+    for g, key in _cayley_graphs(81).items():
+        assert g.cayley, key
+        res = clique_number(g)
+        assert res.value == clique_number(Graph(g.n_vertices, g.adjacency)).value, key
+        assert _is_witness(list(g.adjacency), res.witness, adjacent=True), key
+        if res.nodes and res.value > clique_number(g, budget=0).lower:
+            assert 0 in res.witness, key
+
+
+def test_only_difference_graphs_take_the_cayley_cut():
+    g = union_graph(GF121_M5, {0, 1})
+    assert g.cayley and complement(g).cayley
+    for h in (relabel(g, range(g.n_vertices)), graph_from_edges(g.n_vertices, g.edges())):
+        assert h == g and not h.cayley
+        assert clique_number(h).nodes == 2517
 
 
 @pytest.mark.parametrize(
@@ -253,6 +327,30 @@ def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
 def test_clique_search_order_is_pinned_on_irregular_graphs(n, seed, p_edge, omega, nodes, witness):
     res = clique_number(random_graph(n, seed, p_edge))
     assert (res.value, res.nodes, res.witness) == (omega, nodes, witness)
+
+
+def _reference_degeneracy_order(adj):
+    """Min-degree elimination by a scan of every remaining vertex per step."""
+    n = len(adj)
+    degs = [row.bit_count() for row in adj]
+    alive = set(range(n))
+    order, degeneracy = [], 0
+    while alive:
+        v = min(alive, key=lambda u: (degs[u], u))
+        degeneracy = max(degeneracy, degs[v])
+        order.append(v)
+        alive.remove(v)
+        for u in alive:
+            degs[u] -= adj[v] >> u & 1
+    return order, degeneracy
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64, 120])
+def test_degeneracy_order_matches_a_reference_scan(n):
+    for seed in range(3):
+        for p_edge in (0.05, 0.3, 0.6, 0.95):
+            adj = list(random_graph(n, seed, p_edge).adjacency)
+            assert _degeneracy_order(adj, n) == _reference_degeneracy_order(adj), (seed, p_edge)
 
 
 def test_clique_deep_search_has_no_recursion_limit():

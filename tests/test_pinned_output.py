@@ -15,6 +15,12 @@ under one call came to share one node budget: 99 records differ, every one
 with b in {1, 5} and every one a call that spent more than b nodes when each
 search had b nodes to itself; a spent budget now ends the orbital-union loop
 with one reason naming the pairs not reached.
+The search-only digest was re-recorded once more when the clique search of a
+Cayley graph came to run inside N(0) with vertex 0 fixed, which spends fewer
+nodes: 66 of its 102 records differ, every one of them an Unknown at the old
+digest.  7 became decided (6 Synchronizing, (9, 2) at b = 1
+NonSynchronizing), and 59 stay Unknown with another budget reason, 6 of them
+reaching further pairs and none fewer; no decided verdict changed.
 
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the single-graph criterion, the spectral filter, both exhaustive texts,
@@ -38,7 +44,7 @@ from conftest import field_for
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
-    "search-only": "ba7751aec99122eccf2dc5d3932a9eb6110b1fea478c62b25b2e3597cbd60517",
+    "search-only": "61fb15f5566311ed577554dcaa99cc956793a6b3650c3958db449040f22f4c77",
     "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
     "default": "aacca0094d82cb11a4a256a9393f275422dec49cb1659e3aee288509fbc3e312",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
