@@ -22,7 +22,6 @@ from .gf import FieldTables, build_field, is_prime
 from .invariants import (
     InvariantCertificate,
     _Budget,
-    best_subfield_clique,
     clique_number,
     equal_certificate,
     k_colorable,
@@ -153,27 +152,26 @@ def fast_paths(q: int, m: int) -> Classification | None:
     return None
 
 
-def _omega_equals_chi(
-    g: Graph, meter: _Budget, feasible=None, upper_hint: int | None = None, witness_hint=None
-):
+def _omega_equals_chi(g: Graph, meter: _Budget, k: int | None = None):
     """Decide omega(g) = chi(g), the one per-graph question of Lemma 2.3.
 
-    Runs the maximum-clique search, then, when a feasible set of common
-    values is given, rejects an omega outside it, then tests
-    k-colorability at k = omega; both searches draw on the caller's meter.
-    Returns (outcome, omega_res, cert): outcome "eq" | "neq" | "timeout",
-    omega_res the clique search (not exact when that search timed out),
-    and, for "eq" only, the certificate of omega = chi = k that
-    `equal_certificate` builds from the clique and the coloring and checks
-    against g, so no unverified witness is ever emitted.
+    Runs the maximum-clique search, then tests colorability at omega; both
+    searches draw on the caller's meter.  Given the one feasible common
+    value k of a residue graph, which is also theta of its complement and
+    so bounds omega, the clique search is capped at k and any omega != k
+    is "neq" with no coloring search.  Returns (outcome, omega_res, cert):
+    outcome "eq" | "neq" | "timeout", omega_res the clique search (not
+    exact when that search timed out), and, for "eq" only, the certificate
+    of omega = chi that `equal_certificate` builds from the clique and the
+    coloring and checks against g, so no unverified witness is ever emitted.
     """
-    omega_res = clique_number(g, upper_hint=upper_hint, budget=meter, witness_hint=witness_hint)
+    omega_res = clique_number(g, upper_hint=k, budget=meter)
     if not omega_res.exact:
         return "timeout", omega_res, None
-    k = omega_res.value
-    if feasible is not None and k not in feasible:
+    omega = omega_res.value
+    if k is not None and omega != k:
         return "neq", omega_res, None
-    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=omega_res.witness)
+    status, coloring, _ = k_colorable(g, omega, budget=meter, clique_hint=omega_res.witness)
     if status != "sat":
         return ("neq" if status == "unsat" else "timeout"), omega_res, None
     return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
@@ -185,14 +183,13 @@ def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
     one of "eq" | "neq" | "timeout" and rule the one that settled it; the
     certificate is attached only for "eq".
     """
-    q = field.q
-    feas = feasible_clique_sizes(q, mb, field=field)
+    feas = feasible_clique_sizes(field, mb)
     if not feas:
         return (
             "neq",
             None,
             RULE_SPECTRAL,
-            f"no k=p^t passes the divisibility and least-eigenvalue filter for ({q},{mb})",
+            f"no k=p^t passes the divisibility and least-eigenvalue filter for ({field.q},{mb})",
         )
     cert = subfield_certificate(field, mb)
     if cert is not None:
@@ -202,26 +199,20 @@ def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
             RULE_EXHAUSTIVE,
             f"omega=chi={cert.omega} by the subfield product certificate",
         )
-    rep = theta_pair(field, mb)
-    kind, omega_res, cert = _omega_equals_chi(
-        build_paley(field, mb),
-        meter,
-        feas,
-        upper_hint=int(rep.theta_complement + 1e-6),
-        witness_hint=best_subfield_clique(field, mb),
-    )
+    (k,) = feas
+    kind, omega_res, cert = _omega_equals_chi(build_paley(field, mb), meter, k)
     if not omega_res.exact:
         bounds = f"[{omega_res.lower}, {omega_res.upper}]"
         return "timeout", None, RULE_BUDGET, f"clique search exhausted budget with bounds {bounds}"
-    k = omega_res.value
+    omega = omega_res.value
     if kind == "eq":
-        return "eq", cert, RULE_EXHAUSTIVE, f"omega=chi={k} found by exact search"
+        return "eq", cert, RULE_EXHAUSTIVE, f"omega=chi={omega} found by exact search"
     if kind == "timeout":
-        return "timeout", None, RULE_BUDGET, f"{k}-colorability undecided within budget"
-    if k not in feas:
-        detail = f"omega={k} is not in the feasible common-value set {sorted(feas)}"
+        return "timeout", None, RULE_BUDGET, f"{omega}-colorability undecided within budget"
+    if omega != k:
+        detail = f"omega={omega} is not in the feasible common-value set {sorted(feas)}"
     else:
-        detail = f"omega={k} but the graph is not {k}-colorable"
+        detail = f"omega={omega} but the graph is not {omega}-colorable"
     return "neq", None, RULE_EXHAUSTIVE, detail
 
 

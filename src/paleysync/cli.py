@@ -17,7 +17,7 @@ import sys
 
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
 from .errors import OracleMismatchError
-from .gf import build_field, odd_prime_power, odd_prime_powers
+from .gf import SIZE_LIMIT, build_field, odd_prime_power, odd_prime_powers
 from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
@@ -161,7 +161,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_classify(args) -> int:
     result = classify(args.q, args.m, budget=args.budget)
     report = result.to_json_dict()
-    report["field"] = _field_for(args.q).spec.to_json_dict()
+    # Past the size limit only a fast path, which builds no field, gets here.
+    report["field"] = _field_for(args.q).spec.to_json_dict() if args.q <= SIZE_LIMIT else None
     _emit(_json_text(report), args.out)
     return EXIT_BUDGET if result.status != "complete" else EXIT_OK
 

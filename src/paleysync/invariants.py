@@ -36,7 +36,7 @@ from .errors import (
     InvalidWitnessError,
     TooLargeError,
 )
-from .gf import FieldTables, divisors, subfield_elements
+from .gf import FieldTables, subfield_elements
 from .paley import Graph, build_paley, complement, iter_bits, relabel, validate_residue_params
 from .spectral import theta_pair
 
@@ -265,14 +265,12 @@ def clique_number(
     g: Graph,
     upper_hint: int | None = None,
     budget: int | _Budget | None = None,
-    witness_hint=None,
 ) -> SearchResult:
     """Exact maximum clique with witness.
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
-    early exit once matched).  witness_hint, when given, must be a clique and
-    seeds the incumbent.  On a Cayley graph the search runs inside N(0) with
-    vertex 0 fixed (see the module docstring).
+    early exit once matched).  On a Cayley graph the search runs inside N(0)
+    with vertex 0 fixed (see the module docstring).
     """
     n = g.n_vertices
     adj = list(g.adjacency)
@@ -282,12 +280,6 @@ def clique_number(
     cap = min(upper_hint if upper_hint is not None else n, degeneracy + 1, n)
 
     start = _greedy_clique(adj, n, list(reversed(order))[: min(n, 48)])
-    if witness_hint:
-        wit = sorted(witness_hint)
-        if not _is_witness(adj, wit, adjacent=True):
-            raise InvalidWitnessError("witness_hint is not a clique")
-        if len(wit) > len(start):
-            start = wit
     if len(start) >= cap:
         return SearchResult(True, len(start), len(start), tuple(sorted(start)), 0)
 
@@ -314,10 +306,9 @@ def clique_number(
 
 
 def independence_number(g: Graph, budget: int | _Budget | None = None,
-                        upper_hint: int | None = None, witness_hint=None) -> SearchResult:
+                        upper_hint: int | None = None) -> SearchResult:
     """Exact independence number: maximum clique of the complement."""
-    return clique_number(complement(g), upper_hint=upper_hint, budget=budget,
-                         witness_hint=witness_hint)
+    return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
 
 
 def _assign(adj: list[int], k: int, allow: list[int], cls: list[int],
@@ -617,16 +608,6 @@ def subfield_clique(field: FieldTables, m: int, t: int):
     return tuple(sorted(subfield_elements(field, t)))
 
 
-def best_subfield_clique(field: FieldTables, m: int) -> tuple[int, ...] | None:
-    """Largest proper subfield GF(p^t), t | n and t < n, that is a clique of
-    the m-th power residue graph; None when no proper subfield is one."""
-    for t in reversed(divisors(field.n)[:-1]):
-        sc = subfield_clique(field, m, t)
-        if sc is not None:
-            return sc
-    return None
-
-
 def brute_force_invariants(g: Graph) -> InvariantCertificate:
     """Oracle: omega/alpha by full subset enumeration, chi by exhaustive
     sequential backtracking.  Hard-capped at 16 vertices."""
@@ -755,7 +736,7 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     """Exact invariants of the m-th power residue graph on GF(q).
 
     The subfield certificate when it applies (no search); otherwise
-    spectral bounds + search, seeded by the largest subfield clique.
+    search within the spectral bounds.
     """
     cert = subfield_certificate(field, m)
     if cert is not None:
@@ -768,12 +749,8 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     alpha_ub = int(rep.theta + 1e-6)
 
     meter = _Budget.of(budget)
-    best_sub = best_subfield_clique(field, m)
-    indep_hint = None
-    if best_sub is not None:
-        indep_hint = tuple(sorted(field.mul(c, field.gamma) for c in best_sub))
-    omega_res = clique_number(g, upper_hint=omega_ub, budget=meter, witness_hint=best_sub)
-    alpha_res = independence_number(g, budget=meter, upper_hint=alpha_ub, witness_hint=indep_hint)
+    omega_res = clique_number(g, upper_hint=omega_ub, budget=meter)
+    alpha_res = independence_number(g, budget=meter, upper_hint=alpha_ub)
     # chi >= q / alpha needs an upper bound on alpha; exact alpha is best.
     chi_lo = max(chi_lb_spectral, omega_res.lower, ceil(q / alpha_res.upper))
     chi_res = chromatic_number(g, lower=chi_lo, budget=meter, clique_hint=omega_res.witness)

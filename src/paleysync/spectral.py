@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .gf import FieldTables, build_field, divisors, prime_power
+from .gf import FieldTables, divisors
 from .paley import Graph, iter_bits, validate_residue_params
 
 EIGEN_CAP = 200
@@ -112,11 +112,13 @@ def eigen_oracle(g: Graph) -> list[float]:
     return [float(x) for x in vals[::-1]]
 
 
-def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> frozenset[int]:
+def feasible_clique_sizes(field: FieldTables, m: int) -> frozenset[int]:
     """All k = p^t (t | n, t < n) that survive the necessary conditions for the
     residue graph to have clique number = chromatic number = k:
     (k-1) must divide the degree and the least eigenvalue must equal
     r = -degree/(k-1).  An empty result proves the two invariants differ.
+    The least eigenvalue fixes k, so at most one k survives, and for it
+    theta(complement) = 1 + degree/(-r) = k exactly.
 
     The test is exact.  With c[j][t] the number of elements of coset j whose
     trace is t, eta_j = sum_t c[j][t] * zeta^t for a primitive p-th root of
@@ -125,34 +127,26 @@ def feasible_clique_sizes(q: int, m: int, field: FieldTables | None = None) -> f
     c[j][1] = ... = c[j][p-1], and then eta_j = c[j][0] - c[j][1].  k is
     accepted when some rational period equals the integer r and no period
     lies below it.  An irrational period never equals r, so comparing its
-    float value with r decides only a strict inequality.
+    float value (from `gauss_periods`) with r decides only a strict
+    inequality.
     """
-    p, n = prime_power(q)
+    q, p, n = field.q, field.p, field.n
     validate_residue_params(q, m)
     if n == 1:
         return frozenset()
-    if field is None:
-        field = build_field(p, n)
     degree = (q - 1) // m
     counts = [[0] * p for _ in range(m)]
     tr = field.trace
     for k, e in enumerate(field.exp):
         counts[k % m][tr[e]] += 1
-    cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
     least_rational = least_irrational = math.inf
-    for c in counts:
+    for c, eta in zip(counts, gauss_periods(field, m)):
         if len(set(c[1:])) == 1:
             least_rational = min(least_rational, c[0] - c[1])
         else:
-            least_irrational = min(least_irrational, math.fsum(a * b for a, b in zip(c, cos_t)))
-    out = set()
-    for t in divisors(n):
-        if t >= n:
-            continue
-        k = p**t
-        if degree % (k - 1):
-            continue
-        r = -degree // (k - 1)
-        if r == least_rational and least_irrational > r:
-            out.add(k)
-    return frozenset(out)
+            least_irrational = min(least_irrational, eta)
+    return frozenset(
+        k
+        for k in (p**t for t in divisors(n)[:-1])
+        if degree % (k - 1) == 0 and -degree // (k - 1) == least_rational < least_irrational
+    )

@@ -244,7 +244,7 @@ def test_criterion_09_equal_invariants_need_integer_eigenvalue(
         assert degree % (k - 1) == 0, (q, m, k)
         lam_min = min(gauss_periods(field_for(q), m))
         assert abs(lam_min + degree / (k - 1)) < 1e-6, (q, m, k)
-        assert k in feasible_clique_sizes(q, m), (q, m, k)
+        assert k in feasible_clique_sizes(field_for(q), m), (q, m, k)
         hits += 1
     assert hits >= 8
     return f"{hits} equal-invariant instances all satisfy (k-1) | degree and lambda_min = -degree/(k-1)"

@@ -47,6 +47,16 @@ def test_classify_json(capsys):
     assert blob["field"]["q"] == 25
 
 
+def test_classify_past_the_size_limit_reports_a_fast_path_verdict(capsys):
+    """3^13 exceeds gf.SIZE_LIMIT, but a fast path (m_bar = 1) decides it
+    with no field, so there is no field spec to print."""
+    code, out = _run(capsys, "classify", "1594323", "2")
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["verdict"], blob["status"]) == ("Synchronizing", "complete")
+    assert blob["field"] is None
+
+
 def test_invariants_with_oracle(capsys):
     code, out = _run(capsys, "invariants", "13", "2", "--oracle")
     assert code == 0
@@ -88,6 +98,8 @@ def test_bad_arguments_exit_one(capsys):
         (("graph", "16", "3"), "q=16 must be odd"),
         (("graph", "13", "4"), "2m=8 does not divide q-1=12; difference set not symmetric"),
         (("classify", "13", "5"), "m=5 does not divide q-1=12"),
+        # past the size limit with no fast path: the field cannot be built
+        (("classify", "1953125", "4"), "q=1953125 exceeds the size limit 1048576"),
     ]:
         assert run(list(argv)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

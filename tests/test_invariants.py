@@ -400,7 +400,6 @@ def test_product_equivalence_chain(square_field_sweep):
             gc = complement(residue_graph(q, m))
             omega_c = clique_number(gc).value
             assert omega_c == cert.alpha
-            assert clique_number(gc, witness_hint=cert.independent_set).value == cert.alpha
             chi_c = chromatic_number(
                 gc, lower=max(omega_c, -(-q // cert.omega)), budget=2_000_000
             )

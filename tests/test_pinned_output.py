@@ -21,6 +21,11 @@ nodes: 66 of its 102 records differ, every one of them an Unknown at the old
 digest.  7 became decided (6 Synchronizing, (9, 2) at b = 1
 NonSynchronizing), and 59 stay Unknown with another budget reason, 6 of them
 reaching further pairs and none fewer; no decided verdict changed.
+The paley-certificate digest was recorded before the single-orbital search
+took its clique cap from the one feasible value and the subfield witness
+hints were removed, and neither change moved it.  It holds timeouts whose
+alpha bound is the theta cap, such as (101, 10) with alpha in [26, 34],
+which would widen to [26, 91] without it.
 
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the single-graph criterion, the spectral filter, both exhaustive texts,
@@ -36,10 +41,16 @@ import io
 import json
 from contextlib import redirect_stdout
 
-from paleysync import build_field, classify, exhaustive_decision, normalize_params
+from paleysync import (
+    build_field,
+    classify,
+    exhaustive_decision,
+    normalize_params,
+    paley_certificate,
+)
 from paleysync.cli import _round_floats, run
 from paleysync.gf import odd_prime_powers
-from conftest import field_for
+from conftest import field_for, valid_graph_ms
 
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
@@ -48,6 +59,7 @@ PINNED = {
     "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
     "default": "aacca0094d82cb11a4a256a9393f275422dec49cb1659e3aee288509fbc3e312",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
+    "paley-certificate": "f8d5c82d9b8f5d1a2b6195536134df536b59a106be2aba13d0001db511a15afa",
 }
 
 
@@ -90,6 +102,13 @@ def _corpus() -> dict:
             for q in odd_prime_powers(25)
             for m in _divisors(q)
             if normalize_params(q, m).m_bar >= 2
+        ],
+        # exact certificates and theta-capped timeout bounds past q = 81
+        "paley-certificate": [
+            paley_certificate(field_for(q), m, budget=2000).to_json_dict()
+            for q in odd_prime_powers(125)
+            if q >= 101
+            for m in valid_graph_ms(q)
         ],
     }
     stdout = io.StringIO()

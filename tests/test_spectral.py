@@ -98,16 +98,16 @@ def test_periods_match_eigensolver(q):
 
 
 def test_feasible_sizes_examples():
-    assert feasible_clique_sizes(49, 3) == frozenset()
-    assert feasible_clique_sizes(81, 2) == frozenset({9})
-    assert feasible_clique_sizes(13, 2) == frozenset()
-    assert feasible_clique_sizes(49, 2) == frozenset({7})
+    assert feasible_clique_sizes(field_for(49), 3) == frozenset()
+    assert feasible_clique_sizes(field_for(81), 2) == frozenset({9})
+    assert feasible_clique_sizes(field_for(13), 2) == frozenset()
+    assert feasible_clique_sizes(field_for(49), 2) == frozenset({7})
 
 
 def test_feasible_sizes_prime_field_always_empty():
     for p in (5, 13, 17, 29):
         for m in valid_graph_ms(p):
-            assert feasible_clique_sizes(p, m) == frozenset()
+            assert feasible_clique_sizes(field_for(p), m) == frozenset()
 
 
 def test_report_json_shape():
@@ -142,8 +142,11 @@ def test_periods_match_count_table_formula():
 
 def test_feasible_sizes_match_tolerance_rule():
     """The exact rationality test accepts the same k as comparing the float
-    least period with -degree/(k-1) to 1e-6, on every extension field q <= 729."""
-    checked = 0
+    least period with -degree/(k-1) to 1e-6, on every extension field q <= 729.
+    At most one k is accepted, and it is theta of the complement: k equals
+    int(theta_bar + 1e-6) and lies within 1e-9 of theta_bar, so a clique
+    search capped at k is capped at theta_bar."""
+    checked = accepted = 0
     for q, m in _valid_pairs(729):
         field = field_for(q)
         if field.n == 1:
@@ -155,9 +158,16 @@ def test_feasible_sizes_match_tolerance_rule():
             for k in (field.p**t for t in range(1, field.n) if field.n % t == 0)
             if degree % (k - 1) == 0 and abs(lam_min + degree / (k - 1)) < 1e-6
         }
-        assert feasible_clique_sizes(q, m, field=field) == expected, (q, m)
+        feasible = feasible_clique_sizes(field, m)
+        assert feasible == expected, (q, m)
+        assert len(feasible) <= 1, (q, m)
+        for k in feasible:
+            theta_bar = theta_pair(field, m).theta_complement
+            assert k == int(theta_bar + 1e-6), (q, m)
+            assert abs(theta_bar - k) < 1e-9, (q, m)
+            accepted += 1
         checked += 1
-    assert checked == 126
+    assert (checked, accepted) == (126, 62)
 
 
 def test_import_loads_no_numpy():
