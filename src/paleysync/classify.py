@@ -14,6 +14,7 @@ carries an ordered reason trace naming the rule that fired.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
 from math import gcd
 
@@ -235,16 +236,17 @@ def _non_synchronizing(
     )
 
 
-def _canonical_pair_masks(width: int) -> list[int]:
+def _canonical_pair_masks(width: int) -> Iterator[int]:
     """One representative per {rotation class, complement} family of proper
     nonempty orbital subsets: the least member, i.e. a mask no larger than
     any rotation of itself or of its complement.  Rotating indices
     multiplies every difference coset by gamma, which is a graph
     isomorphism, so one member decides its whole rotation class.  An even
     mask is never least: shifted right by one bit it is a smaller rotation
-    of itself, so only odd masks are tried."""
+    of itself, so only odd masks are tried.  The masks come lazily, in
+    increasing order: there are 2^(width-1) odd masks to walk."""
     full = (1 << width) - 1
-    return [
+    return (
         mask
         for mask in range(1, full, 2)
         if all(
@@ -252,7 +254,23 @@ def _canonical_pair_masks(width: int) -> list[int]:
             for x in (mask, full ^ mask)
             for s in range(width)
         )
-    ]
+    )
+
+
+def _canonical_pair_count(width: int) -> int:
+    """How many masks _canonical_pair_masks(width) yields, without the walk.
+
+    Burnside's lemma over the 2*width rotations, each with and without
+    complement, acting on all 2^width subsets: rotation by s fixes the
+    2^g subsets that are unions of its g = gcd(s, width) cycles, and
+    rotation by s then complement fixes 2^g of them when each cycle has
+    even length width/g (membership alternates around it), else none.
+    The orbit {empty set, full set} is the one not counted."""
+    fixed = 0
+    for s in range(width):
+        g = gcd(s, width)
+        fixed += 2**g * (2 if (width // g) % 2 == 0 else 1)
+    return fixed // (2 * width) - 1
 
 
 def exhaustive_decision(
@@ -274,14 +292,14 @@ def exhaustive_decision(
         raise BadInputError(f"m_bar={mb} < 2: no proper orbital unions to check")
     meter = _Budget.of(budget)
     family = orbital_family(field, m)
-    pair_masks = _canonical_pair_masks(mb)
+    n_pairs = _canonical_pair_count(mb)
     full = (1 << mb) - 1
 
     reasons: list[Reason] = []
     searched = 0
-    unreached = len(pair_masks)
+    unreached = n_pairs
 
-    for mask in pair_masks:
+    for mask in _canonical_pair_masks(mb):
         if meter.spent > meter.limit:  # every later search would time out at once
             break
         unreached -= 1
@@ -313,14 +331,14 @@ def exhaustive_decision(
             return _non_synchronizing(field, params, reasons, subset, cert)
 
     if meter.spent > meter.limit:
-        detail = f"{unreached} of {len(pair_masks)} canonical pairs not reached"
+        detail = f"{unreached} of {n_pairs} canonical pairs not reached"
         reasons.append(Reason(RULE_BUDGET, f"exhaustive check incomplete: budget spent, {detail}"))
         return Classification(q, p, n, m, UNKNOWN, tuple(reasons), None, "budget_exhausted")
     reasons.append(
         Reason(
             RULE_EXHAUSTIVE,
             f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
-            f" ({len(pair_masks)} canonical pairs, {searched} union graphs searched)",
+            f" ({n_pairs} canonical pairs, {searched} union graphs searched)",
         )
     )
     return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")

@@ -127,13 +127,12 @@ def _cmd_invariants(args) -> int:
         "m": args.m,
         "certificate": cert.to_json_dict(),
     }
+    agrees = True
     if args.oracle and args.q <= 16:
         report["oracle"], agrees = _invariants_oracle(field, args.m, cert)
-        if not agrees:
-            _emit(_json_text(report), args.out)
-            sys.stderr.write("oracle mismatch: solver disagrees with brute force\n")
-            return EXIT_ORACLE_MISMATCH
     _emit(_json_text(report), args.out)
+    if not agrees:
+        raise OracleMismatchError("oracle mismatch: solver disagrees with brute force")
     return EXIT_BUDGET if cert.status == "timeout" else EXIT_OK
 
 
@@ -147,14 +146,12 @@ def _cmd_spectrum(args) -> int:
     field = _field_for(args.q)
     rep = theta_pair(field, args.m)
     report = {"field": field.spec.to_json_dict(), **rep.to_json_dict()}
+    worst = 0.0
     if args.oracle and args.q <= EIGEN_CAP:
-        worst = _spectrum_oracle_diff(field, args.m, rep)
-        report["oracle_max_abs_diff"] = worst
-        if worst > ORACLE_TOL:
-            _emit(_json_text(report), args.out)
-            sys.stderr.write("oracle mismatch: character sums disagree with eigensolver\n")
-            return EXIT_ORACLE_MISMATCH
+        worst = report["oracle_max_abs_diff"] = _spectrum_oracle_diff(field, args.m, rep)
     _emit(_json_text(report), args.out)
+    if worst > ORACLE_TOL:
+        raise OracleMismatchError("oracle mismatch: character sums disagree with eigensolver")
     return EXIT_OK
 
 

@@ -11,7 +11,12 @@ rather than a walk over neighbors.  Both depth-first searches run off
 explicit stacks (the clique search's frames hold a candidate set and its
 color order, the coloring's branches k-long lists of masks), so their depth
 is bounded by memory, not by the interpreter's recursion limit.  All searches
-of one public call share one node meter, and report explicit timeout bounds.
+of one public call share one node meter, whose step returns False once the
+budget is spent; the search that meets it returns its own timeout, with
+explicit bounds.  One builder, `_certificate`, turns the clique,
+independent-set and coloring results into an `InvariantCertificate`, for
+the searched certificates and the no-search ones (brute force, omega = chi)
+alike, and verifies it whenever all three are exact.
 
 On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
@@ -44,13 +49,9 @@ DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_CAP = 16
 
 
-class _Exhausted(Exception):
-    pass
-
-
 class _Budget:
-    """The node meter of one public call: the step past `limit` raises
-    _Exhausted and leaves `spent` at limit + 1, where it stays."""
+    """The node meter of one public call: the step past `limit` returns
+    False and leaves `spent` at limit + 1, where it stays."""
 
     __slots__ = ("limit", "spent")
 
@@ -65,11 +66,13 @@ class _Budget:
             return budget
         return cls(DEFAULT_BUDGET if budget is None else budget)
 
-    def step(self) -> None:
+    def step(self) -> bool:
+        """Spend one node: True while the limit allows it, else False."""
         if self.spent >= self.limit:
             self.spent = self.limit + 1
-            raise _Exhausted
+            return False
         self.spent += 1
+        return True
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,7 @@ def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
     frames: list[tuple[list[int], list[int], int, int]] = []
     clique: list[int] = []
     while True:
-        try:
-            budget.step()
-        except _Exhausted:
+        if not budget.step():
             return best, False
         order, bound = _greedy_classes(adj, cand)
         r_len = len(clique)
@@ -394,8 +395,8 @@ def _fewest_options(allow: list[int], uncol: int, used: int) -> int:
 
 
 def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
-    """Decide proper k-colorability.  Returns ("sat", coloring) /
-    ("unsat", None); raises _Exhausted on budget.
+    """Decide proper k-colorability.  Returns ("sat", coloring),
+    ("unsat", None), or ("timeout", None) once the budget is spent.
 
     Depth-first search over an explicit stack of pending branches
     (allow, cls, uncol, used, v, c): the parent's state as k allow-masks,
@@ -454,7 +455,8 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
                 fewest &= members
                 break
         v = (fewest & -fewest).bit_length() - 1
-        budget.step()
+        if not budget.step():
+            return "timeout", None
         if used < k:
             # Color `used` was never assigned anywhere, so v may take it;
             # introducing exactly the lowest unused color keeps the search
@@ -475,10 +477,7 @@ def k_colorable(g: Graph, k: int, budget: int | _Budget | None = None, clique_hi
         raise InvalidWitnessError("clique_hint is not a clique")
     meter = _Budget.of(budget)
     before = meter.spent
-    try:
-        status, coloring = _k_colorable(adj, g.n_vertices, k, seed, meter)
-    except _Exhausted:
-        status, coloring = "timeout", None
+    status, coloring = _k_colorable(adj, g.n_vertices, k, seed, meter)
     return status, coloring, meter.spent - before
 
 
@@ -595,6 +594,29 @@ def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
         raise InvalidWitnessError("omega exceeds chi")
 
 
+def _certificate(g: Graph, omega: SearchResult, alpha: SearchResult,
+                 chi: SearchResult) -> InvariantCertificate:
+    """The certificate of g from its clique, independent-set and coloring
+    searches.  A number (and, for chi, the coloring) is set only when its
+    search is exact; `bounds` holds every search's (lower, upper).  With all
+    three exact, verify_certificate checks it before it leaves."""
+    exact = omega.exact and alpha.exact and chi.exact
+    cert = InvariantCertificate(
+        omega=omega.lower if omega.exact else None,
+        alpha=alpha.lower if alpha.exact else None,
+        chi=chi.lower if chi.exact else None,
+        clique=omega.witness,
+        independent_set=alpha.witness,
+        coloring=chi.witness if chi.exact else None,
+        status="exact" if exact else "timeout",
+        bounds={key: (res.lower, res.upper)
+                for key, res in (("omega", omega), ("alpha", alpha), ("chi", chi))},
+    )
+    if exact:
+        verify_certificate(g, cert)
+    return cert
+
+
 def subfield_clique(field: FieldTables, m: int, t: int):
     """Subfield GF(p^t) as a clique of the m-th power residue graph, present
     exactly when (p^t - 1) | (q-1)/m (the subfield's units are residues)."""
@@ -660,18 +682,12 @@ def brute_force_invariants(g: Graph) -> InvariantCertificate:
         if coloring is not None:
             break
         k += 1
-    cert = InvariantCertificate(
-        omega=len(clique),
-        alpha=len(independent),
-        chi=k,
-        clique=clique,
-        independent_set=independent,
-        coloring=_normalize_coloring(coloring),
-        status="exact",
-        bounds={"omega": (len(clique),) * 2, "alpha": (len(independent),) * 2, "chi": (k, k)},
+    return _certificate(
+        g,
+        SearchResult(True, len(clique), len(clique), clique, 0),
+        SearchResult(True, len(independent), len(independent), independent, 0),
+        SearchResult(True, k, k, _normalize_coloring(coloring), 0),
     )
-    verify_certificate(g, cert)
-    return cert
 
 
 def _coset_coloring(field: FieldTables, subgroup) -> tuple[int, ...]:
@@ -701,18 +717,13 @@ def equal_certificate(g: Graph, clique, coloring) -> InvariantCertificate:
     """
     k = len(clique)
     alpha = g.n_vertices // k
-    cert = InvariantCertificate(
-        omega=k,
-        alpha=alpha,
-        chi=k,
-        clique=tuple(clique),
-        independent_set=tuple(v for v, c in enumerate(coloring) if c == coloring[0]),
-        coloring=tuple(coloring),
-        status="exact",
-        bounds={"omega": (k, k), "alpha": (alpha, alpha), "chi": (k, k)},
+    independent = tuple(v for v, c in enumerate(coloring) if c == coloring[0])
+    return _certificate(
+        g,
+        SearchResult(True, k, k, tuple(clique), 0),
+        SearchResult(True, alpha, alpha, independent, 0),
+        SearchResult(True, k, k, tuple(coloring), 0),
     )
-    verify_certificate(g, cert)
-    return cert
 
 
 def subfield_certificate(field: FieldTables, m: int) -> InvariantCertificate | None:
@@ -754,22 +765,4 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     # chi >= q / alpha needs an upper bound on alpha; exact alpha is best.
     chi_lo = max(chi_lb_spectral, omega_res.lower, ceil(q / alpha_res.upper))
     chi_res = chromatic_number(g, lower=chi_lo, budget=meter, clique_hint=omega_res.witness)
-
-    exact = omega_res.exact and alpha_res.exact and chi_res.exact
-    cert = InvariantCertificate(
-        omega=omega_res.value if omega_res.exact else None,
-        alpha=alpha_res.value if alpha_res.exact else None,
-        chi=chi_res.value if chi_res.exact else None,
-        clique=omega_res.witness,
-        independent_set=alpha_res.witness,
-        coloring=chi_res.witness if chi_res.exact else None,
-        status="exact" if exact else "timeout",
-        bounds={
-            "omega": (omega_res.lower, omega_res.upper),
-            "alpha": (alpha_res.lower, alpha_res.upper),
-            "chi": (chi_res.lower, chi_res.upper),
-        },
-    )
-    if exact:
-        verify_certificate(g, cert)
-    return cert
+    return _certificate(g, omega_res, alpha_res, chi_res)

@@ -52,6 +52,6 @@ def sweep_q81():
     for q in odd_prime_powers(81):
         field = field_for(q)
         for m in valid_graph_ms(q):
-            cert = paley_certificate(field, m, budget=150_000)
+            cert = paley_certificate(field, m, budget=50_000)
             results[(q, m)] = (cert, theta_pair(field, m))
     return results

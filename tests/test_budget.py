@@ -85,3 +85,11 @@ def test_no_union_graph_is_built_on_a_spent_budget(searches):
     # one budget reason for the timed-out union, one for the unreached pairs
     assert [r.rule for r in result.reasons[-2:]] == ["budget", "budget"]
     assert result.reasons[-1].detail.endswith("27 of 29 canonical pairs not reached")
+
+
+def test_a_spent_budget_ends_a_wide_orbital_walk_at_once():
+    # (1331, 70): m_bar = 35 and no fast path, so the walk would cover 2^34
+    # odd masks; a lazy walk stops at the first pair past the budget.
+    result = classify(1331, 70, budget=1)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    assert result.reasons[-1].detail.endswith("490853413 of 490853415 canonical pairs not reached")

@@ -25,7 +25,7 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import _canonical_pair_masks
+from paleysync.classify import _canonical_pair_count, _canonical_pair_masks
 from conftest import field_for, valid_graph_ms
 
 
@@ -327,7 +327,8 @@ def test_canonical_pair_masks_are_orbit_minima():
                 orbit.update(int(word[s:] + word[:s], 2) for s in range(width))
             seen |= orbit
             reps.append(min(orbit))
-        assert _canonical_pair_masks(width) == sorted(reps), width
+        assert list(_canonical_pair_masks(width)) == sorted(reps), width
+        assert _canonical_pair_count(width) == len(reps), width
         lengths.append(len(reps))
     assert lengths == [0, 1, 1, 3, 3, 7, 9, 19, 29, 55, 93, 179, 315, 595, 1095]
 
