@@ -18,7 +18,7 @@ import sys
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
 from .errors import OracleMismatchError
 from .gf import SIZE_LIMIT, build_field, odd_prime_power, odd_prime_powers
-from .invariants import DEFAULT_BUDGET, brute_force_invariants, paley_certificate
+from .invariants import BRUTE_FORCE_CAP, DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
 
@@ -49,15 +49,13 @@ def _round_floats(obj):
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _json_text(obj) -> str:
@@ -128,7 +126,7 @@ def _cmd_invariants(args) -> int:
         "certificate": cert.to_json_dict(),
     }
     agrees = True
-    if args.oracle and args.q <= 16:
+    if args.oracle and args.q <= BRUTE_FORCE_CAP:
         report["oracle"], agrees = _invariants_oracle(field, args.m, cert)
     _emit(_json_text(report), args.out)
     if not agrees:
@@ -196,7 +194,7 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
             ):
                 omega = str(result.certificate.omega)
                 chi = str(result.certificate.chi)
-            if oracle and q <= 16 and params.m_bar >= 2:
+            if oracle and q <= BRUTE_FORCE_CAP and params.m_bar >= 2:
                 solver = paley_certificate(field, params.m_bar, budget=budget)
                 if not _invariants_oracle(field, params.m_bar, solver)[1]:
                     raise OracleMismatchError(
@@ -276,9 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, budget=False, oracle=False, emits=("json",)):
+    def common(sp, budget=False, oracle=False):
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--emit", default="json", choices=emits)
         if budget:
             # A string default goes through _budget only when --budget is absent.
             sp.add_argument(
@@ -297,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("graph", help="construct the residue graph on GF(q)")
     sp.add_argument("q", type=int)
     sp.add_argument("m", type=int)
-    common(sp, emits=("json", "csv", "dot"))
+    sp.add_argument("--emit", default="json", choices=("json", "csv", "dot"))
+    common(sp)
     sp.set_defaults(func=_cmd_graph)
 
     sp = sub.add_parser("invariants", help="exact clique/independence/chromatic numbers")
@@ -321,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="classify all valid (q, m) with q <= Q; CSV report")
     sp.add_argument("--q-max", type=int, required=True)
     sp.add_argument("--m-set", default=None, help="comma-separated m filter")
-    common(sp, budget=True, oracle=True, emits=("csv",))
+    common(sp, budget=True, oracle=True)
     sp.set_defaults(func=_cmd_scan)
     return parser
 

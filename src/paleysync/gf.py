@@ -358,10 +358,8 @@ def subgroup_coset(field: FieldTables, m: int, j: int = 0) -> frozenset[int]:
 
 
 def subfield_elements(field: FieldTables, t: int) -> frozenset[int]:
-    """Element codes of the subfield GF(p^t) inside GF(p^n); requires t | n."""
+    """Element codes of the subfield GF(p^t) inside GF(p^n), requires t | n:
+    0 and the units, the ((q-1)/(p^t-1))-th powers."""
     if t < 1 or field.n % t:
         raise BadDivisorError(f"t={t} does not divide n={field.n}")
-    sub_order = field.p**t - 1
-    step = (field.q - 1) // sub_order
-    exp = field.exp
-    return frozenset([0]) | frozenset(exp[k * step] for k in range(sub_order))
+    return frozenset([0]) | subgroup_coset(field, (field.q - 1) // (field.p**t - 1))

@@ -28,6 +28,12 @@ greedy clique and a cap one short of G's, and vertex 0 joins what it finds;
 a timeout keeps G's cap as its upper bound.  The greedy coloring of G that
 the search over all vertices opens with is tried first, so the cut never
 searches a graph that search would close at its root.
+
+The subfield certificate (omega = chi = p^(n/2)) takes no search and no
+digit-wise field addition: its clique is the subfield, 0 and a subgroup
+coset, and its coloring the additive cosets of gamma times it, read off the
+rows of one Cayley graph.  verify_certificate checks a coloring class by
+class, each with the test every independent-set witness passes.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from .errors import (
     InvalidWitnessError,
     TooLargeError,
 )
-from .gf import FieldTables, subfield_elements
-from .paley import Graph, build_paley, complement, iter_bits, relabel, validate_residue_params
+from .gf import FieldTables, subfield_elements, subgroup_coset
+from .paley import (Graph, _difference_graph, build_paley, complement, iter_bits, relabel,
+                    validate_residue_params)
 from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
@@ -484,12 +491,7 @@ def k_colorable(g: Graph, k: int, budget: int | _Budget | None = None, clique_hi
 def _normalize_coloring(coloring) -> tuple[int, ...]:
     """Renumber colors in order of first appearance (deterministic witness)."""
     seen: dict[int, int] = {}
-    out = []
-    for c in coloring:
-        if c not in seen:
-            seen[c] = len(seen)
-        out.append(seen[c])
-    return tuple(out)
+    return tuple(seen.setdefault(c, len(seen)) for c in coloring)
 
 
 def chromatic_number(
@@ -541,7 +543,8 @@ class InvariantCertificate:
     """Exact invariants of one graph with checkable witnesses.
 
     For status "timeout" the unknown numbers are None and `bounds` brackets
-    them; witnesses always satisfy their defining conditions.
+    them; the coloring is then the one behind chi's upper bound.  Witnesses
+    always satisfy their defining conditions.
     """
 
     omega: int | None
@@ -583,13 +586,16 @@ def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
     if cert.coloring is not None:
         if len(cert.coloring) != g.n_vertices:
             raise InvalidWitnessError("coloring length differs from vertex count")
-        for u in range(g.n_vertices):
-            for v in iter_bits(adj[u]):
-                if v > u and cert.coloring[u] == cert.coloring[v]:
-                    raise InvalidWitnessError(f"coloring is not proper on edge ({u},{v})")
-        n_colors = len(set(cert.coloring))
-        if cert.chi is not None and n_colors != cert.chi:
+        classes: dict[int, list[int]] = {}
+        for v, c in enumerate(cert.coloring):
+            classes.setdefault(c, []).append(v)
+        for c, members in classes.items():
+            if not _is_witness(adj, members, adjacent=False):
+                raise InvalidWitnessError(f"coloring is not proper: color {c} holds an edge")
+        if cert.chi is not None and len(classes) != cert.chi:
             raise InvalidWitnessError("coloring does not use exactly chi colors")
+        if cert.chi is None and len(classes) > cert.bounds.get("chi", (0, 0))[1]:
+            raise InvalidWitnessError("coloring uses more colors than chi's upper bound")
     if cert.omega is not None and cert.chi is not None and cert.omega > cert.chi:
         raise InvalidWitnessError("omega exceeds chi")
 
@@ -597,9 +603,10 @@ def verify_certificate(g: Graph, cert: InvariantCertificate) -> None:
 def _certificate(g: Graph, omega: SearchResult, alpha: SearchResult,
                  chi: SearchResult) -> InvariantCertificate:
     """The certificate of g from its clique, independent-set and coloring
-    searches.  A number (and, for chi, the coloring) is set only when its
-    search is exact; `bounds` holds every search's (lower, upper).  With all
-    three exact, verify_certificate checks it before it leaves."""
+    searches.  A number is set only when its search is exact, while the
+    coloring is chi's witness either way: on a timeout, the coloring behind
+    chi's upper bound.  `bounds` holds every search's (lower, upper).  With
+    all three exact, verify_certificate checks it before it leaves."""
     exact = omega.exact and alpha.exact and chi.exact
     cert = InvariantCertificate(
         omega=omega.lower if omega.exact else None,
@@ -607,7 +614,7 @@ def _certificate(g: Graph, omega: SearchResult, alpha: SearchResult,
         chi=chi.lower if chi.exact else None,
         clique=omega.witness,
         independent_set=alpha.witness,
-        coloring=chi.witness if chi.exact else None,
+        coloring=chi.witness,
         status="exact" if exact else "timeout",
         bounds={key: (res.lower, res.upper)
                 for key, res in (("omega", omega), ("alpha", alpha), ("chi", chi))},
@@ -690,17 +697,17 @@ def brute_force_invariants(g: Graph) -> InvariantCertificate:
     )
 
 
-def _coset_coloring(field: FieldTables, subgroup) -> tuple[int, ...]:
-    """Color map whose classes are the additive cosets of `subgroup`."""
-    q = field.q
-    add = field.add
-    members = sorted(subgroup)
-    color = [-1] * q
+def _coset_coloring(field: FieldTables, s: int) -> tuple[int, ...]:
+    """Color map whose classes, numbered by least member, are the additive
+    cosets of gamma*GF(p^t), s = (q-1)/(p^t-1): the closed neighborhoods of
+    the Cayley graph of its nonzero part, subgroup_coset(field, s, 1)."""
+    rows = _difference_graph(field, subgroup_coset(field, s, 1)).adjacency
+    color = [-1] * field.q
     next_color = 0
-    for v in range(q):
+    for v, row in enumerate(rows):
         if color[v] < 0:
-            for a in members:
-                color[add(v, a)] = next_color
+            for u in iter_bits(row | 1 << v):
+                color[u] = next_color
             next_color += 1
     return tuple(color)
 
@@ -733,14 +740,15 @@ def subfield_certificate(field: FieldTables, m: int) -> InvariantCertificate | N
 
     Its gamma-multiple gamma*C is an independent set, so its additive cosets
     color properly with |C| colors and equal_certificate applies, the coset
-    of 0 being gamma*C itself.
+    of 0 being gamma*C itself.  The coloring is built, and its coset graph
+    dropped, before the residue graph, so one q-row graph is alive at a time.
     """
     n = field.n
     clique = subfield_clique(field, m, n // 2) if n % 2 == 0 else None
     if clique is None:
         return None
-    indep = [field.mul(c, field.gamma) for c in clique]
-    return equal_certificate(build_paley(field, m), clique, _coset_coloring(field, indep))
+    coloring = _coset_coloring(field, (field.q - 1) // (len(clique) - 1))
+    return equal_certificate(build_paley(field, m), clique, coloring)
 
 
 def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> InvariantCertificate:

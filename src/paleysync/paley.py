@@ -78,14 +78,9 @@ class Graph:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n_vertices):
-            row = self.adjacency[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
+        for u, row in enumerate(self.adjacency):
+            for v in iter_bits(row >> (u + 1) << (u + 1)):
+                yield (u, v)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

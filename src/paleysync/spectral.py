@@ -117,6 +117,8 @@ def feasible_clique_sizes(field: FieldTables, m: int) -> frozenset[int]:
     residue graph to have clique number = chromatic number = k:
     (k-1) must divide the degree and the least eigenvalue must equal
     r = -degree/(k-1).  An empty result proves the two invariants differ.
+    When no k passes the divisibility test (always so for prime q) the
+    result is empty before any period is computed.
     The least eigenvalue fixes k, so at most one k survives, and for it
     theta(complement) = 1 + degree/(-r) = k exactly.
 
@@ -132,9 +134,10 @@ def feasible_clique_sizes(field: FieldTables, m: int) -> frozenset[int]:
     """
     q, p, n = field.q, field.p, field.n
     validate_residue_params(q, m)
-    if n == 1:
-        return frozenset()
     degree = (q - 1) // m
+    sizes = [k for k in (p**t for t in divisors(n)[:-1]) if degree % (k - 1) == 0]
+    if not sizes:
+        return frozenset()
     counts = [[0] * p for _ in range(m)]
     tr = field.trace
     for k, e in enumerate(field.exp):
@@ -145,8 +148,4 @@ def feasible_clique_sizes(field: FieldTables, m: int) -> frozenset[int]:
             least_rational = min(least_rational, c[0] - c[1])
         else:
             least_irrational = min(least_irrational, eta)
-    return frozenset(
-        k
-        for k in (p**t for t in divisors(n)[:-1])
-        if degree % (k - 1) == 0 and -degree // (k - 1) == least_rational < least_irrational
-    )
+    return frozenset(k for k in sizes if -degree // (k - 1) == least_rational < least_irrational)

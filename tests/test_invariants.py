@@ -20,15 +20,17 @@ from paleysync import (
     normalize_params,
     orbital_family,
     paley_certificate,
+    prime_power,
     relabel,
     subfield_clique,
+    subfield_elements,
     theta_pair,
     union_graph,
     verify_certificate,
 )
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
-from paleysync.invariants import _degeneracy_order, _is_witness
+from paleysync.invariants import _degeneracy_order, _is_witness, subfield_certificate
 from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
@@ -449,6 +451,53 @@ def test_verify_certificate_rejects_forged_independent_sets(independent_set, alp
     forged = cert.__class__(**{**cert.__dict__, "alpha": alpha, "independent_set": independent_set})
     with pytest.raises(InvalidWitnessError, match="independent-set witness is not independent"):
         verify_certificate(g, forged)
+
+
+@pytest.mark.parametrize("q", [q for q in odd_prime_powers(729) if prime_power(q)[1] % 2 == 0])
+def test_subfield_certificate_colors_by_the_cosets_of_the_subfield_multiple(q):
+    """Every color class of a subfield certificate is v + gamma*GF(p^(n/2)),
+    computed here with the digit-wise field.add as the reference."""
+    field = field_for(q)
+    multiple = [field.mul(field.gamma, c) for c in subfield_elements(field, field.n // 2)]
+    certified = 0
+    for m in valid_graph_ms(q):
+        cert = subfield_certificate(field, m)
+        if cert is None:
+            continue
+        certified += 1
+        classes = {}
+        for v, c in enumerate(cert.coloring):
+            classes.setdefault(c, set()).add(v)
+        assert len(classes) == len(multiple) == cert.chi
+        for members in classes.values():
+            v = min(members)
+            assert members == {field.add(v, a) for a in multiple}, (q, m, v)
+    assert certified  # m = 2 always qualifies: 2 divides p^(n/2) + 1
+
+
+@pytest.mark.parametrize("v", range(9))
+def test_verify_certificate_rejects_one_recolored_vertex(v):
+    g = residue_graph(9, 2)
+    cert = paley_certificate(build_field(3, 2), 2)
+    verify_certificate(g, cert)
+    coloring = list(cert.coloring)
+    coloring[v] = cert.coloring[(g.adjacency[v] & -g.adjacency[v]).bit_length() - 1]
+    recolored = cert.__class__(**{**cert.__dict__, "coloring": tuple(coloring)})
+    with pytest.raises(InvalidWitnessError, match="coloring is not proper"):
+        verify_certificate(g, recolored)
+
+
+def test_timeout_certificate_carries_the_coloring_behind_chis_upper_bound():
+    g = residue_graph(79, 3)
+    cert = paley_certificate(field_for(79), 3, budget=2000)
+    assert cert.status == "timeout" and cert.chi is None
+    assert cert.bounds["chi"] == (9, 11) and len(set(cert.coloring)) == 11
+    verify_certificate(g, cert)
+    # a singleton class keeps the coloring proper but makes it a 12-coloring
+    coloring = cert.coloring[:-1] + (11,)
+    wider = cert.__class__(**{**cert.__dict__, "coloring": coloring})
+    with pytest.raises(InvalidWitnessError, match="more colors than"):
+        verify_certificate(g, wider)
 
 
 @pytest.mark.parametrize("budget", [1, 10, 100])

@@ -26,6 +26,11 @@ took its clique cap from the one feasible value and the subfield witness
 hints were removed, and neither change moved it.  It holds timeouts whose
 alpha bound is the theta cap, such as (101, 10) with alpha in [26, 34],
 which would widen to [26, 91] without it.
+The paley-certificate digest was re-recorded when a timeout certificate
+came to carry the coloring behind chi's upper bound instead of null.  19 of
+its 37 records differ, each a timeout whose coloring search did not finish
+and each in `coloring` alone; with `coloring` masked on the timeouts the
+corpus did not change.
 
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the single-graph criterion, the spectral filter, both exhaustive texts,
@@ -59,7 +64,7 @@ PINNED = {
     "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
     "default": "aacca0094d82cb11a4a256a9393f275422dec49cb1659e3aee288509fbc3e312",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
-    "paley-certificate": "f8d5c82d9b8f5d1a2b6195536134df536b59a106be2aba13d0001db511a15afa",
+    "paley-certificate": "d7e4f84f4b1aba81c8acb4e0e2e07a2a8475470494116f85eda2ea47004fa1ab",
 }
 
 
