@@ -7,14 +7,17 @@ gamma.  Tables over the additive group are filled along a walk that
 reaches each code from an earlier one by a basis translation
 (`translation_walk`), with the masks of the codes where that translation
 carries (`carry_masks`).  All tables are immutable after construction, so
-a FieldTables value can be shared freely.
+a FieldTables value can be shared freely; the one table built on first use,
+the character row of the Gauss periods, is an array that no caller writes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import BadDivisorError, BadInputError, NotOddPrimeError, SizeLimitError
@@ -140,6 +143,17 @@ class FieldTables:
     @property
     def gamma(self) -> int:
         return self.spec.gamma
+
+    @cached_property
+    def character_row(self) -> array:
+        """cos(2*pi*Tr(gamma^k)/p) for k = 0..q-2: the additive character of
+        each power of gamma, built on first use and kept with the field.
+        An array of doubles holds 8 bytes a term, where a tuple would hold a
+        float object each; it is shared, so read it and never write it."""
+        p = self.spec.p
+        cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
+        tr = self.trace
+        return array("d", [cos_t[tr[e]] for e in self.exp])
 
     def add(self, a: int, b: int) -> int:
         p = self.spec.p

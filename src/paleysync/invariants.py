@@ -1,13 +1,23 @@
 """Exact clique, independence, and chromatic numbers with verified witnesses.
 
 The clique solver is a bitset branch-and-bound with greedy-coloring upper
-bounds at every node (vertices pre-ordered by degeneracy).  The chromatic
-solver tests k-colorability for k = lower, lower+1, ... with MRV branching,
-canonical introduction of new colors, and clique-seeded pre-coloring.  Its
-domains are kept transposed, as one allow-mask per color (the vertices that
-may still take it), so coloring v with c is allow[c] &= ~adj[v], and
-forcing, wipe-out and the MRV choice are a few mask operations per color
-rather than a walk over neighbors.  Both depth-first searches run off
+bounds at every node (vertices pre-ordered by degeneracy).  Its incumbent
+is a greedy clique grown from up to 48 seeds, which stop once the best
+reaches the search's cap (a later seed replaces the best only when strictly
+longer, so the start does not change) and drop a seed once its clique and
+candidates cannot beat the best.  The chromatic solver tests
+k-colorability for k = lower, lower+1, ... with MRV branching, canonical
+introduction of new colors, and clique-seeded pre-coloring.  Its domains
+are kept transposed, as one allow-mask per color (the vertices that may
+still take it), so coloring v with c is allow[c] &= ~adj[v].  Beside them
+lie threshold masks, lost[j] holding the vertices that have lost at least
+j colors, which only the neighbors that just lost c move up: forcing is
+lost[used] (lost[k - 1] once all k colors are used), wipe-out a neighbor
+reaching lost[k], and the MRV choice the top level the uncolored vertices
+meet, so a step walks the levels of the vertices it changed rather than
+all k allow-masks, and no step walks the neighbors.  The DSATUR coloring
+behind chi's upper bound keeps its saturation the same way, and picks its
+vertex off the top level.  Both depth-first searches run off
 explicit stacks (the clique search's frames hold a candidate set and its
 color order, the coloring's branches k-long lists of masks), so their depth
 is bounded by memory, not by the interpreter's recursion limit.  All searches
@@ -136,13 +146,22 @@ def _degeneracy_order(adj: list[int], n: int) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def _greedy_clique(adj: list[int], n: int, seeds: list[int]) -> list[int]:
-    """Deterministic greedy clique used to seed the branch-and-bound."""
+def _greedy_clique(adj: list[int], seeds: list[int], cap: int) -> list[int]:
+    """Deterministic greedy clique used to seed the branch-and-bound: the
+    longest of the cliques grown from each seed, the first on a tie.
+
+    A later seed replaces the best only when strictly longer, so the seeds
+    stop once the best reaches `cap`, a sound upper bound on omega, and a
+    seed is dropped once its clique plus every candidate left cannot beat
+    the best.  Neither changes the clique returned.
+    """
     best: list[int] = []
     for seed in seeds:
+        if len(best) >= cap:
+            break
         clique = [seed]
         cand = adj[seed]
-        while cand:
+        while cand and len(clique) + cand.bit_count() > len(best):
             pick, pick_key = -1, (-1, 0)
             m = cand
             # inline bit loop: the iter_bits generator is measurably slower on this hot path
@@ -161,27 +180,75 @@ def _greedy_clique(adj: list[int], n: int, seeds: list[int]) -> list[int]:
     return sorted(best)
 
 
+def _raise_levels(levels: list[int], hit: int) -> None:
+    """Add one to the count of every vertex of `hit`, in place.
+
+    levels[j] holds the vertices whose count is at least j (levels[0] = -1,
+    every vertex), so the chain shrinks as j grows, and a vertex of `hit`
+    moves up from its top level only.  The walk stops at the first level
+    no `hit` vertex reaches, so `levels` needs an entry for every count the
+    raise reaches and no more.
+    """
+    below = levels[0]
+    j = 1
+    while True:
+        moved = below & hit
+        if not moved:
+            return
+        below = levels[j]
+        levels[j] = below | moved
+        j += 1
+
+
+def _degree_classes(adj: list[int], n: int) -> list[int]:
+    """The vertex masks of equal degree, highest degree first."""
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    return [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _most_constrained(levels: list[int], j: int, uncol: int, degree_classes: list[int]) -> int:
+    """The vertex of `uncol` with the key (level, degree, -v) highest: the
+    top one of levels[j], levels[j - 1], ... that `uncol` meets, then the
+    highest degree class, then the lowest bit."""
+    while not levels[j] & uncol:
+        j -= 1
+    pick = levels[j] & uncol
+    for members in degree_classes:
+        if pick & members:
+            pick &= members
+            break
+    return (pick & -pick).bit_length() - 1
+
+
 def _dsatur_coloring(adj: list[int], n: int) -> list[int]:
-    """Greedy saturation-degree coloring; deterministic tie-breaking."""
+    """Greedy saturation-degree coloring; deterministic tie-breaking.
+
+    The next vertex has the key (saturation, degree, -v) highest among the
+    uncolored ones, read off threshold masks: sat[j] holds the vertices
+    with at least j distinct neighbor colors, with one empty level on top.
+    near[c] holds the vertices with a neighbor colored c, so coloring v
+    with c raises the saturation of its uncolored neighbors outside near[c]
+    alone, and v takes the lowest c whose near[c] misses it.
+    """
     colors = [-1] * n
-    sat = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        best_v, best_key = -1, (-1, -1, 1)
-        for v in range(n):
-            if colors[v] < 0:
-                key = (sat[v].bit_count(), degs[v], -v)
-                if key > best_key:
-                    best_key = key
-                    best_v = v
+    sat = [-1, 0]
+    near = [0] * n  # v takes a color below its degree + 1
+    degree_classes = _degree_classes(adj, n)
+    uncol = (1 << n) - 1
+    while uncol:
+        v = _most_constrained(sat, len(sat) - 1, uncol, degree_classes)
+        uncol ^= 1 << v
         c = 0
-        used = sat[best_v]
-        while (used >> c) & 1:
+        while near[c] >> v & 1:
             c += 1
-        colors[best_v] = c
-        for u in iter_bits(adj[best_v]):
-            if colors[u] < 0:
-                sat[u] |= 1 << c
+        colors[v] = c
+        _raise_levels(sat, adj[v] & uncol & ~near[c])
+        near[c] |= adj[v]
+        if sat[-1]:
+            sat.append(0)
     return colors
 
 
@@ -287,7 +354,7 @@ def clique_number(
     order, degeneracy = _degeneracy_order(adj, n)
     cap = min(upper_hint if upper_hint is not None else n, degeneracy + 1, n)
 
-    start = _greedy_clique(adj, n, list(reversed(order))[: min(n, 48)])
+    start = _greedy_clique(adj, list(reversed(order))[: min(n, 48)], cap)
     if len(start) >= cap:
         return SearchResult(True, len(start), len(start), tuple(sorted(start)), 0)
 
@@ -319,20 +386,23 @@ def independence_number(g: Graph, budget: int | _Budget | None = None,
     return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
 
 
-def _assign(adj: list[int], k: int, allow: list[int], cls: list[int],
+def _assign(adj: list[int], k: int, allow: list[int], cls: list[int], lost: list[int],
             uncol: int, used: int, v: int, c: int) -> tuple[int, int]:
     """Color v with c in place, then every vertex the assignment forces.
 
     State: allow[c] holds the vertices that may still take color c, cls[c]
-    the vertices colored c, and uncol the uncolored vertices; colors from
-    `used` on were never assigned, so their allow-masks are still full.
-    Coloring v with c costs allow[c] &= ~adj[v].  The uncolored neighbors
-    that lose c by it (`hit`) are pushed as one mask on a stack of pending
-    masks, and the cascade takes the highest forced vertex of the top mask:
-    while colors are left unused, one with no used color left (it takes the
+    the vertices colored c, lost[j] the vertices that have lost at least j
+    colors (lost[0] = -1), and uncol the uncolored vertices; colors from
+    `used` on were never assigned, so their allow-masks are still full and
+    no vertex has lost them.  Coloring v with c costs allow[c] &= ~adj[v],
+    and the uncolored neighbors that lose c by it (`hit`) move up one lost
+    level; a vertex of `hit` in lost[k] is left without an option.  `hit`
+    is pushed as one mask on a stack of pending masks, and the cascade
+    takes the highest forced vertex of the top mask: while colors are left
+    unused, one that has lost every used color (lost[used]; it takes the
     lowest fresh color, WLOG); once all k are used, one with a single color
-    left.  Returns (uncol, used), with used = -1 when some vertex is left
-    without an option.
+    left (lost[k - 1]).  Returns (uncol, used), with used = -1 when some
+    vertex is left without an option.
     """
     pending: list[int] = []
     while True:
@@ -344,21 +414,20 @@ def _assign(adj: list[int], k: int, allow: list[int], cls: list[int],
         nbrs = adj[v]
         hit = nbrs & uncol & allow[c]
         allow[c] &= ~nbrs
-        if used == k:
-            ones = twos = 0
-            for a in allow:
-                twos |= ones & a
-                ones |= a
-            if hit & ~ones:
-                return uncol, -1
-            forced = uncol & ones & ~twos
-        else:
-            some = 0
-            for a in allow[:used]:
-                some |= a
-            forced = uncol & ~some
         if hit:
+            # _raise_levels, inlined: a call per cascade step is measurably
+            # slower here.  j ends one past the top level reached, so j > k
+            # when some vertex of `hit` has lost all k colors.
+            moved, j = hit, 1
+            while moved:
+                below = lost[j]
+                lost[j] = below | moved
+                moved = below & hit
+                j += 1
+            if j > k:
+                return uncol, -1
             pending.append(hit)
+        forced = uncol & lost[used if used < k else k - 1]
         while pending:
             top = pending.pop()
             found = top & forced
@@ -382,38 +451,20 @@ def _assign(adj: list[int], k: int, allow: list[int], cls: list[int],
                 c += 1
 
 
-def _fewest_options(allow: list[int], uncol: int, used: int) -> int:
-    """The uncolored vertices with the fewest used colors left.
-
-    Threshold masks: ge[j] holds the uncolored vertices with at least j of
-    the `used` colors left, and the answer is the first nonempty
-    ge[j] & ~ge[j + 1].
-    """
-    ge = [uncol] + [0] * used
-    for c in range(used):
-        a = allow[c]
-        for j in range(c + 1, 0, -1):
-            ge[j] |= ge[j - 1] & a
-    ge.append(0)
-    j = 0
-    while ge[j] == ge[j + 1]:
-        j += 1
-    return ge[j] ^ ge[j + 1]
-
-
 def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
     """Decide proper k-colorability.  Returns ("sat", coloring),
     ("unsat", None), or ("timeout", None) once the budget is spent.
 
     Depth-first search over an explicit stack of pending branches
-    (allow, cls, uncol, used, v, c): the parent's state as k allow-masks,
-    k color-class masks and the uncolored set (see _assign), and the choice
-    v := c.  Popping a branch copies the two k-long lists and applies the
-    choice and everything it forces to the copies, so no state is ever
-    undone.  A node that survives branches on its MRV vertex, the key
-    (options, -degree, v) read off threshold masks, and spends one budget
-    step; its choices are pushed in reverse so that the existing colors are
-    tried in ascending order and the lowest fresh color last.
+    (allow, cls, lost, uncol, used, v, c): the parent's state as k
+    allow-masks, k color-class masks, k + 1 lost-color levels and the
+    uncolored set (see _assign), and the choice v := c.  Popping a branch
+    copies the three lists and applies the choice and everything it forces
+    to the copies, so no state is ever undone.  A node that survives
+    branches on its MRV vertex, the key (options, -degree, v) read off the
+    lost levels (_most_constrained), and spends one budget step; its
+    choices are pushed in reverse so that the existing colors are tried in
+    ascending order and the lowest fresh color last.
     """
     if n == 0:
         return "sat", ()
@@ -424,28 +475,22 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
     uncol = (1 << n) - 1
     allow = [uncol] * k
     cls = [0] * k
+    lost = [-1] + [0] * k
     for c, v in enumerate(seed_clique):
         cls[c] = 1 << v
         uncol ^= 1 << v
+        _raise_levels(lost, adj[v])
         allow[c] &= ~adj[v]
     used = len(seed_clique)
-    if used == k:
-        some = 0
-        for a in allow:
-            some |= a
-        if uncol & ~some:
-            return "unsat", None
-    by_degree: dict[int, int] = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    stack = [(allow, cls, uncol, used, -1, 0)]  # the seeded root: no choice to apply
+    if uncol & lost[k]:
+        return "unsat", None
+    degree_classes = _degree_classes(adj, n)
+    stack = [(allow, cls, lost, uncol, used, -1, 0)]  # the seeded root: no choice to apply
     while stack:
-        allow, cls, uncol, used, v, c = stack.pop()
+        allow, cls, lost, uncol, used, v, c = stack.pop()
         if v >= 0:
-            allow, cls = allow.copy(), cls.copy()
-            uncol, used = _assign(adj, k, allow, cls, uncol, used, v, c)
+            allow, cls, lost = allow.copy(), cls.copy(), lost.copy()
+            uncol, used = _assign(adj, k, allow, cls, lost, uncol, used, v, c)
             if used < 0:
                 continue
         if not uncol:
@@ -454,24 +499,17 @@ def _k_colorable(adj: list[int], n: int, k: int, seed_clique, budget: _Budget):
                 for u in iter_bits(members):
                     coloring[u] = c
             return "sat", tuple(coloring)
-        # MRV key (options, -degree, v): the fewest options, then the
-        # highest degree class, then the lowest vertex.
-        fewest = _fewest_options(allow, uncol, used)
-        for members in degree_classes:
-            if fewest & members:
-                fewest &= members
-                break
-        v = (fewest & -fewest).bit_length() - 1
+        v = _most_constrained(lost, used, uncol, degree_classes)
         if not budget.step():
             return "timeout", None
         if used < k:
             # Color `used` was never assigned anywhere, so v may take it;
             # introducing exactly the lowest unused color keeps the search
             # complete while killing color-permutation symmetry.
-            stack.append((allow, cls, uncol, used, v, used))
+            stack.append((allow, cls, lost, uncol, used, v, used))
         for c in range(used - 1, -1, -1):
             if allow[c] >> v & 1:
-                stack.append((allow, cls, uncol, used, v, c))
+                stack.append((allow, cls, lost, uncol, used, v, c))
     return "unsat", None
 
 

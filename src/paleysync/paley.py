@@ -13,6 +13,7 @@ basis vector along gf.translation_walk (two shifts split by a carry mask).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -126,14 +127,22 @@ def complement(g: Graph) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of g under the vertex map v -> perm[v].  The image carries no
-    Cayley mark, so searches on it take the generic path."""
+    Cayley mark, so searches on it take the generic path.
+
+    Each row is permuted as a bit string, by one itemgetter over the
+    binary digits: a leading 1 (bit n, stripped again) keeps the string
+    n + 1 long, so every row, and n = 0, takes the same path.
+    """
     n = g.n_vertices
+    source = [0] * n
+    for v, w in enumerate(perm):
+        source[w] = v
+    # digit i of the string of r | top is bit n - i of r; digit 0 is the leading 1
+    pick = itemgetter(0, *(n - source[n - i] for i in range(1, n + 1)))
+    top = 1 << n
     rows = [0] * n
-    for v in range(n):
-        r = 0
-        for u in iter_bits(g.adjacency[v]):
-            r |= 1 << perm[u]
-        rows[perm[v]] = r
+    for v, r in enumerate(g.adjacency):
+        rows[perm[v]] = int("".join(pick(format(r | top, "b"))), 2) ^ top
     return Graph(n, tuple(rows))
 
 

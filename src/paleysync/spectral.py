@@ -25,16 +25,13 @@ def gauss_periods(field: FieldTables, m: int) -> tuple[float, ...]:
 
     eta_j is the character sum over the coset gamma^j * {m-th powers}; the
     sums are real because every coset is negation-closed.  The exponent k of
-    gamma^k picks the coset k mod m, so the terms are listed once in
-    exponent order and each period is the compensated sum (math.fsum) of
-    every m-th term: O(q) work, accuracy limited only by the cosine table.
+    gamma^k picks the coset k mod m, so each period is the compensated sum
+    (math.fsum) of every m-th term of the field's character row, built once
+    per field: O(q) work, accuracy limited only by the cosine table.
     """
-    q, p = field.q, field.p
-    validate_residue_params(q, m)
-    cos_t = [math.cos(2.0 * math.pi * t / p) for t in range(p)]
-    tr = field.trace
-    terms = [cos_t[tr[e]] for e in field.exp]
-    return tuple(math.fsum(terms[j::m]) for j in range(m))
+    validate_residue_params(field.q, m)
+    row = field.character_row
+    return tuple(math.fsum(row[j::m]) for j in range(m))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -30,7 +32,8 @@ from paleysync import (
 )
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
-from paleysync.invariants import _degeneracy_order, _is_witness, subfield_certificate
+from paleysync.invariants import (_degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
+                                  subfield_certificate)
 from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
@@ -353,6 +356,93 @@ def test_degeneracy_order_matches_a_reference_scan(n):
         for p_edge in (0.05, 0.3, 0.6, 0.95):
             adj = list(random_graph(n, seed, p_edge).adjacency)
             assert _degeneracy_order(adj, n) == _reference_degeneracy_order(adj), (seed, p_edge)
+
+
+def _reference_greedy_clique(adj, seeds):
+    """The greedy start grown in full from every seed, with no cap and no cut."""
+    best = []
+    for seed in seeds:
+        clique = [seed]
+        cand = adj[seed]
+        while cand:
+            pick = max(iter_bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+            clique.append(pick)
+            cand &= adj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)
+
+
+def _reference_dsatur_coloring(adj, n):
+    """DSATUR by a scan of every uncolored vertex per step."""
+    colors = [-1] * n
+    sat = [0] * n
+    for _ in range(n):
+        v = max((u for u in range(n) if colors[u] < 0),
+                key=lambda u: (sat[u].bit_count(), adj[u].bit_count(), -u))
+        c = 0
+        while sat[v] >> c & 1:
+            c += 1
+        colors[v] = c
+        for u in iter_bits(adj[v]):
+            if colors[u] < 0:
+                sat[u] |= 1 << c
+    return colors
+
+
+def _oracle_graphs():
+    """Every residue graph and its complement with q <= 125, then seeded
+    random graphs of 0 to 90 vertices, sparse to dense."""
+    for q in odd_prime_powers(125):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            g = build_paley(field, m)
+            yield (q, m), g
+            yield (q, m, "complement"), complement(g)
+    for n in (0, 1, 2, 5, 17, 40, 90):
+        for seed in range(3):
+            for p_edge in (0.1, 0.5, 0.9):
+                yield (n, seed, p_edge), random_graph(n, seed, p_edge)
+
+
+def test_greedy_clique_and_dsatur_match_their_reference_scans():
+    """The greedy start stops at its cap and drops a seed that cannot beat
+    the best, and DSATUR picks its vertex through threshold masks; neither
+    changes what the full scans return.  The greedy start is checked at the
+    cap clique_number gives it and at the tightest cap that holds, its own
+    size."""
+    for key, g in _oracle_graphs():
+        adj, n = list(g.adjacency), g.n_vertices
+        assert _dsatur_coloring(adj, n) == _reference_dsatur_coloring(adj, n), key
+        order, degeneracy = _degeneracy_order(adj, n)
+        seeds = list(reversed(order))[:48]
+        want = _reference_greedy_clique(adj, seeds)
+        for cap in (min(degeneracy + 1, n), len(want)):
+            assert _greedy_clique(adj, seeds, cap) == want, (key, cap)
+
+
+# sha256 of the records below, recorded before the coloring search kept its
+# lost-color counts in threshold masks
+K_COLORABLE_DIGEST = "db6946b38305ea652b882e14dfd1c971820c6907dc682486428b74d134947d0d"
+
+
+def test_k_colorable_answers_match_a_pinned_digest():
+    """(status, coloring, nodes) of k_colorable at budget 2000 on every
+    residue graph with q <= 81, for each k that chromatic_number would test
+    (the clique size up to one below the DSATUR bound), seeded with the
+    clique and unseeded.  The unseeded root has no color in use, so its MRV
+    scan runs down to level 0."""
+    records = []
+    for q in odd_prime_powers(81):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            g = build_paley(field, m)
+            clique = clique_number(g).witness
+            upper = chromatic_number(g, budget=0, clique_hint=clique).upper
+            for hint in (clique, ()):
+                for k in range(len(clique), upper):
+                    records.append([q, m, k, len(hint), *k_colorable(g, k, budget=2000, clique_hint=hint)])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == K_COLORABLE_DIGEST
 
 
 def test_clique_deep_search_has_no_recursion_limit():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paleysync import (
@@ -16,7 +18,8 @@ from paleysync import (
     union_graph,
     validate_graph,
 )
-from conftest import field_for, odd_prime_powers, valid_graph_ms
+from paleysync.paley import iter_bits
+from conftest import field_for, odd_prime_powers, random_graph, valid_graph_ms
 
 
 def test_normalize_even_r():
@@ -206,3 +209,24 @@ def test_union_graph_matches_definition(cases):
         family = orbital_family(field_for(q), m_bar)
         expected = _graph_from_definition(family.field, family.difference_cosets[i])
         assert union_graph(family, {i}) == expected, (q, m_bar, i)
+
+
+def _reference_relabel(g, perm):
+    """relabel by a walk over every edge."""
+    rows = [0] * g.n_vertices
+    for v in range(g.n_vertices):
+        r = 0
+        for u in iter_bits(g.adjacency[v]):
+            r |= 1 << perm[u]
+        rows[perm[v]] = r
+    return Graph(g.n_vertices, tuple(rows))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65, 200])
+def test_relabel_matches_a_walk_over_every_edge(n):
+    rng = random.Random(n)
+    for seed in range(3):
+        g = random_graph(n, seed, p_edge=rng.choice((0.05, 0.5, 0.95)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert relabel(g, perm).adjacency == _reference_relabel(g, perm).adjacency, seed

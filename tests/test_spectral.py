@@ -140,6 +140,21 @@ def test_periods_match_count_table_formula():
         assert max(abs(a - b) for a, b in zip(ours, ref)) < 1e-12, (q, m)
 
 
+def _per_call_periods(field, m):
+    """gauss_periods with its cosine terms rebuilt on every call."""
+    cos_t = [math.cos(2.0 * math.pi * t / field.p) for t in range(field.p)]
+    terms = [cos_t[field.trace[e]] for e in field.exp]
+    return tuple(math.fsum(terms[j::m]) for j in range(m))
+
+
+def test_periods_read_off_the_cached_character_row_are_unchanged():
+    for q, m in _valid_pairs(729):
+        assert gauss_periods(field_for(q), m) == _per_call_periods(field_for(q), m), (q, m)
+    field = field_for(81)
+    assert field.character_row is field.character_row
+    assert field.character_row.typecode == "d" and len(field.character_row) == 80
+
+
 def test_feasible_sizes_match_tolerance_rule():
     """The exact rationality test accepts the same k as comparing the float
     least period with -degree/(k-1) to 1e-6, on every extension field q <= 729.
