@@ -28,6 +28,20 @@ independent-set and coloring results into an `InvariantCertificate`, for
 the searched certificates and the no-search ones (brute force, omega = chi)
 alike, and verifies it whenever all three are exact.
 
+Each k-test of chi runs on a schedule.  With at most PROBE (4,096) nodes
+left it is the exhaustive search alone.  Otherwise the exhaustive search
+gets a PROBE-node allotment first, which decides all but six k-tests of
+the q <= 81 sweep; when the allotment runs out, a Tabucol search
+(`_tabu_coloring`) gets half of what is left, at most TABU_MOVES moves,
+and then the exhaustive search restarts on the rest.  A coloring the tabu
+search finds is exact, since every smaller k is already excluded.  The
+cap keeps an unsatisfiable k-test on a large budget from spending half of
+it on colorings that do not exist before the exhaustive search proves so.
+At budget 50,000 the schedule decides chi(61, 3) = 8, chi(73, 3) = 10 and
+chi(79, 3) = 9, which the exhaustive search leaves open at 300,000 nodes;
+chi(81, 4) stays in [6, 9].  Every call whose meter holds at most PROBE
+nodes when its k-test starts runs exactly as the exhaustive search alone.
+
 On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
 neighborhood of vertex 0: omega(G) = 1 + omega(G[N(0)]).  This is sound
@@ -64,6 +78,9 @@ from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_CAP = 16
+PROBE = 4096  # nodes an exhaustive k-test gets before the tabu search is tried
+TABU_MOVES = 50_000  # most moves of one tabu search, a second or two
+TABU_SEED = 4
 
 
 class _Budget:
@@ -162,17 +179,22 @@ def _greedy_clique(adj: list[int], seeds: list[int], cap: int) -> list[int]:
         clique = [seed]
         cand = adj[seed]
         while cand and len(clique) + cand.bit_count() > len(best):
-            pick, pick_key = -1, (-1, 0)
+            # The most neighbors in cand, the lowest v on a tie (the scan
+            # ascends); no candidate beats one adjacent to all the others.
+            pick, pick_count = -1, -1
+            full = cand.bit_count() - 1
             m = cand
             # inline bit loop: the iter_bits generator is measurably slower on this hot path
             while m:
                 b = m & -m
                 v = b.bit_length() - 1
                 m ^= b
-                key = ((adj[v] & cand).bit_count(), -v)
-                if key > pick_key:
-                    pick_key = key
+                count = (adj[v] & cand).bit_count()
+                if count > pick_count:
+                    pick_count = count
                     pick = v
+                    if count == full:
+                        break
             clique.append(pick)
             cand &= adj[pick]
         if len(clique) > len(best):
@@ -415,17 +437,19 @@ def _assign(adj: list[int], k: int, allow: list[int], cls: list[int], lost: list
         hit = nbrs & uncol & allow[c]
         allow[c] &= ~nbrs
         if hit:
-            # _raise_levels, inlined: a call per cascade step is measurably
-            # slower here.  j ends one past the top level reached, so j > k
-            # when some vertex of `hit` has lost all k colors.
-            moved, j = hit, 1
-            while moved:
-                below = lost[j]
-                lost[j] = below | moved
-                moved = below & hit
-                j += 1
-            if j > k:
+            # No vertex has lost more than `used` colors, and all k only
+            # when some vertex of `hit` had lost k - 1.  Else lost[j] takes
+            # the vertices of `hit` in lost[j - 1], from j = used down to the
+            # first level whose lower neighbor already holds all of `hit`.
+            if used == k and hit & lost[k - 1]:
                 return uncol, -1
+            j = used
+            below = lost[j - 1]
+            while below & hit != hit:
+                lost[j] |= below & hit
+                j -= 1
+                below = lost[j - 1]
+            lost[j] |= hit
             pending.append(hit)
         forced = uncol & lost[used if used < k else k - 1]
         while pending:
@@ -526,6 +550,105 @@ def k_colorable(g: Graph, k: int, budget: int | _Budget | None = None, clique_hi
     return status, coloring, meter.spent - before
 
 
+class _Rng:
+    """xorshift64 (Marsaglia 2003): the tabu search's random start and
+    tie-breaks, the same on every run and Python version."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed
+
+    def below(self, n: int) -> int:
+        """A draw from 0 .. n - 1."""
+        x = self.state
+        x ^= x << 13 & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 7
+        x ^= x << 17 & 0xFFFFFFFFFFFFFFFF
+        self.state = x
+        return x % n
+
+
+def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
+    """Tabucol (Hertz & de Werra 1987): a proper k-coloring, or None once
+    `moves` moves or the meter are spent.
+
+    From a random k-coloring, each move recolors one vertex that shares its
+    color with a neighbor, to the color that lowers the count of conflicting
+    edges most (ties drawn at random).  Taking v off color a makes (v, a)
+    tabu for 0.6 * conflicts + r moves, r drawn from 0 .. 9, unless it would
+    beat the fewest conflicts seen so far.  gamma[v][c] counts the
+    neighbors of v colored c, and `bad` holds the conflicting vertices, so a
+    move touches only v's neighbors.  Every move spends one meter step.
+    """
+    rng = _Rng(TABU_SEED)
+    col = [rng.below(k) for _ in range(n)]
+    cls = [0] * k
+    for v, c in enumerate(col):
+        cls[c] |= 1 << v
+    gamma = [[(row & members).bit_count() for members in cls] for row in adj]
+    bad = conflicts = 0
+    for v in range(n):
+        if gamma[v][col[v]]:
+            bad |= 1 << v
+            conflicts += gamma[v][col[v]]
+    conflicts //= 2
+    tabu = [[0] * k for _ in range(n)]
+    best = conflicts
+    it = 0
+    while conflicts:
+        if it >= moves or not meter.step():
+            return None
+        it += 1
+        pick_delta, picks = n, []
+        m = bad
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            g, t, a = gamma[v], tabu[v], col[v]
+            ga = g[a]
+            for c in range(k):
+                delta = g[c] - ga
+                if delta > pick_delta or c == a or (t[c] >= it and conflicts + delta >= best):
+                    continue
+                if delta < pick_delta:
+                    pick_delta, picks = delta, [(v, c)]
+                else:
+                    picks.append((v, c))
+        if not picks:  # every move is tabu: wait for a tenure to end
+            continue
+        v, c = picks[rng.below(len(picks))]
+        a = col[v]
+        bit = 1 << v
+        nbrs = adj[v]
+        conflicts += pick_delta
+        col[v] = c
+        cls[a] ^= bit
+        m = nbrs
+        while m:
+            b = m & -m
+            g = gamma[b.bit_length() - 1]
+            m ^= b
+            g[a] -= 1
+            g[c] += 1
+        freed = nbrs & cls[a]
+        while freed:
+            b = freed & -freed
+            freed ^= b
+            if not gamma[b.bit_length() - 1][a]:
+                bad ^= b
+        bad |= nbrs & cls[c]
+        cls[c] |= bit
+        if gamma[v][c]:
+            bad |= bit
+        else:
+            bad &= ~bit
+        tabu[v][a] = it + conflicts * 3 // 5 + rng.below(10)
+        best = min(best, conflicts)
+    return tuple(col)
+
+
 def _normalize_coloring(coloring) -> tuple[int, ...]:
     """Renumber colors in order of first appearance (deterministic witness)."""
     seen: dict[int, int] = {}
@@ -543,7 +666,9 @@ def chromatic_number(
     k-colorability is tested upward from the lower bound, so the first
     satisfiable k is exact.  `lower` must be sound if supplied; the clique
     witness (computed here when not passed in) seeds every k-test.  The
-    search's upper bound comes from a greedy coloring it can exhibit.
+    search's upper bound comes from a greedy coloring it can exhibit.  A
+    k-test past PROBE nodes tries the tabu search before it finishes (see
+    the module docstring); its moves spend the same meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -567,7 +692,20 @@ def chromatic_number(
 
     k = lo
     while k < ub:
-        status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+        if meter.limit - meter.spent <= PROBE:
+            status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+        else:
+            probe = _Budget(PROBE)
+            status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+            meter.spent += probe.spent
+            if status == "timeout":
+                # Every k below is excluded, so a k-coloring found here is exact.
+                moves = min((meter.limit - meter.spent) // 2, TABU_MOVES)
+                coloring = _tabu_coloring(adj, n, k, meter, moves)
+                if coloring is not None:
+                    status = "sat"
+                else:
+                    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -32,8 +33,8 @@ from paleysync import (
 )
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
-from paleysync.invariants import (_degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
-                                  subfield_certificate)
+from paleysync.invariants import (PROBE, TABU_MOVES, _Budget, _degeneracy_order, _dsatur_coloring,
+                                  _greedy_clique, _is_witness, _tabu_coloring, subfield_certificate)
 from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
@@ -597,3 +598,95 @@ def test_chromatic_number_stops_when_its_clique_search_spends_the_budget(budget)
     assert not res.exact
     assert (res.lower, res.upper, res.nodes) == (9, 33, budget + 1)
     assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
+
+
+def _tabu_cases():
+    """(key, graph, k): the three residue graphs whose exhaustive k-test at
+    chi's lower bound runs past 50,000 nodes, then seeded random graphs at
+    one color below their DSATUR count."""
+    for q, m, k in ((61, 3, 8), (73, 3, 10), (79, 3, 9)):
+        yield (q, m), residue_graph(q, m), k
+    for n, p_edge in ((40, 0.5), (60, 0.3), (90, 0.1)):
+        g = random_graph(n, 1, p_edge)
+        yield (n, p_edge), g, max(_dsatur_coloring(list(g.adjacency), n))
+
+
+def test_tabu_coloring_repeats_and_every_coloring_it_returns_is_proper():
+    found = 0
+    for key, g, k in _tabu_cases():
+        adj, n = list(g.adjacency), g.n_vertices
+        runs = []
+        for _ in range(2):
+            meter = _Budget(20_000)
+            runs.append((_tabu_coloring(adj, n, k, meter, 10_000), meter.spent))
+        assert runs[0] == runs[1], key
+        coloring, spent = runs[0]
+        assert spent <= 10_000, key
+        if coloring is not None:
+            found += 1
+            assert len(coloring) == n and set(coloring) <= set(range(k)), key
+            assert all(coloring[u] != coloring[v] for u, v in g.edges()), key
+    assert found >= 3
+
+
+@pytest.mark.parametrize("budget", [PROBE + 1, 10_000, 50_000])
+def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
+    """nodes is every k-test node plus every tabu move.  At PROBE + 1 the
+    probe spends the whole meter, so the tabu search gets no move."""
+    invariants = sys.modules["paleysync.invariants"]
+    spent = {"k_colorable": 0, "tabu": 0}
+
+    def traced_colorable(*args, **kwargs):
+        res = k_colorable(*args, **kwargs)
+        spent["k_colorable"] += res[2]
+        return res
+
+    def traced_tabu(adj, n, k, meter, moves):
+        before = meter.spent
+        coloring = _tabu_coloring(adj, n, k, meter, moves)
+        spent["tabu"] += meter.spent - before
+        return coloring
+
+    monkeypatch.setattr(invariants, "k_colorable", traced_colorable)
+    monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
+    g = residue_graph(79, 3)
+    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique_number(g).witness)
+    assert res.nodes == spent["k_colorable"] + spent["tabu"] <= budget + 1
+    assert res.exact == (budget == 50_000)
+    if budget == PROBE + 1:
+        assert (spent["tabu"], res.nodes) == (0, budget + 1)
+    else:
+        assert spent["tabu"] > 0
+
+
+def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    moves = []
+
+    def traced_tabu(adj, n, k, meter, cap):
+        moves.append(cap)
+        raise Stop  # the exhaustive rerun would run for minutes
+
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", traced_tabu)
+    g = residue_graph(81, 4)
+    with pytest.raises(Stop):
+        chromatic_number(g, lower=6, budget=10**8, clique_hint=clique_number(g).witness)
+    assert moves == [TABU_MOVES]
+
+
+def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
+    """At budget 50,000 the exhaustive k-test at chi's lower bound times out
+    on these, and the tabu search finds a coloring with that many colors."""
+    for (q, m), chi in {(61, 3): 8, (73, 3): 10, (79, 3): 9}.items():
+        cert = sweep_q81[(q, m)][0]
+        assert (cert.status, cert.chi, cert.bounds["chi"]) == ("exact", chi, (chi, chi)), (q, m)
+        verify_certificate(residue_graph(q, m), cert)
+
+
+def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring(sweep_q81):
+    cert = sweep_q81[(81, 4)][0]
+    assert (cert.status, cert.chi, cert.bounds["chi"]) == ("timeout", None, (6, 9))
+    # checks that the coloring is proper and uses at most 9 colors
+    verify_certificate(residue_graph(81, 4), cert)
