@@ -10,6 +10,14 @@ question (Lemma 2.3), omega = chi, which one search, `_omega_equals_chi`,
 answers for the residue graph and for each orbital union alike; one builder,
 `_non_synchronizing`, turns its certificate into a verdict.  Every verdict
 carries an ordered reason trace naming the rule that fired.
+
+Lemma (Hajos/Redei; Szabo & Sands 2009): on a Cayley graph of GF(q)+, as
+every graph here is, omega = chi = k forces k | q and omega = chi = q/k on
+the complement.  Proof: as omega * alpha <= q, each of the k color classes
+has q/k vertices.  For a k-clique A and a class B, a + b = a' + b' with
+a != a' would make b' - b = a - a' an edge inside B, so GF(q) = A + B and
+the cliques A + b, b in B, color the complement around its clique B.  So an
+omega not dividing q is "neq" untested; the walk searches one member per pair.
 """
 
 from __future__ import annotations
@@ -157,20 +165,20 @@ def _omega_equals_chi(g: Graph, meter: _Budget, k: int | None = None):
     """Decide omega(g) = chi(g), the one per-graph question of Lemma 2.3.
 
     Runs the maximum-clique search, then tests colorability at omega; both
-    searches draw on the caller's meter.  Given the one feasible common
-    value k of a residue graph, which is also theta of its complement and
-    so bounds omega, the clique search is capped at k and any omega != k
-    is "neq" with no coloring search.  Returns (outcome, omega_res, cert):
-    outcome "eq" | "neq" | "timeout", omega_res the clique search (not
-    exact when that search timed out), and, for "eq" only, the certificate
-    of omega = chi that `equal_certificate` builds from the clique and the
-    coloring and checks against g, so no unverified witness is ever emitted.
+    draw on the caller's meter.  Given the one feasible common value k of a
+    residue graph (theta of its complement, so omega <= k), the clique
+    search is capped at k.  An omega != k, or one not dividing q (the
+    module's lemma), is "neq" with no coloring search.  Returns (outcome,
+    omega_res, cert): outcome "eq" | "neq" | "timeout", omega_res the clique
+    search (not exact when that search timed out), and, for "eq" only, the
+    certificate of omega = chi that `equal_certificate` builds from the
+    clique and coloring and checks against g: no witness leaves unverified.
     """
     omega_res = clique_number(g, upper_hint=k, budget=meter)
     if not omega_res.exact:
         return "timeout", omega_res, None
     omega = omega_res.value
-    if k is not None and omega != k:
+    if (k is not None and omega != k) or g.n_vertices % omega:
         return "neq", omega_res, None
     status, coloring, _ = k_colorable(g, omega, budget=meter, clique_hint=omega_res.witness)
     if status != "sat":
@@ -277,8 +285,8 @@ def exhaustive_decision(
     field: FieldTables, m: int, budget: int | _Budget | None = None, spectral_prune: bool = True
 ) -> Classification:
     """Exact decision by checking omega = chi on every proper nonempty union
-    of undirected orbitals (one representative per rotation/complement family;
-    both members of genuinely multi-orbital complement pairs are searched).
+    of undirected orbitals, one search per rotation/complement family on its
+    canonical mask: a union and its complement agree (the module's lemma).
 
     spectral_prune=False disables the eigenvalue filter on single orbitals and
     forces a search-based decision there (slower, independent confirmation).
@@ -293,10 +301,8 @@ def exhaustive_decision(
     meter = _Budget.of(budget)
     family = orbital_family(field, m)
     n_pairs = _canonical_pair_count(mb)
-    full = (1 << mb) - 1
 
     reasons: list[Reason] = []
-    searched = 0
     unreached = n_pairs
 
     for mask in _canonical_pair_masks(mb):
@@ -304,9 +310,7 @@ def exhaustive_decision(
             break
         unreached -= 1
         if spectral_prune and mask == 1:
-            # Pair {single orbital, its complement}: equality of the two
-            # invariants transfers between a residue graph and its complement,
-            # so the single-orbital decision settles both members.
+            # {single orbital, its complement}: one decision settles both (the lemma)
             subset = [0]
             kind, cert, rule, detail = _single_orbital_status(field, mb, meter)
             if kind == "neq":
@@ -314,18 +318,12 @@ def exhaustive_decision(
             elif kind == "timeout":
                 reasons.append(Reason(rule, f"single-orbital check: {detail}"))
         else:
-            for sub_mask in (mask, full ^ mask):
-                subset = sorted(iter_bits(sub_mask))
-                kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter)
-                searched += 1
-                if kind == "timeout":
-                    if omega_res.exact:
-                        detail = f"{omega_res.value}-colorability undecided"
-                    else:
-                        detail = f"clique bounds [{omega_res.lower}, {omega_res.upper}]"
-                    reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
-                if kind != "neq":
-                    break
+            subset = sorted(iter_bits(mask))
+            kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter)
+            if kind == "timeout":
+                detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
+                          else f"clique bounds [{omega_res.lower}, {omega_res.upper}]")
+                reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
         if kind == "eq":
             reasons.append(Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}"))
             return _non_synchronizing(field, params, reasons, subset, cert)
@@ -338,7 +336,7 @@ def exhaustive_decision(
         Reason(
             RULE_EXHAUSTIVE,
             f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
-            f" ({n_pairs} canonical pairs, {searched} union graphs searched)",
+            f" ({n_pairs} canonical pairs, {n_pairs - int(spectral_prune)} union graphs searched)",
         )
     )
     return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")

@@ -84,7 +84,7 @@ def test_no_union_graph_is_built_on_a_spent_budget(searches):
     assert sum(nodes for nodes, _ in searches["searches"]) == 10_001
     # one budget reason for the timed-out union, one for the unreached pairs
     assert [r.rule for r in result.reasons[-2:]] == ["budget", "budget"]
-    assert result.reasons[-1].detail.endswith("27 of 29 canonical pairs not reached")
+    assert result.reasons[-1].detail.endswith("15 of 29 canonical pairs not reached")
 
 
 def test_a_spent_budget_ends_a_wide_orbital_walk_at_once():

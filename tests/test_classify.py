@@ -25,7 +25,9 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import _canonical_pair_count, _canonical_pair_masks
+from paleysync.classify import _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
+from paleysync.gf import odd_prime_powers
+from paleysync.invariants import _Budget
 from conftest import field_for, valid_graph_ms
 
 
@@ -344,12 +346,72 @@ def test_classification_is_frozen():
 def test_equal_invariants_certificate_is_verified(monkeypatch):
     """Both callers of the "omega = chi" search, an orbital union and the
     single-orbital exact search, check their certificate before it leaves:
-    an improper coloring from the colorability test is refused.  On GF(81)
-    with m = 8 the feasible set is {3} and no half-degree subfield is a
-    clique, so the default mode reaches the single-orbital search."""
+    an improper coloring from the colorability test is refused.  The union
+    case runs on GF(25), where omega = 5 divides q and so the colorability
+    test is reached; on a prime field no proper union has omega | q.  On
+    GF(81) with m = 8 the feasible set is {3} and no half-degree subfield is
+    a clique, so the default mode reaches the single-orbital search."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
     with pytest.raises(InvalidWitnessError):
-        exhaustive_decision(build_field(13), 3, spectral_prune=False)
+        exhaustive_decision(build_field(5, 2), 2, spectral_prune=False)
     with pytest.raises(InvalidWitnessError):
         exhaustive_decision(build_field(3, 4), 8)
+
+
+def test_omega_equals_chi_agrees_on_a_union_and_its_complement():
+    """The lemma in the classify module docstring, which lets the orbital
+    walk search one member per complement pair: on every canonical pair with
+    q <= 81 and 2 <= m_bar <= 8 (190 pairs), a union and its complement get
+    the same outcome whenever both searches finish, and omega | q on "eq".
+    At 20,000 nodes per search both members of every pair finish."""
+    pairs = finished = 0
+    for q in odd_prime_powers(81):
+        field = field_for(q)
+        families = {}
+        for m in range(2, q):
+            if (q - 1) % m == 0 and 2 <= normalize_params(q, m).m_bar <= 8:
+                families.setdefault(normalize_params(q, m).m_bar, orbital_family(field, m))
+        for mb, family in families.items():
+            full = (1 << mb) - 1
+            for mask in _canonical_pair_masks(mb):
+                pairs += 1
+                outcomes = []
+                for member in (mask, full ^ mask):
+                    g = union_graph(family, [i for i in range(mb) if member >> i & 1])
+                    kind, omega_res, _ = _omega_equals_chi(g, _Budget.of(20_000))
+                    assert kind != "eq" or q % omega_res.value == 0, (q, mb, member)
+                    outcomes.append(kind)
+                if "timeout" not in outcomes:
+                    finished += 1
+                    assert outcomes[0] == outcomes[1], (q, mb, mask, outcomes)
+    assert pairs == finished == 190
+
+
+def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
+    """One search per canonical pair: a pair's complement is never built.
+    (121, 5) has 3 pairs; the single orbital is settled without a union
+    graph in the default mode, so 2 are built there and 3 without the
+    spectral filter."""
+    built = []
+
+    def traced_union(family, subset):
+        built.append(tuple(subset))
+        return union_graph(family, subset)
+
+    monkeypatch.setattr(sys.modules["paleysync.classify"], "union_graph", traced_union)
+    assert _canonical_pair_count(5) == 3
+    for prune, expected in ((True, 2), (False, 3)):
+        built.clear()
+        result = exhaustive_decision(field_for(121), 5, spectral_prune=prune)
+        assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
+        assert len(built) == len(set(built)) == expected
+
+
+@pytest.mark.parametrize("q", [343, 361])
+def test_one_search_per_pair_decides_m9_within_budget(q):
+    """(343, 9) and (361, 9): 29 canonical pairs, each one search; at 10^5
+    nodes every pair finishes, where searching complements as well ran out."""
+    result = classify(q, 9, budget=10**5)
+    assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
+    assert result.reasons[-1].detail.endswith("(29 canonical pairs, 28 union graphs searched)")
