@@ -39,8 +39,32 @@ cap keeps an unsatisfiable k-test on a large budget from spending half of
 it on colorings that do not exist before the exhaustive search proves so.
 At budget 50,000 the schedule decides chi(61, 3) = 8, chi(73, 3) = 10 and
 chi(79, 3) = 9, which the exhaustive search leaves open at 300,000 nodes;
-chi(81, 4) stays in [6, 9].  Every call whose meter holds at most PROBE
-nodes when its k-test starts runs exactly as the exhaustive search alone.
+chi(81, 4) stays in [6, 9] there.  It is 7: the exhaustive 6-test is unsat
+after 3,122,536 nodes, and a 7-coloring takes the exhaustive search 142
+nodes and the tabu search 145 moves, so paley_certificate decides it at
+budget 3,300,000 (about 90 s on a 2-vCPU Xeon).  Every call whose meter
+holds at most PROBE nodes when its k-test starts runs exactly as the
+exhaustive search alone.
+
+The tabu search and the exhaustive rerun run side by side, in two
+processes.  A tabu search that fails has spent exactly its moves, so the
+rerun's meter (the call's limit, with the probe's nodes and every move
+spent) is known before either starts.  Where os.fork exists and the tabu
+search gets at least one move, the k-test forks one child that runs the
+rerun on that meter and writes its status, coloring and spent count to a
+pipe, while the caller runs the tabu search.  A tabu coloring kills and
+reaps the child; a failed tabu search reads the child's result to EOF,
+reaps it and sets the meter from it.  Any other exit (an exception, an
+interrupt) kills and reaps the child too, so no process outlives the call,
+and a child that dies without a result has its rerun run in the caller.
+Results and node counts are those of the stages run in turn, which is how
+they run without os.fork, with no move for the tabu search, or when the
+fork fails.  The rerun's nodes are not seen by wrappers around
+k_colorable, as the child calls _k_colorable.  The child runs the search
+alone on its copy of the caller's memory and leaves by os._exit, taking no
+lock that another thread could hold, so a multithreaded caller may call
+chromatic_number; Python 3.12 and later warn (DeprecationWarning) on a
+fork in a process with threads.
 
 On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
@@ -651,6 +675,73 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
     return tuple(col)
 
 
+def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int],
+                     meter: _Budget):
+    """The stages of a k-test after its probe timed out: the tabu search on
+    half of what is left, at most TABU_MOVES moves, then, if it fails, the
+    exhaustive search on the rest.  Returns (status, coloring).
+
+    A failed tabu search has spent exactly its moves, so a forked child runs
+    the rerun on its known meter while the tabu search runs here (see the
+    module docstring); the result and meter are those of the stages in turn.
+    """
+    import os
+
+    moves = min((meter.limit - meter.spent) // 2, TABU_MOVES)
+    pid = read_end = None
+    if moves and hasattr(os, "fork"):
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the stages run in turn here
+            os.close(read_end)
+            read_end = None
+        else:
+            if pid == 0:
+                # The child: the rerun, then "status spent colors..." to the
+                # pipe.  It leaves by os._exit, so nothing of the caller's
+                # (atexit hooks, buffered files, a test runner) runs twice; an
+                # error exits 1, and the caller ignores what was written.
+                code = 1
+                try:
+                    os.close(read_end)
+                    rerun = _Budget(meter.limit)
+                    rerun.spent = meter.spent + moves
+                    status, coloring = _k_colorable(adj, n, k, clique, rerun)
+                    out = " ".join([status, str(rerun.spent), *map(str, coloring or ())]).encode()
+                    while out:
+                        out = out[os.write(write_end, out):]
+                    code = 0
+                finally:
+                    os._exit(code)
+        os.close(write_end)
+    try:
+        coloring = _tabu_coloring(adj, n, k, meter, moves)
+        if coloring is not None:
+            return "sat", coloring
+        if pid is not None:
+            out = b""
+            while chunk := os.read(read_end, 1 << 16):
+                out += chunk
+            code = os.waitpid(pid, 0)[1]
+            pid = None
+            if code == 0:
+                status, spent, *colors = out.split()
+                meter.spent = int(spent)
+                return status.decode(), tuple(map(int, colors)) if status == b"sat" else None
+    finally:
+        if read_end is not None:
+            os.close(read_end)
+        if pid is not None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # no child, or one that died without a result
+    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+    return status, coloring
+
+
 def _normalize_coloring(coloring) -> tuple[int, ...]:
     """Renumber colors in order of first appearance (deterministic witness)."""
     seen: dict[int, int] = {}
@@ -669,8 +760,9 @@ def chromatic_number(
     satisfiable k is exact.  `lower` must be sound if supplied; the clique
     witness (computed here when not passed in) seeds every k-test.  The
     search's upper bound comes from a greedy coloring it can exhibit.  A
-    k-test past PROBE nodes tries the tabu search before it finishes (see
-    the module docstring); its moves spend the same meter.
+    k-test past PROBE nodes tries the tabu search before it finishes, with
+    the rest of the exhaustive search in a forked child beside it (see the
+    module docstring); its moves spend the same meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -702,12 +794,7 @@ def chromatic_number(
             meter.spent += probe.spent
             if status == "timeout":
                 # Every k below is excluded, so a k-coloring found here is exact.
-                moves = min((meter.limit - meter.spent) // 2, TABU_MOVES)
-                coloring = _tabu_coloring(adj, n, k, meter, moves)
-                if coloring is not None:
-                    status = "sat"
-                else:
-                    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+                status, coloring = _tabu_then_rerun(g, adj, n, k, clique, meter)
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -34,7 +36,8 @@ from paleysync import (
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import (PROBE, TABU_MOVES, _Budget, _degeneracy_order, _dsatur_coloring,
-                                  _greedy_clique, _is_witness, _tabu_coloring, subfield_certificate)
+                                  _greedy_clique, _is_witness, _k_colorable, _tabu_coloring,
+                                  subfield_certificate)
 from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
@@ -629,11 +632,23 @@ def test_tabu_coloring_repeats_and_every_coloring_it_returns_is_proper():
     assert found >= 3
 
 
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("budget", [PROBE + 1, 10_000, 50_000])
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
     """nodes is every k-test node plus every tabu move.  At PROBE + 1 the
-    probe spends the whole meter, so the tabu search gets no move."""
+    probe spends the whole meter, so the tabu search gets no move.  The
+    wrappers count the stages in turn, with os.fork gone: a rerun in a
+    forked child passes no wrapper.  The forked run returns the same."""
     invariants = sys.modules["paleysync.invariants"]
+    g = residue_graph(79, 3)
+    clique = clique_number(g).witness
+    forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    _assert_no_child()
     spent = {"k_colorable": 0, "tabu": 0}
 
     def traced_colorable(*args, **kwargs):
@@ -647,16 +662,17 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
         spent["tabu"] += meter.spent - before
         return coloring
 
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(invariants, "k_colorable", traced_colorable)
     monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
-    g = residue_graph(79, 3)
-    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique_number(g).witness)
+    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     assert res.nodes == spent["k_colorable"] + spent["tabu"] <= budget + 1
     assert res.exact == (budget == 50_000)
     if budget == PROBE + 1:
         assert (spent["tabu"], res.nodes) == (0, budget + 1)
     else:
         assert spent["tabu"] > 0
+    assert res == forked
 
 
 def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
@@ -671,9 +687,87 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
 
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", traced_tabu)
     g = residue_graph(81, 4)
+    clique = clique_number(g).witness
+    start = time.perf_counter()
     with pytest.raises(Stop):
-        chromatic_number(g, lower=6, budget=10**8, clique_hint=clique_number(g).witness)
+        chromatic_number(g, lower=6, budget=10**8, clique_hint=clique)
     assert moves == [TABU_MOVES]
+    # The rerun's child, forked before the tabu search, is killed and reaped,
+    # not waited on through its 10**8-node search.
+    _assert_no_child()
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("q, m, k", [(61, 3, 8), (73, 3, 10), (73, 4, 7), (73, 6, 5),
+                                     (79, 3, 9), (81, 4, 6)])
+def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypatch, q, m, k):
+    """The six k-tests of the q <= 81 sweep at budget 50,000 that outlast
+    the probe: the forked path and the in-process one (os.fork gone) return
+    the same result, node count included, and leave no child."""
+    g = residue_graph(q, m)
+    clique = clique_number(g).witness
+    forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == forked
+
+
+def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
+    """With PROBE cut to 8, random graphs reach every outcome of the stages
+    after the probe: a tabu coloring, or a failed tabu search followed by a
+    sat, unsat or timeout rerun.  The forked path returns what the stages
+    in turn return, node count included, and leaves no child."""
+    invariants = sys.modules["paleysync.invariants"]
+    monkeypatch.setattr(invariants, "PROBE", 8)
+    cases = [(random_graph(40, seed, 0.5), budget)
+             for seed in range(4) for budget in (50, 200, 1000, 5000)]
+    forked = []
+    for g, budget in cases:
+        forked.append(chromatic_number(g, budget=budget))
+        _assert_no_child()
+
+    events = []
+
+    def traced_colorable(*args, **kwargs):
+        res = k_colorable(*args, **kwargs)
+        events.append(res[0])
+        return res
+
+    def traced_tabu(*args):
+        coloring = _tabu_coloring(*args)
+        events.append("tabu" if coloring is None else "tabu sat")
+        return coloring
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(invariants, "k_colorable", traced_colorable)
+    monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
+    for (g, budget), res in zip(cases, forked):
+        assert chromatic_number(g, budget=budget) == res, budget
+    outcomes = {"tabu sat"} & set(events)
+    outcomes |= {f"rerun {after}" for before, after in zip(events, events[1:]) if before == "tabu"}
+    assert outcomes == {"tabu sat", "rerun sat", "rerun unsat", "rerun timeout"}
+
+
+def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
+    """(79, 3) at budget 10,000: the tabu search fails and the rerun times
+    out.  A child whose search raises exits with nothing used, and the
+    caller runs the rerun itself, to the same result as the stages in turn."""
+    invariants = sys.modules["paleysync.invariants"]
+    caller = os.getpid()
+
+    def dies_in_child(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("the child's search fails")
+        return _k_colorable(*args)
+
+    g = residue_graph(79, 3)
+    clique = clique_number(g).witness
+    monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
+    res = chromatic_number(g, lower=9, budget=10_000, clique_hint=clique)
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
+    assert (res.exact, res.nodes) == (False, 10_001)
 
 
 def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
@@ -683,6 +777,18 @@ def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
         cert = sweep_q81[(q, m)][0]
         assert (cert.status, cert.chi, cert.bounds["chi"]) == ("exact", chi, (chi, chi)), (q, m)
         verify_certificate(residue_graph(q, m), cert)
+
+
+def test_tabu_search_finds_a_7_coloring_of_81_4():
+    """chi(81, 4) = 7: the exhaustive 6-test is unsat (3,122,536 nodes at
+    budget 10**8, about 90 s; CI checks it through the installed entry
+    point), and the tabu search finds a 7-coloring in under 1,000 moves."""
+    g = residue_graph(81, 4)
+    meter = _Budget(1000)
+    coloring = _tabu_coloring(list(g.adjacency), g.n_vertices, 7, meter, 1000)
+    assert coloring is not None and meter.spent <= 1000
+    assert set(coloring) == set(range(7))
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
 def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring(sweep_q81):
