@@ -17,7 +17,7 @@ import sys
 
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
 from .errors import OracleMismatchError
-from .gf import SIZE_LIMIT, build_field, odd_prime_power, odd_prime_powers
+from .gf import SIZE_LIMIT, build_field, divisors, odd_prime_power, odd_prime_powers
 from .invariants import BRUTE_FORCE_CAP, DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
@@ -167,7 +167,7 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
     for q in odd_prime_powers(q_max):
         field = _field_for(q)
         p, n = field.p, field.n
-        ms = [m for m in range(1, q) if (q - 1) % m == 0]
+        ms = divisors(q - 1)
         if m_set is not None:
             ms = [m for m in ms if m in m_set]
         reports = {}  # m_bar -> SpectralReport: every m with the same m_bar shares one

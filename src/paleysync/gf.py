@@ -25,22 +25,6 @@ from .errors import BadDivisorError, BadInputError, NotOddPrimeError, SizeLimitE
 SIZE_LIMIT = 1 << 20  # tables are O(q)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (inputs are desk scale)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division."""
     out: dict[int, int] = {}
@@ -79,18 +63,17 @@ def odd_prime_powers(limit: int) -> list[int]:
     return [q for q in range(3, limit + 1, 2) if len(factorize(q)) == 1]
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic primality test (inputs are desk scale)."""
+    return factorize(n) == {n: 1}
+
+
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n, ascending ([] for n < 1)."""
+    out = [1] if n >= 1 else []
+    for p, e in factorize(n).items():
+        out += [d * p**i for i in range(1, e + 1) for d in out]
+    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -28,39 +28,38 @@ independent-set and coloring results into an `InvariantCertificate`, for
 the searched certificates and the no-search ones (brute force, omega = chi)
 alike, and verifies it whenever all three are exact.
 
-Each k-test of chi runs on a schedule.  With at most PROBE (4,096) nodes
-left it is the exhaustive search alone.  Otherwise the exhaustive search
-gets a PROBE-node allotment first, which decides all but six k-tests of
-the q <= 81 sweep; when the allotment runs out, a Tabucol search
-(`_tabu_coloring`) gets half of what is left, at most TABU_MOVES moves,
-and then the exhaustive search restarts on the rest.  A coloring the tabu
-search finds is exact, since every smaller k is already excluded.  The
-cap keeps an unsatisfiable k-test on a large budget from spending half of
-it on colorings that do not exist before the exhaustive search proves so.
+Each k-test of chi opens with a probe: the exhaustive search on PROBE
+(4,096) nodes, or on what the meter has left when that is less, so with at
+most PROBE nodes left the probe is the whole k-test.  The probe decides all
+but six k-tests of the q <= 81 sweep; when it runs out with nodes left, a
+Tabucol search (`_tabu_coloring`) gets half of them, at most TABU_MOVES
+moves, and then the exhaustive search restarts on the rest.  A coloring
+the tabu search finds is exact, since every smaller k is already excluded.
+The cap keeps an unsatisfiable k-test on a large budget from spending half
+of it on colorings that do not exist before the exhaustive search proves so.
 At budget 50,000 the schedule decides chi(61, 3) = 8, chi(73, 3) = 10 and
 chi(79, 3) = 9, which the exhaustive search leaves open at 300,000 nodes;
 chi(81, 4) stays in [6, 9] there.  It is 7: the exhaustive 6-test is unsat
 after 3,122,536 nodes, and a 7-coloring takes the exhaustive search 142
 nodes and the tabu search 145 moves, so paley_certificate decides it at
-budget 3,300,000 (about 90 s on a 2-vCPU Xeon).  Every call whose meter
-holds at most PROBE nodes when its k-test starts runs exactly as the
-exhaustive search alone.
+budget 3,300,000 (about 90 s on a 2-vCPU Xeon).
 
 The tabu search and the exhaustive rerun run side by side, in two
 processes.  A tabu search that fails has spent exactly its moves, so the
 rerun's meter (the call's limit, with the probe's nodes and every move
-spent) is known before either starts.  Where os.fork exists and the tabu
-search gets at least one move, the k-test forks one child that runs the
-rerun on that meter and writes its status, coloring and spent count to a
-pipe, while the caller runs the tabu search.  A tabu coloring kills and
-reaps the child; a failed tabu search reads the child's result to EOF,
-reaps it and sets the meter from it.  Any other exit (an exception, an
-interrupt) kills and reaps the child too, so no process outlives the call,
-and a child that dies without a result has its rerun run in the caller.
-Results and node counts are those of the stages run in turn, which is how
-they run without os.fork, with no move for the tabu search, or when the
-fork fails.  The rerun's nodes are not seen by wrappers around
-k_colorable, as the child calls _k_colorable.  The child runs the search
+spent) is built once, before either starts.  Where os.fork exists and the
+tabu search gets at least one move, the k-test forks one child that runs
+the rerun on that meter and writes its status, coloring and spent count to
+a pipe, while the caller runs the tabu search.  A tabu coloring kills and
+reaps the child; a failed tabu search reads the child's result to EOF and
+reaps it.  Any other exit (an exception, an interrupt) kills and reaps the
+child too, so no process outlives the call.  Without os.fork, with no move
+for the tabu search, when the fork fails, or when the child dies without a
+result, the caller runs the rerun itself after the tabu search.  The child
+and that fallback make one call, k_colorable on the one rerun meter, and
+the caller's meter then takes the rerun's spent count, so results and node
+counts are those of the stages run in turn.  A wrapper around k_colorable
+sees a forked rerun only in the child's memory.  The child runs the search
 alone on its copy of the caller's memory and leaves by os._exit, taking no
 lock that another thread could hold, so a multithreaded caller may call
 chromatic_number; Python 3.12 and later warn (DeprecationWarning) on a
@@ -681,13 +680,16 @@ def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int]
     half of what is left, at most TABU_MOVES moves, then, if it fails, the
     exhaustive search on the rest.  Returns (status, coloring).
 
-    A failed tabu search has spent exactly its moves, so a forked child runs
-    the rerun on its known meter while the tabu search runs here (see the
-    module docstring); the result and meter are those of the stages in turn.
+    A failed tabu search has spent exactly its moves, so the rerun's meter is
+    built before it starts.  A forked child runs the rerun while the tabu
+    search runs here, or the rerun runs here after it (see the module
+    docstring); either way the meter then takes the rerun's spent count.
     """
     import os
 
     moves = min((meter.limit - meter.spent) // 2, TABU_MOVES)
+    rerun = _Budget(meter.limit)
+    rerun.spent = meter.spent + moves
     pid = read_end = None
     if moves and hasattr(os, "fork"):
         read_end, write_end = os.pipe()
@@ -705,9 +707,7 @@ def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int]
                 code = 1
                 try:
                     os.close(read_end)
-                    rerun = _Budget(meter.limit)
-                    rerun.spent = meter.spent + moves
-                    status, coloring = _k_colorable(adj, n, k, clique, rerun)
+                    status, coloring, _ = k_colorable(g, k, budget=rerun, clique_hint=clique)
                     out = " ".join([status, str(rerun.spent), *map(str, coloring or ())]).encode()
                     while out:
                         out = out[os.write(write_end, out):]
@@ -738,7 +738,8 @@ def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int]
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     # no child, or one that died without a result
-    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+    status, coloring, _ = k_colorable(g, k, budget=rerun, clique_hint=clique)
+    meter.spent = rerun.spent
     return status, coloring
 
 
@@ -760,9 +761,9 @@ def chromatic_number(
     satisfiable k is exact.  `lower` must be sound if supplied; the clique
     witness (computed here when not passed in) seeds every k-test.  The
     search's upper bound comes from a greedy coloring it can exhibit.  A
-    k-test past PROBE nodes tries the tabu search before it finishes, with
-    the rest of the exhaustive search in a forked child beside it (see the
-    module docstring); its moves spend the same meter.
+    k-test whose probe runs out with nodes left tries the tabu search before
+    it finishes, with the rest of the exhaustive search in a forked child
+    beside it (see the module docstring); its moves spend the same meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -784,22 +785,17 @@ def chromatic_number(
     if lo > ub:
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
 
-    k = lo
-    while k < ub:
-        if meter.limit - meter.spent <= PROBE:
-            status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
-        else:
-            probe = _Budget(PROBE)
-            status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
-            meter.spent += probe.spent
-            if status == "timeout":
-                # Every k below is excluded, so a k-coloring found here is exact.
-                status, coloring = _tabu_then_rerun(g, adj, n, k, clique, meter)
+    for k in range(lo, ub):
+        probe = _Budget(min(PROBE, meter.limit - meter.spent))
+        status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+        meter.spent += probe.spent
+        if status == "timeout" and meter.spent <= meter.limit:
+            # Every k below is excluded, so a k-coloring found here is exact.
+            status, coloring = _tabu_then_rerun(g, adj, n, k, clique, meter)
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":
             return SearchResult(False, k, ub, ub_witness, meter.spent - before)
-        k += 1
     return SearchResult(True, ub, ub, ub_witness, meter.spent - before)
 
 
@@ -967,14 +963,8 @@ def _coset_coloring(field: FieldTables, s: int) -> tuple[int, ...]:
     cosets of gamma*GF(p^t), s = (q-1)/(p^t-1): the closed neighborhoods of
     the Cayley graph of its nonzero part, subgroup_coset(field, s, 1)."""
     rows = _difference_graph(field, subgroup_coset(field, s, 1)).adjacency
-    color = [-1] * field.q
-    next_color = 0
-    for v, row in enumerate(rows):
-        if color[v] < 0:
-            for u in iter_bits(row | 1 << v):
-                color[u] = next_color
-            next_color += 1
-    return tuple(color)
+    closed = (row | 1 << v for v, row in enumerate(rows))
+    return _normalize_coloring(c & -c for c in closed)
 
 
 def equal_certificate(g: Graph, clique, coloring) -> InvariantCertificate:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from paleysync import (
     NotOddPrimeError,
     SizeLimitError,
     build_field,
+    divisors,
+    is_prime,
     subfield_elements,
     subgroup_coset,
 )
@@ -183,3 +186,11 @@ def test_primitive_moduli_are_pinned():
             lines.append(f"{f.p},{f.n}:" + ",".join(map(str, f.spec.modulus)))
     assert len(lines) == 22
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MODULI_DIGEST
+
+
+def test_is_prime_and_divisors_match_trial_division():
+    """Both read factorize; the reference divides by every d <= sqrt(n)."""
+    for n in range(-5, 10**4 + 1):
+        small = [d for d in range(1, math.isqrt(max(n, 0)) + 1) if n % d == 0]
+        assert divisors(n) == sorted({*small, *(n // d for d in small)}), n
+        assert is_prime(n) == (n > 1 and small == [1]), n

@@ -11,6 +11,7 @@ import pytest
 from paleysync import (
     Graph,
     InvalidWitnessError,
+    SearchResult,
     TooLargeError,
     brute_force_invariants,
     build_field,
@@ -768,6 +769,86 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
     assert (res.exact, res.nodes) == (False, 10_001)
+
+
+def _open_fds():
+    """The number of open file descriptors of this process, or None where
+    /proc/self/fd is missing."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("budget", [10_000, 50_000])
+def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
+    """(79, 3) at k = 9: at budget 10,000 the tabu search fails and the rerun
+    times out, at 50,000 the tabu search finds a 9-coloring.  When os.fork
+    raises OSError, the caller runs the stages in turn, to the result of the
+    forked run and of the run without os.fork, node count included, and
+    leaves no child and neither end of the pipe open."""
+    g = residue_graph(79, 3)
+    clique = clique_number(g).witness
+    forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    _assert_no_child()
+    forks = []
+
+    def fork_fails():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    fds = _open_fds()
+    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    assert forks == [1]
+    assert _open_fds() == fds
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res == forked
+    assert res.exact == (budget == 50_000)
+    if not res.exact:
+        assert res.nodes == 10_001
+
+
+def _exhaustive_alone(g, lo, budget, clique):
+    """chi by k_colorable alone: k = lo, lo + 1, ... on one meter, up to the
+    DSATUR coloring's count, whose coloring a timeout carries."""
+    def first_seen(coloring):
+        seen = {}
+        return tuple(seen.setdefault(c, len(seen)) for c in coloring)
+
+    greedy = _dsatur_coloring(list(g.adjacency), g.n_vertices)
+    ub = max(greedy) + 1
+    meter = _Budget(budget)
+    for k in range(lo, ub):
+        status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+        if status == "sat":
+            return SearchResult(True, k, k, first_seen(coloring), meter.spent)
+        if status == "timeout":
+            return SearchResult(False, k, ub, first_seen(greedy), meter.spent)
+    return SearchResult(True, ub, ub, first_seen(greedy), meter.spent)
+
+
+def _probe_cases():
+    """(key, graph, lower): the six past-probe k-tests, then seeded random
+    graphs, whose k-tests at budget 100 time out after unsat ones below."""
+    for q, m, k in ((61, 3, 8), (73, 3, 10), (73, 4, 7), (73, 6, 5), (79, 3, 9), (81, 4, 6)):
+        yield (q, m), residue_graph(q, m), k
+    for seed in range(3):
+        g = random_graph(50, seed, 0.5)
+        yield seed, g, len(clique_number(g).witness)
+
+
+def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(monkeypatch):
+    """With at most PROBE nodes left, the probe is the whole k-test: chi
+    returns what k_colorable returns on one meter, node count included, and
+    neither the tabu search nor a rerun runs."""
+    def no_stages(*args):
+        raise AssertionError("a stage past the probe ran")
+
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_then_rerun", no_stages)
+    for key, g, lo in _probe_cases():
+        clique = clique_number(g).witness
+        for budget in (0, 1, 100, PROBE - 1, PROBE):
+            res = chromatic_number(g, lower=lo, budget=budget, clique_hint=clique)
+            assert res == _exhaustive_alone(g, lo, budget, clique), (key, budget)
 
 
 def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
