@@ -44,26 +44,30 @@ after 3,122,536 nodes, and a 7-coloring takes the exhaustive search 142
 nodes and the tabu search 145 moves, so paley_certificate decides it at
 budget 3,300,000 (about 90 s on a 2-vCPU Xeon).
 
-The tabu search and the exhaustive rerun run side by side, in two
-processes.  A tabu search that fails has spent exactly its moves, so the
-rerun's meter (the call's limit, with the probe's nodes and every move
-spent) is built once, before either starts.  Where os.fork exists and the
-tabu search gets at least one move, the k-test forks one child that runs
-the rerun on that meter and writes its status, coloring and spent count to
-a pipe, while the caller runs the tabu search.  A tabu coloring kills and
-reaps the child; a failed tabu search reads the child's result to EOF and
-reaps it.  Any other exit (an exception, an interrupt) kills and reaps the
-child too, so no process outlives the call.  Without os.fork, with no move
-for the tabu search, when the fork fails, or when the child dies without a
-result, the caller runs the rerun itself after the tabu search.  The child
-and that fallback make one call, k_colorable on the one rerun meter, and
-the caller's meter then takes the rerun's spent count, so results and node
-counts are those of the stages run in turn.  A wrapper around k_colorable
-sees a forked rerun only in the child's memory.  The child runs the search
-alone on its copy of the caller's memory and leaves by os._exit, taking no
-lock that another thread could hold, so a multithreaded caller may call
-chromatic_number; Python 3.12 and later warn (DeprecationWarning) on a
-fork in a process with threads.
+Those are the stages in turn, whose results and node counts every k-test
+returns; where os.fork exists and the tabu search would get a move, the
+k-test overlaps them in two processes.  The probe runs on one meter
+(`_Probe`), through one k_colorable call.  At PROBE // 4 steps the meter
+forks a child that runs the tabu search alone, from the meter the stages
+in turn would give it (the probe's PROBE + 1 nodes spent), writes its spent
+count and its coloring, if any, to a pipe, and leaves.  A probe that
+decides kills and reaps the child.  At the probe's end the meter reads the
+child's report if it is written, and a coloring ends the search.  Else,
+since a rerun from the root would first repeat the probe's PROBE nodes, the
+meter charges the tabu search's moves and those nodes, takes the call's
+limit, and lets the search run on as the rerun (one with PROBE nodes or
+fewer left times out there, as the restarted rerun would), reading the
+pipe whenever a report is waiting, checked every PROBE // 4 steps.  A tabu
+coloring wins, with the child's spent count; otherwise the search's own
+result stands, once the child has reported its failure.  A failed fork,
+or a child that dies without a report, sends the k-test back to the stages
+in turn, run here from the probe's timeout.  Any exit kills and reaps a
+child still running, so no process outlives the call.  The count that
+k_colorable reports for the probe holds the charge and every node its
+search ran, also when a tabu coloring then stops it.  The child leaves
+by os._exit, taking no lock that another thread could hold, so a
+multithreaded caller may call chromatic_number; Python 3.12 and later warn
+(DeprecationWarning) on a fork in a process with threads.
 
 On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
@@ -85,6 +89,7 @@ class, each with the test every independent-set witness passes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import ceil
 
@@ -102,8 +107,8 @@ from .spectral import theta_pair
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_CAP = 16
 PROBE = 4096  # nodes an exhaustive k-test gets before the tabu search is tried
-# most moves of one tabu search: a second or two on the q <= 81 graphs, but
-# 42 s on (729, 13) at k = 9 against 8 s for 10^5 exhaustive nodes (2-vCPU Xeon)
+# most moves of one tabu search: under a second on the q <= 81 graphs, but
+# 29 s on (729, 13) at k = 9 against 8 s for 10^5 exhaustive nodes (2-vCPU Xeon)
 TABU_MOVES = 50_000
 TABU_SEED = 4
 
@@ -604,10 +609,13 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
     tabu for 0.6 * conflicts + r moves, r drawn from 0 .. 9, unless it would
     beat the fewest conflicts seen so far.  gamma[v][c] counts the
     neighbors of v colored c, and `bad` holds the conflicting vertices, so a
-    move touches only v's neighbors.  Every move spends one meter step.
+    move touches only v's neighbors.  The scan for a move first drops every
+    color whose count lies above the best change found so far, the cheapest
+    test, and only then tests the tabu.  Every move spends one meter step.
     """
     rng = _Rng(TABU_SEED)
-    col = [rng.below(k) for _ in range(n)]
+    below = rng.below
+    col = [below(k) for _ in range(n)]
     cls = [0] * k
     for v, c in enumerate(col):
         cls[c] |= 1 << v
@@ -619,10 +627,12 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
             conflicts += gamma[v][col[v]]
     conflicts //= 2
     tabu = [[0] * k for _ in range(n)]
+    neighbors = [list(iter_bits(row)) for row in adj]
+    step = meter.step
     best = conflicts
     it = 0
     while conflicts:
-        if it >= moves or not meter.step():
+        if it >= moves or not step():
             return None
         it += 1
         pick_delta, picks = n, []
@@ -631,30 +641,32 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            g, t, a = gamma[v], tabu[v], col[v]
+            g = gamma[v]
+            a = col[v]
             ga = g[a]
-            for c in range(k):
-                delta = g[c] - ga
-                if delta > pick_delta or c == a or (t[c] >= it and conflicts + delta >= best):
+            top = pick_delta + ga  # the highest count whose move can be picked
+            t = tabu[v]
+            c = -1
+            for gc in g:
+                c += 1
+                if gc > top or c == a or (t[c] >= it and conflicts + gc - ga >= best):
                     continue
-                if delta < pick_delta:
-                    pick_delta, picks = delta, [(v, c)]
+                if gc < top:
+                    pick_delta, picks = gc - ga, [(v, c)]
+                    top = gc
                 else:
                     picks.append((v, c))
         if not picks:  # every move is tabu: wait for a tenure to end
             continue
-        v, c = picks[rng.below(len(picks))]
+        v, c = picks[below(len(picks))]
         a = col[v]
         bit = 1 << v
         nbrs = adj[v]
         conflicts += pick_delta
         col[v] = c
         cls[a] ^= bit
-        m = nbrs
-        while m:
-            b = m & -m
-            g = gamma[b.bit_length() - 1]
-            m ^= b
+        for u in neighbors[v]:
+            g = gamma[u]
             g[a] -= 1
             g[c] += 1
         freed = nbrs & cls[a]
@@ -669,77 +681,191 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
             bad |= bit
         else:
             bad &= ~bit
-        tabu[v][a] = it + conflicts * 3 // 5 + rng.below(10)
-        best = min(best, conflicts)
+        tabu[v][a] = it + conflicts * 3 // 5 + below(10)
+        if conflicts < best:
+            best = conflicts
     return tuple(col)
+
+
+def _tabu_moves(limit: int, spent: int) -> int:
+    """The moves of a k-test's tabu search on a meter at `spent` of `limit`:
+    half of what is left, at most TABU_MOVES."""
+    return min((limit - spent) // 2, TABU_MOVES)
 
 
 def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int],
                      meter: _Budget):
-    """The stages of a k-test after its probe timed out: the tabu search on
-    half of what is left, at most TABU_MOVES moves, then, if it fails, the
-    exhaustive search on the rest.  Returns (status, coloring).
+    """The stages of a k-test after its probe timed out, run in turn here:
+    the tabu search, then, if it fails, the exhaustive search again from the
+    root on the rest of the meter.  Returns (status, coloring)."""
+    coloring = _tabu_coloring(adj, n, k, meter, _tabu_moves(meter.limit, meter.spent))
+    if coloring is not None:
+        return "sat", coloring
+    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
+    return status, coloring
 
-    A failed tabu search has spent exactly its moves, so the rerun's meter is
-    built before it starts.  A forked child runs the rerun while the tabu
-    search runs here, or the rerun runs here after it (see the module
-    docstring); either way the meter then takes the rerun's spent count.
+
+class _Probe(_Budget):
+    """The meter of a k-test's probe that overlaps the stages after it (see
+    the module docstring).
+
+    Up to the probe's end it counts like _Budget(PROBE) on the caller's
+    count, and at PROBE // 4 steps it forks the tabu child.  At the probe's
+    end, unless the child has already settled the k-test, it charges the
+    restart of the rerun and runs on to the call's limit as the rerun,
+    polling the child every PROBE // 4 steps.  `tabu` is None while the
+    child runs, then its report: (spent, coloring), the coloring None when
+    the tabu search failed, or (None, None) when there is no report (the
+    fork failed or the child died).
     """
-    import os
 
-    moves = min((meter.limit - meter.spent) // 2, TABU_MOVES)
-    rerun = _Budget(meter.limit)
-    rerun.spent = meter.spent + moves
-    pid = read_end = None
-    if moves and hasattr(os, "fork"):
+    __slots__ = ("adj", "n", "k", "moves", "start", "call_limit", "mark", "phase", "pid",
+                 "read_end", "tabu")
+
+    def __init__(self, adj: list[int], n: int, k: int, meter: _Budget, moves: int):
+        super().__init__(meter.spent + PROBE)
+        self.adj, self.n, self.k, self.moves = adj, n, k, moves
+        self.start = self.spent = meter.spent
+        self.call_limit = meter.limit
+        self.mark = self.start + PROBE // 4  # the next step that is not a plain count
+        self.phase = 0  # 0 before the fork, 1 in the rest of the probe, 2 past its end
+        self.pid = self.read_end = self.tabu = None
+
+    def step(self) -> bool:
+        if self.spent < self.mark:
+            self.spent += 1
+            return True
+        return self._event()
+
+    def _event(self) -> bool:
+        if self.phase == 0:
+            self.phase = 1
+            self._fork()
+            self.mark = self.limit
+            return self.step()
+        if self.phase == 1:  # the probe's end
+            self.phase = 2
+            if self.tabu is None:
+                self._read(block=False)
+            if self._settled():
+                self.spent = self.limit + 1  # the probe's timeout
+                return False
+            # The rerun would restart from the root, and its first PROBE
+            # nodes are the probe's: charge them and run on.
+            self.spent = self.start + PROBE + 1 + self.moves + PROBE
+            self.limit = self.call_limit
+        elif self.spent < self.limit and self.tabu is None:
+            self._read(block=False)
+            if self._settled():
+                return False
+        if self.spent >= self.limit:
+            self.spent = self.limit + 1
+            return False
+        self.mark = self.limit
+        if self.tabu is None:
+            self.mark = min(self.spent + max(PROBE // 4, 1), self.limit)
+        self.spent += 1
+        return True
+
+    def _settled(self) -> bool:
+        """True when the child's report ends the search: a coloring, or none."""
+        return self.tabu is not None and (self.tabu[0] is None or self.tabu[1] is not None)
+
+    def _fork(self) -> None:
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: the stages run in turn here
+        except OSError:  # no process to spare: the stages run in turn
             os.close(read_end)
-            read_end = None
-        else:
-            if pid == 0:
-                # The child: the rerun, then "status spent colors..." to the
-                # pipe.  It leaves by os._exit, so nothing of the caller's
-                # (atexit hooks, buffered files, a test runner) runs twice; an
-                # error exits 1, and the caller ignores what was written.
-                code = 1
-                try:
-                    os.close(read_end)
-                    status, coloring, _ = k_colorable(g, k, budget=rerun, clique_hint=clique)
-                    out = " ".join([status, str(rerun.spent), *map(str, coloring or ())]).encode()
-                    while out:
-                        out = out[os.write(write_end, out):]
-                    code = 0
-                finally:
-                    os._exit(code)
+            os.close(write_end)
+            self.tabu = (None, None)
+            return
+        if pid == 0:
+            # The child: the tabu search on the meter the stages in turn give
+            # it, then "spent colors..." to the pipe.  It leaves by os._exit,
+            # so nothing of the caller's (atexit hooks, buffered files, a
+            # test runner) runs twice; an error exits 1 with nothing used.
+            code = 1
+            try:
+                os.close(read_end)
+                meter = _Budget(self.call_limit)
+                meter.spent = self.start + PROBE + 1
+                coloring = _tabu_coloring(self.adj, self.n, self.k, meter, self.moves)
+                out = " ".join(map(str, (meter.spent, *(coloring or ())))).encode()
+                while out:
+                    out = out[os.write(write_end, out):]
+                code = 0
+            finally:
+                os._exit(code)
         os.close(write_end)
-    try:
-        coloring = _tabu_coloring(adj, n, k, meter, moves)
-        if coloring is not None:
-            return "sat", coloring
-        if pid is not None:
-            out = b""
-            while chunk := os.read(read_end, 1 << 16):
-                out += chunk
-            code = os.waitpid(pid, 0)[1]
-            pid = None
-            if code == 0:
-                status, spent, *colors = out.split()
-                meter.spent = int(spent)
-                return status.decode(), tuple(map(int, colors)) if status == b"sat" else None
-    finally:
-        if read_end is not None:
-            os.close(read_end)
-        if pid is not None:
+        self.pid, self.read_end = pid, read_end
+
+    def _read(self, block: bool) -> None:
+        """Take the child's report and reap it: once it is written, or, with
+        block, when the child is done."""
+        import select
+
+        if not block and not select.select([self.read_end], [], [], 0)[0]:
+            return
+        out = b""
+        while chunk := os.read(self.read_end, 1 << 16):
+            out += chunk
+        code = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        self.tabu = (None, None)
+        if code == 0:
+            spent, *colors = out.split()
+            self.tabu = (int(spent), tuple(map(int, colors)) if colors else None)
+
+    def settle(self, status: str, coloring, meter: _Budget):
+        """The k-test's (status, coloring) as the stages in turn give it, with
+        their spent count on the caller's meter; a timeout within the meter
+        when the tabu search and the rerun are still to run in turn."""
+        if self.phase < 2:  # the probe decided
+            meter.spent = self.spent
+            return status, coloring
+        if self.tabu is None:
+            self._read(block=True)
+        spent, tabu_coloring = self.tabu
+        if spent is None:  # no report: back to the probe's timeout
+            meter.spent = self.start + PROBE + 1
+            return "timeout", None
+        if tabu_coloring is not None:
+            meter.spent = spent
+            return "sat", tabu_coloring
+        meter.spent = self.spent
+        return status, coloring
+
+    def close(self) -> None:
+        """Kill and reap a child still running, and close the pipe."""
+        if self.pid is not None:
             import signal
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    # no child, or one that died without a result
-    status, coloring, _ = k_colorable(g, k, budget=rerun, clique_hint=clique)
-    meter.spent = rerun.spent
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.read_end is not None:
+            os.close(self.read_end)
+            self.read_end = None
+
+
+def _probe(g: Graph, adj: list[int], n: int, k: int, clique: list[int], meter: _Budget):
+    """A k-test's probe, the exhaustive search on at most PROBE nodes:
+    (status, coloring), the timeout within the meter when the tabu search
+    and the rerun are to run in turn.  Where os.fork exists and the tabu
+    search would get a move, the probe overlaps those stages and returns
+    their result (see _Probe)."""
+    moves = _tabu_moves(meter.limit, meter.spent + PROBE + 1)
+    if moves > 0 and hasattr(os, "fork"):
+        probe = _Probe(adj, n, k, meter, moves)
+        try:
+            status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+            return probe.settle(status, coloring, meter)
+        finally:
+            probe.close()
+    probe = _Budget(min(PROBE, meter.limit - meter.spent))
+    status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+    meter.spent += probe.spent
     return status, coloring
 
 
@@ -762,8 +888,8 @@ def chromatic_number(
     witness (computed here when not passed in) seeds every k-test.  The
     search's upper bound comes from a greedy coloring it can exhibit.  A
     k-test whose probe runs out with nodes left tries the tabu search before
-    it finishes, with the rest of the exhaustive search in a forked child
-    beside it (see the module docstring); its moves spend the same meter.
+    the exhaustive search runs on; a forked child runs the tabu search beside
+    the probe (see the module docstring), and its moves spend the same meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -786,9 +912,7 @@ def chromatic_number(
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
 
     for k in range(lo, ub):
-        probe = _Budget(min(PROBE, meter.limit - meter.spent))
-        status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
-        meter.spent += probe.spent
+        status, coloring = _probe(g, adj, n, k, clique, meter)
         if status == "timeout" and meter.spent <= meter.limit:
             # Every k below is excluded, so a k-coloring found here is exact.
             status, coloring = _tabu_then_rerun(g, adj, n, k, clique, meter)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -36,9 +37,9 @@ from paleysync import (
 )
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
-from paleysync.invariants import (PROBE, TABU_MOVES, _Budget, _degeneracy_order, _dsatur_coloring,
-                                  _greedy_clique, _is_witness, _k_colorable, _tabu_coloring,
-                                  subfield_certificate)
+from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
+                                  _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
+                                  _tabu_coloring, subfield_certificate)
 from paleysync.paley import iter_bits
 from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
@@ -633,6 +634,112 @@ def test_tabu_coloring_repeats_and_every_coloring_it_returns_is_proper():
     assert found >= 3
 
 
+def _reference_tabu_coloring(adj, n, k, meter, moves):
+    """_tabu_coloring as first written: every color of every conflicting
+    vertex tested in one condition, gamma updated through bit loops."""
+    rng = _Rng(TABU_SEED)
+    col = [rng.below(k) for _ in range(n)]
+    cls = [0] * k
+    for v, c in enumerate(col):
+        cls[c] |= 1 << v
+    gamma = [[(row & members).bit_count() for members in cls] for row in adj]
+    bad = conflicts = 0
+    for v in range(n):
+        if gamma[v][col[v]]:
+            bad |= 1 << v
+            conflicts += gamma[v][col[v]]
+    conflicts //= 2
+    tabu = [[0] * k for _ in range(n)]
+    best = conflicts
+    it = 0
+    while conflicts:
+        if it >= moves or not meter.step():
+            return None
+        it += 1
+        pick_delta, picks = n, []
+        m = bad
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            g, t, a = gamma[v], tabu[v], col[v]
+            ga = g[a]
+            for c in range(k):
+                delta = g[c] - ga
+                if delta > pick_delta or c == a or (t[c] >= it and conflicts + delta >= best):
+                    continue
+                if delta < pick_delta:
+                    pick_delta, picks = delta, [(v, c)]
+                else:
+                    picks.append((v, c))
+        if not picks:
+            continue
+        v, c = picks[rng.below(len(picks))]
+        a = col[v]
+        bit = 1 << v
+        nbrs = adj[v]
+        conflicts += pick_delta
+        col[v] = c
+        cls[a] ^= bit
+        m = nbrs
+        while m:
+            b = m & -m
+            g = gamma[b.bit_length() - 1]
+            m ^= b
+            g[a] -= 1
+            g[c] += 1
+        freed = nbrs & cls[a]
+        while freed:
+            b = freed & -freed
+            freed ^= b
+            if not gamma[b.bit_length() - 1][a]:
+                bad ^= b
+        bad |= nbrs & cls[c]
+        cls[c] |= bit
+        if gamma[v][c]:
+            bad |= bit
+        else:
+            bad &= ~bit
+        tabu[v][a] = it + conflicts * 3 // 5 + rng.below(10)
+        best = min(best, conflicts)
+    return tuple(col)
+
+
+PAST_PROBE_K_TESTS = [(61, 3, 8), (73, 3, 10), (73, 4, 7), (73, 6, 5), (79, 3, 9), (81, 4, 6)]
+
+
+def _tabu_run(tabu, g, k, limit, moves):
+    meter = _Budget(limit)
+    return tabu(list(g.adjacency), g.n_vertices, k, meter, moves), meter.spent
+
+
+@pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS)
+def test_tabu_coloring_makes_the_reference_moves_on_past_probe_k_tests(q, m, k):
+    """With the moves each gets at budget 50,000 (the probe spent PROBE + 1
+    nodes), the tabu search returns the reference's coloring, or None, after
+    as many moves."""
+    g = residue_graph(q, m)
+    moves = (50_000 - PROBE - 1) // 2
+    run = _tabu_run(_tabu_coloring, g, k, 50_000, moves)
+    assert run == _tabu_run(_reference_tabu_coloring, g, k, 50_000, moves)
+
+
+def test_tabu_coloring_makes_the_reference_moves_on_random_graphs():
+    """Seeded random graphs at 2 to 5 colors, with a move cap of 300 or 5,000
+    and a meter that runs out before a cap of 300.  The runs reach both a
+    coloring and a spent cap or meter, all asserted to occur."""
+    outcomes = set()
+    for seed in range(6):
+        n = (20, 40, 60)[seed % 3]
+        g = random_graph(n, seed, (0.1, 0.2, 0.3)[seed // 2 % 3])
+        for k in range(2, 6):
+            for limit, moves in ((10_000, 300), (10_000, 5_000), (150, 300)):
+                run = _tabu_run(_tabu_coloring, g, k, limit, moves)
+                assert run == _tabu_run(_reference_tabu_coloring, g, k, limit, moves), (seed, k)
+                outcomes.add("sat" if run[0] else "cap" if run[1] == moves else "meter")
+    assert outcomes == {"sat", "cap", "meter"}
+
+
 def _assert_no_child():
     """No child of this process is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -751,8 +858,10 @@ def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
 
 def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
     """(79, 3) at budget 10,000: the tabu search fails and the rerun times
-    out.  A child whose search raises exits with nothing used, and the
-    caller runs the rerun itself, to the same result as the stages in turn."""
+    out.  The exhaustive search, the rerun included, runs in the caller and
+    the child runs the tabu search alone, so an exhaustive search that would
+    raise in any other process never does, and the result is that of the
+    stages in turn.  A child that dies is the next test's case."""
     invariants = sys.modules["paleysync.invariants"]
     caller = os.getpid()
 
@@ -769,6 +878,152 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
     assert (res.exact, res.nodes) == (False, 10_001)
+
+
+@pytest.mark.parametrize("budget, late", [(10_000, False), (50_000, True)])
+def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_turn(monkeypatch,
+                                                                                  budget, late):
+    """(79, 3) at k = 9: a tabu child whose search raises exits with nothing
+    written.  At budget 10,000 the rerun has no node past the probe's, so
+    the caller finds the dead child when it reads the report.  At 50,000
+    (late) the child dies only once the caller's search has run on past
+    the probe, and the caller finds it at a poll.  Either way the caller
+    runs the tabu search and the rerun in turn from the probe's timeout,
+    and returns what the run without os.fork does, node count included."""
+    invariants = sys.modules["paleysync.invariants"]
+    most_constrained = invariants._most_constrained
+    caller = os.getpid()
+    stages, nodes = [], []
+    read_end, write_end = os.pipe()
+
+    def dies_in_child(*args):
+        if os.getpid() != caller:
+            if late:
+                os.read(read_end, 1)  # wait for the caller's search to pass the probe
+            raise RuntimeError("the child's tabu search fails")
+        return _tabu_coloring(*args)
+
+    def past_the_probe(*args):
+        nodes.append(1)
+        if late and len(nodes) == PROBE + 100:
+            os.write(write_end, b"x")
+            time.sleep(0.2)  # the child dies before the next poll
+        return most_constrained(*args)
+
+    def traced_stages(*args):
+        stages.append(args[3])
+        return tabu_then_rerun(*args)
+
+    tabu_then_rerun = invariants._tabu_then_rerun
+    g = residue_graph(79, 3)
+    clique = clique_number(g).witness
+    monkeypatch.setattr(invariants, "_tabu_coloring", dies_in_child)
+    monkeypatch.setattr(invariants, "_most_constrained", past_the_probe)
+    monkeypatch.setattr(invariants, "_tabu_then_rerun", traced_stages)
+    try:
+        res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    _assert_no_child()
+    assert stages == [9]  # the fallback ran, once
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res
+    assert res.exact == (budget == 50_000)
+
+
+def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
+    """(41, 5) at k = 4 is unsat after 2,330 nodes, past the fork point at
+    PROBE // 4: the probe's result stands and its tabu child, whose search
+    for a 4-coloring that does not exist would run 22,951 moves, is killed
+    and reaped."""
+    assert PROBE // 4 < 2_330 <= PROBE
+    g = residue_graph(41, 5)
+    clique = clique_number(g).witness
+    fork, waitpid = os.fork, os.waitpid
+    forked, reaped = [], {}
+
+    def traced_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def traced_waitpid(pid, options):
+        got, status = waitpid(pid, options)
+        reaped[got] = status
+        return got, status
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(os, "waitpid", traced_waitpid)
+    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
+    monkeypatch.undo()
+    _assert_no_child()
+    assert len(forked) == 1
+    status = reaped[forked[0]]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert (res.exact, res.lower) == (True, 5)
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
+    status, _, nodes = k_colorable(g, 4, clique_hint=clique)
+    assert (status, nodes) == ("unsat", 2_330)
+
+
+def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch):
+    """An error in the probe's search after the fork point, here on (79, 3) at
+    k = 9, leaves chromatic_number with its tabu child killed and reaped and
+    both ends of the pipe closed."""
+    class Stop(Exception):
+        pass
+
+    invariants = sys.modules["paleysync.invariants"]
+    most_constrained = invariants._most_constrained
+    calls = []
+
+    def raises_late(*args):
+        calls.append(1)
+        if len(calls) > PROBE // 2:
+            raise Stop
+        return most_constrained(*args)
+
+    g = residue_graph(79, 3)
+    clique = clique_number(g).witness
+    fork = os.fork
+    forked = []
+
+    def traced_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(invariants, "_most_constrained", raises_late)
+    fds = _open_fds()
+    with pytest.raises(Stop):
+        chromatic_number(g, lower=9, budget=50_000, clique_hint=clique)
+    assert len(forked) == 1
+    assert _open_fds() == fds
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS + [(41, 5, 4)])
+def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(monkeypatch,
+                                                                               q, m, k):
+    """At PROBE + 1 and PROBE + 2 the tabu search gets no move, at PROBE + 3
+    one; at 3 * PROBE the rerun's allotment crosses PROBE, so the probe's
+    search runs on past its end or times out there.  The forked result is
+    that of the run without os.fork, node count included."""
+    g = residue_graph(q, m)
+    clique = clique_number(g).witness
+    budgets = [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]
+    forked = []
+    for budget in budgets:
+        forked.append(chromatic_number(g, lower=k, budget=budget, clique_hint=clique))
+        _assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    for budget, res in zip(budgets, forked):
+        assert chromatic_number(g, lower=k, budget=budget, clique_hint=clique) == res, budget
 
 
 def _open_fds():
