@@ -6,6 +6,19 @@ CSV columns fixed.  Exit codes: 0 ok, 1 bad arguments (including an
 --out path that cannot be written), 2 budget exhausted (partial output
 still emitted), 3 oracle mismatch, 4 internal error (any other
 RuntimeError, such as a RecursionError).
+
+`scan` runs its rows on every CPU this process may run on (its affinity
+mask, else the CPU count, at most one per q).  This process and one child
+per further CPU, forked with a pipe, take the q's largest first off flags
+in a shared map, so a faster worker takes more of them.  Each child writes
+its rows as JSON and leaves by os._exit.  The rows are put in q order,
+each q's once, so the self-check, the CSV and the exit code see the list
+one process gives.  Where os.fork is missing, the rows run here; the q's
+of a failed fork go to the other workers, and those of a child that left
+no complete report are run here.  An error on any q sends the scan back
+to one loop over every q, which raises the error of the smallest failing
+q, as one process does.  Every child leads its own process group, and any
+exit kills each group, reaps each child and closes each pipe.
 """
 
 from __future__ import annotations
@@ -162,9 +175,10 @@ def _cmd_classify(args) -> int:
     return EXIT_BUDGET if result.status != "complete" else EXIT_OK
 
 
-def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
+def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
+    """The scan's rows of these q's: in the order of qs, each q's in m order."""
     rows = []
-    for q in odd_prime_powers(q_max):
+    for q in qs:
         field = _field_for(q)
         p, n = field.p, field.n
         ms = divisors(q - 1)
@@ -220,6 +234,125 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool):
                 }
             )
     return rows
+
+
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _claim(flags, qs: list[int]):
+    """The q's this process takes, largest first: each q whose flag in the
+    shared map is still clear, which it then sets.  Two processes that read
+    a flag at once both take its q, whose rows are then kept once."""
+    for i in range(len(qs) - 1, -1, -1):
+        if not flags[i]:
+            flags[i] = 1
+            yield qs[i]
+
+
+def _fork_worker(flags, qs: list[int], m_set, budget: int, oracle: bool):
+    """Fork a child that takes q's off the shared flags, writes its
+    [q, rows] pairs to a pipe as one JSON list, each row as its list of
+    values, and leaves: (pid, read end), or None when the fork fails.  The
+    child leads its own process group, so that killing the group also ends
+    any process it forked."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the other workers take its q's
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        # The child leaves by os._exit, so nothing of the caller's (atexit
+        # hooks, buffered files, a test runner) runs twice; an error exits 1
+        # with nothing written, and the parent runs the child's q's again.
+        code = 1
+        try:
+            os.setpgid(0, 0)
+            os.close(read_end)
+            done = [[q, [list(row.values()) for row in _q_rows([q], m_set, budget, oracle)]]
+                    for q in _claim(flags, qs)]
+            out = json.dumps(done, separators=(",", ":")).encode()
+            while out:
+                out = out[os.write(write_end, out):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        os.setpgid(pid, pid)  # as the child does: the group exists once either has run
+    except OSError:  # the child has already set it and exited
+        pass
+    return pid, read_end
+
+
+def _read_worker(read_end: int) -> list:
+    """A child's (q, rows) pairs, read to the end of its pipe, or [] when
+    its report is not complete (the child failed, or died before it wrote
+    all of it)."""
+    chunks = []
+    while chunk := os.read(read_end, 1 << 16):
+        chunks.append(chunk)
+    columns = SCAN_COLUMNS.split(",")
+    try:
+        return [(q, [dict(zip(columns, values)) for values in rows])
+                for q, rows in json.loads(b"".join(chunks))]
+    except ValueError:
+        return []
+
+
+def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) -> list[dict]:
+    """The rows of every q, in q then m order, from `workers` processes:
+    this one and workers - 1 forked children take the q's, largest first,
+    off flags in a shared map.  The q's of a child that left no complete
+    report are run here at the end.  Every child is killed and reaped, and
+    every pipe closed, on any exit."""
+    import mmap
+    import signal
+
+    flags = mmap.mmap(-1, len(qs))  # anonymous and shared with the children
+    children = []
+    try:
+        for _ in range(workers - 1):
+            child = _fork_worker(flags, qs, m_set, budget, oracle)
+            if child is not None:
+                children.append(child)
+        by_q = {q: _q_rows([q], m_set, budget, oracle) for q in _claim(flags, qs)}
+        for _, read_end in children:
+            for q, rows in _read_worker(read_end):
+                by_q.setdefault(q, rows)
+    finally:
+        for pid, read_end in children:
+            try:
+                os.killpg(pid, signal.SIGKILL)
+            except OSError:  # no such group: kill the child alone
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+        flags.close()
+    for q in qs:
+        if q not in by_q:
+            by_q[q] = _q_rows([q], m_set, budget, oracle)
+    return [row for q in qs for row in by_q[q]]
+
+
+def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[dict]:
+    """The scan's rows, in q then m order, computed on every CPU this
+    process may run on (see _forked_rows)."""
+    qs = odd_prime_powers(q_max)
+    workers = min(_workers(), len(qs))
+    if workers > 1 and hasattr(os, "fork"):
+        try:
+            return _forked_rows(qs, workers, m_set, budget, oracle)
+        except Exception:
+            # A q failed.  The loop over every q meets the error of the
+            # smallest failing q first and raises it, as one process does.
+            pass
+    return _q_rows(qs, m_set, budget, oracle)
 
 
 def _self_check_rows(rows) -> None:

@@ -58,10 +58,11 @@ meter charges the tabu search's moves and those nodes, takes the call's
 limit, and lets the search run on as the rerun (one with PROBE nodes or
 fewer left times out there, as the restarted rerun would), reading the
 pipe whenever a report is waiting, checked every PROBE // 4 steps.  A tabu
-coloring wins, with the child's spent count; otherwise the search's own
-result stands, once the child has reported its failure.  A failed fork,
-or a child that dies without a report, sends the k-test back to the stages
-in turn, run here from the probe's timeout.  Any exit kills and reaps a
+coloring wins, with the child's spent count.  An unsat result stands at
+once, since no coloring exists, and the child is killed unread; a sat or
+timeout result stands once the child has reported its failure.  A failed
+fork, or a child that dies without a report, sends the k-test back to the
+stages in turn, run here from the probe's timeout.  Any exit kills and reaps a
 child still running, so no process outlives the call.  The count that
 k_colorable reports for the probe holds the charge and every node its
 search ran, also when a tabu coloring then stops it.  The child leaves
@@ -821,7 +822,10 @@ class _Probe(_Budget):
         """The k-test's (status, coloring) as the stages in turn give it, with
         their spent count on the caller's meter; a timeout within the meter
         when the tabu search and the rerun are still to run in turn."""
-        if self.phase < 2:  # the probe decided
+        # The probe decided, or the search ran on to unsat: no coloring
+        # exists, so the child's report cannot change the result, and
+        # close() kills the child unread.
+        if self.phase < 2 or status == "unsat":
             meter.spent = self.spent
             return status, coloring
         if self.tabu is None:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -18,6 +19,18 @@ def valid_graph_ms(q):
 
 def residue_graph(q, m):
     return build_paley(field_for(q), m)
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """The number of open file descriptors of this process, or None where
+    /proc/self/fd is missing."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def random_graph(n, seed, p_edge=0.5):

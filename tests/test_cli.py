@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import signal
+import time
 
 import pytest
 
 import paleysync.cli as cli
 from paleysync import InvariantCertificate, build_field, exhaustive_decision
+from paleysync.errors import OracleMismatchError
 from paleysync.cli import run
+from conftest import assert_no_child, open_fds
 
 
 def _run(capsys, *argv):
@@ -194,6 +199,9 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
+    # with os.fork gone the rows are computed in this process, where the
+    # counter sees every call: a forked worker's calls never reach it
+    monkeypatch.delattr(os, "fork")
     calls = []
     theta_pair = cli.theta_pair
 
@@ -270,3 +278,181 @@ def test_out_to_missing_directory_exits_one(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error: ")
     assert "No such file or directory" in captured.err
+
+
+def _scan_in_one_process(capsys, monkeypatch, *argv):
+    """(exit code, stdout, stderr) of a scan with os.fork gone."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        code = run(["scan", *argv])
+    return (code, *capsys.readouterr())
+
+
+def _forked_scan(capsys, monkeypatch, workers, *argv):
+    """(exit code, stdout, stderr) of a scan on `workers` processes, which
+    leaves no child and no file descriptor open."""
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    fds = open_fds()
+    code = run(["scan", *argv])
+    assert_no_child()
+    assert open_fds() == fds
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forked_scan_matches_the_scan_in_one_process(capsys, monkeypatch, tmp_path, workers):
+    """The same bytes and exit code as the rows computed in one process,
+    with one child forked per worker past the first.  The workers share
+    the q's: a q is taken twice only when two flags are read at once."""
+    fork, forks = os.fork, []
+
+    def traced_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    log, classify = tmp_path / "taken", cli.classify
+
+    def logged(q, m, **kwargs):
+        if m == 1:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {q}\n")
+        return classify(q, m, **kwargs)
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(cli, "classify", logged)
+    forked = _forked_scan(capsys, monkeypatch, workers, "--q-max", "125")
+    assert len(forks) == workers - 1
+    taken = [line.split()[1] for line in log.read_text().splitlines()]
+    assert len(set(taken)) == len(cli.odd_prime_powers(125)) >= len(taken) - 2
+    monkeypatch.setattr(cli, "classify", classify)
+    assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
+    assert forked[0] == 0 and forked[2] == ""
+
+
+@pytest.mark.parametrize("argv", [(), ("--m-set", "4,31")], ids=["all", "m-set"])
+@pytest.mark.parametrize("taker", ["child", "both"])
+def test_rows_taken_by_a_child_or_by_both_are_kept_once(capsys, monkeypatch, taker, argv):
+    """Every q's rows cross the pipe when the child takes every q, also a
+    q with no row (q = 3 has no m in 4, 31), and are kept once when both
+    processes take every q, as when two flags are read at once."""
+    parent = os.getpid()
+
+    def claim(flags, qs):
+        return reversed(qs) if taker == "both" or os.getpid() != parent else iter(())
+
+    monkeypatch.setattr(cli, "_claim", claim)
+    forked = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125", *argv)
+    assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125", *argv)
+
+
+def test_a_scan_child_killed_mid_share_has_its_qs_run_here(capsys, monkeypatch, tmp_path):
+    """A child that dies on its second q leaves no complete report, so the
+    parent runs the child's q's itself, to the same output.  The child
+    takes every other q, so that it has a second q however late it runs."""
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
+        q for i, q in enumerate(qs) if i % 2 == (os.getpid() == parent)))
+    note = tmp_path / "victim"
+    classify, taken, here = cli.classify, [], []
+
+    def dying(q, m, **kwargs):
+        if os.getpid() != parent:
+            if q not in taken:
+                taken.append(q)
+            if len(taken) == 2:
+                note.write_text(str(q))
+                os.kill(os.getpid(), signal.SIGKILL)
+        elif m == 1:
+            here.append(q)
+        return classify(q, m, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", dying)
+    forked = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
+    assert int(note.read_text()) in here  # the parent ran the victim's q
+    assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
+
+
+def test_a_failed_scan_fork_leaves_the_qs_to_the_other_workers(capsys, monkeypatch):
+    def fork_fails():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    failed = _forked_scan(capsys, monkeypatch, 3, "--q-max", "125")
+    assert failed == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
+
+
+@pytest.mark.parametrize("exc, failing", [
+    (RuntimeError, "child"),
+    (OracleMismatchError, "child"),
+    (RuntimeError, "both"),
+    (ValueError, "parent"),
+])
+def test_a_scan_error_is_the_one_the_scan_in_one_process_raises(capsys, monkeypatch, exc,
+                                                                 failing):
+    """An error on a q the child takes, or on q's of both processes, gives
+    the exit code and message of the scan in one process: the error of the
+    smallest failing q, also when the parent meets a larger failing q
+    first."""
+    parent = os.getpid()
+    # the parent takes q = 125 alone, the child every other q
+    fails = {"child": [121], "parent": [125], "both": [61, 125]}[failing]
+    monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
+        q for q in reversed(qs) if (q == 125) == (os.getpid() == parent)))
+    classify = cli.classify
+
+    def failing_classify(q, m, **kwargs):
+        if q in fails:
+            raise exc(f"failed at q = {q}")
+        return classify(q, m, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", failing_classify)
+    forked = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
+    assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
+    assert f"failed at q = {fails[0]}" in forked[2]
+    assert forked[0] == {RuntimeError: 4, OracleMismatchError: 3, ValueError: 1}[exc]
+
+
+def test_an_error_in_the_parent_kills_the_childs_process_group(capsys, monkeypatch, tmp_path):
+    """The child forks a process of its own, then the parent fails on a q:
+    the parent kills the child's whole process group, so nothing the scan
+    started outlives it."""
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("needs /proc")
+    parent = os.getpid()
+    note = tmp_path / "grandchild"
+    classify = cli.classify
+    monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
+        q for q in reversed(qs) if (q == 125) == (os.getpid() == parent)))
+
+    def forking_classify(q, m, **kwargs):
+        if os.getpid() != parent and not note.exists():
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(60)
+                os._exit(0)
+            note.write_text(str(pid))
+        if os.getpid() == parent and q == 125:
+            deadline = time.monotonic() + 30
+            while not note.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("the parent's q fails")
+        return classify(q, m, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", forking_classify)
+    code, _, err = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
+    assert code == 4 and "the parent's q fails" in err
+    grandchild = int(note.read_text())
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:  # dead: gone, or a zombie not yet reaped
+        try:
+            with open(f"/proc/{grandchild}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] in "ZX":
+                    break
+        except FileNotFoundError:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(grandchild, signal.SIGKILL)
+        pytest.fail("the child's own child outlived the scan")

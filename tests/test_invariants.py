@@ -41,7 +41,8 @@ from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degene
                                   _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
                                   _tabu_coloring, subfield_certificate)
 from paleysync.paley import iter_bits
-from conftest import field_for, random_graph, residue_graph, valid_graph_ms
+from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
+                      valid_graph_ms)
 
 FIVE_CYCLE = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -740,12 +741,6 @@ def test_tabu_coloring_makes_the_reference_moves_on_random_graphs():
     assert outcomes == {"sat", "cap", "meter"}
 
 
-def _assert_no_child():
-    """No child of this process is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("budget", [PROBE + 1, 10_000, 50_000])
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
     """nodes is every k-test node plus every tabu move.  At PROBE + 1 the
@@ -756,7 +751,7 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    _assert_no_child()
+    assert_no_child()
     spent = {"k_colorable": 0, "tabu": 0}
 
     def traced_colorable(*args, **kwargs):
@@ -802,7 +797,7 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
     assert moves == [TABU_MOVES]
     # The rerun's child, forked before the tabu search, is killed and reaped,
     # not waited on through its 10**8-node search.
-    _assert_no_child()
+    assert_no_child()
     assert time.perf_counter() - start < 30
 
 
@@ -815,7 +810,7 @@ def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypat
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
-    _assert_no_child()
+    assert_no_child()
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == forked
 
@@ -832,7 +827,7 @@ def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
     forked = []
     for g, budget in cases:
         forked.append(chromatic_number(g, budget=budget))
-        _assert_no_child()
+        assert_no_child()
 
     events = []
 
@@ -874,7 +869,7 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
     clique = clique_number(g).witness
     monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
     res = chromatic_number(g, lower=9, budget=10_000, clique_hint=clique)
-    _assert_no_child()
+    assert_no_child()
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
     assert (res.exact, res.nodes) == (False, 10_001)
@@ -925,7 +920,7 @@ def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_tur
     finally:
         os.close(read_end)
         os.close(write_end)
-    _assert_no_child()
+    assert_no_child()
     assert stages == [9]  # the fallback ran, once
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res
@@ -958,7 +953,7 @@ def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
     monkeypatch.setattr(os, "waitpid", traced_waitpid)
     res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
     monkeypatch.undo()
-    _assert_no_child()
+    assert_no_child()
     assert len(forked) == 1
     status = reaped[forked[0]]
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
@@ -967,6 +962,31 @@ def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
     assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
     status, _, nodes = k_colorable(g, 4, clique_hint=clique)
     assert (status, nodes) == ("unsat", 2_330)
+
+
+def test_an_unsat_rerun_does_not_wait_for_the_tabu_child(monkeypatch):
+    """With PROBE cut to 1,024, the 4-test of (41, 5), unsat after 2,330
+    nodes, outlasts the probe and the search running on as the rerun proves
+    it unsat while the tabu child still searches for a 4-coloring.  No
+    coloring exists, so the result stands at once: no blocking read of the
+    child's report, the result of the stages in turn, and no child left."""
+    invariants = sys.modules["paleysync.invariants"]
+    monkeypatch.setattr(invariants, "PROBE", 1024)
+    read, blocking = invariants._Probe._read, []
+
+    def traced_read(self, block):
+        blocking.append(block)
+        return read(self, block)
+
+    monkeypatch.setattr(invariants._Probe, "_read", traced_read)
+    g = residue_graph(41, 5)
+    clique = clique_number(g).witness
+    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
+    assert_no_child()
+    assert True not in blocking
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
+    assert (res.exact, res.lower) == (True, 5)
 
 
 def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch):
@@ -999,12 +1019,12 @@ def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch
 
     monkeypatch.setattr(os, "fork", traced_fork)
     monkeypatch.setattr(invariants, "_most_constrained", raises_late)
-    fds = _open_fds()
+    fds = open_fds()
     with pytest.raises(Stop):
         chromatic_number(g, lower=9, budget=50_000, clique_hint=clique)
     assert len(forked) == 1
-    assert _open_fds() == fds
-    _assert_no_child()
+    assert open_fds() == fds
+    assert_no_child()
 
 
 @pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS + [(41, 5, 4)])
@@ -1020,16 +1040,10 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
     forked = []
     for budget in budgets:
         forked.append(chromatic_number(g, lower=k, budget=budget, clique_hint=clique))
-        _assert_no_child()
+        assert_no_child()
     monkeypatch.delattr(os, "fork")
     for budget, res in zip(budgets, forked):
         assert chromatic_number(g, lower=k, budget=budget, clique_hint=clique) == res, budget
-
-
-def _open_fds():
-    """The number of open file descriptors of this process, or None where
-    /proc/self/fd is missing."""
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 @pytest.mark.parametrize("budget", [10_000, 50_000])
@@ -1042,7 +1056,7 @@ def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    _assert_no_child()
+    assert_no_child()
     forks = []
 
     def fork_fails():
@@ -1050,11 +1064,11 @@ def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", fork_fails)
-    fds = _open_fds()
+    fds = open_fds()
     res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     assert forks == [1]
-    assert _open_fds() == fds
-    _assert_no_child()
+    assert open_fds() == fds
+    assert_no_child()
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res == forked
     assert res.exact == (budget == 50_000)
