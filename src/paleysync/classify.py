@@ -2,14 +2,15 @@
 generated by translations and multiplications by m-th power residues.
 
 The pipeline is: input validation (`paley.normalize_params`), cheap
-arithmetic fast paths (rule labels below), a single-graph decision for m in
-{2, 3} where equality of clique and chromatic number is an exact criterion,
-and finally the exhaustive check of every proper union of undirected
-orbitals.  Past the fast paths every verdict rests on one per-graph
-question (Lemma 2.3), omega = chi, which one search, `_omega_equals_chi`,
-answers for the residue graph and for each orbital union alike; one builder,
-`_non_synchronizing`, turns its certificate into a verdict.  Every verdict
-carries an ordered reason trace naming the rule that fired.
+arithmetic fast paths (rule labels below), a factorization witness, a
+single-graph decision for m in {2, 3} where equality of clique and
+chromatic number is an exact criterion, and finally the exhaustive check of
+every proper union of undirected orbitals.  Past the witness every verdict
+rests on one per-graph question (Lemma 2.3), omega = chi, which one search,
+`_omega_equals_chi`, answers for the residue graph and for each orbital
+union alike; one builder, `_non_synchronizing`, turns its certificate into
+a verdict.  Every verdict carries an ordered reason trace naming the rule
+that fired.
 
 Lemma (Hajos/Redei; Szabo & Sands 2009): on a Cayley graph of GF(q)+, as
 every graph here is, omega = chi = k forces k | q and omega = chi = q/k on
@@ -18,6 +19,27 @@ has q/k vertices.  For a k-clique A and a class B, a + b = a' + b' with
 a != a' would make b' - b = a - a' an edge inside B, so GF(q) = A + B and
 the cliques A + b, b in B, color the complement around its clique B.  So an
 omega not dividing q is "neq" untested; the walk searches one member per pair.
+
+Witness (`invariants.factorization_certificate`): conversely, let A be an
+F_p-subspace with A minus 0 inside the classes of S, and B one of size
+q/|A| with no unit in them.  Then A is a clique of G_S, and two vertices of
+one coset x + B differ by a unit of B, so the cosets color G_S properly with
+|A| colors: omega = chi = |A|, and the row is NonSynchronizing with no
+search.  A is taken to be a subfield GF(p^t), so S is the classes its units
+hit.
+
+Redei n=2 (a fast path): a row with n = 2 that reaches it has
+gcd(m, p+1) = 1 and is Synchronizing.  Redei's theorem (Redei 1965, as
+stated in Szabo & Sands, Factoring Groups into Subsets, 2009): "if a finite
+abelian group is the direct sum of subsets, each of prime order and each
+containing 0, then one of the subsets is a subgroup."  Proof: omega = chi =
+k on a proper nonempty union G_S has 1 < k < q and k | q = p^2 (the lemma),
+so k = p and GF(q) = A + B with a p-clique A and a color class B of size p,
+both translated to contain 0.  By the theorem A or B is a subgroup of order
+p, an F_p-line L, and L minus 0 is v * GF(p)*, the classes
+log(v) + (p+1)j mod m_bar for j = 0..p-2.  As m_bar | (p-1)(p+1) and
+gcd(m_bar, p+1) = 1, m_bar divides p - 1, so these p - 1 values hit every
+class.  L = A would put every class in S, and L = B none: S is not proper.
 """
 
 from __future__ import annotations
@@ -33,8 +55,8 @@ from .invariants import (
     _Budget,
     clique_number,
     equal_certificate,
+    factorization_certificate,
     k_colorable,
-    subfield_certificate,
 )
 from .paley import (
     Graph,
@@ -60,6 +82,8 @@ RULE_ODD_M2 = "Thm 5.2(5)"
 RULE_QUADRATIC = "Thm 5.2(6)"
 RULE_REPUNIT = "Thm 5.2(3)"
 RULE_SINGLE_GRAPH = "Thm 5.2(2)"
+RULE_REDEI = "Redei n=2"
+RULE_FACTORIZATION = "subspace factorization"
 RULE_EXHAUSTIVE = "Lemma 2.3 exhaustive"
 RULE_SPECTRAL = "Thm 4.6 spectral"
 RULE_BUDGET = "budget"
@@ -150,6 +174,13 @@ def fast_paths(q: int, m: int) -> Classification | None:
         return done(SYNCHRONIZING, RULE_ODD_M2, f"n={n} odd and m=2")
     if n == 2 and m == 3:
         return done(SYNCHRONIZING, RULE_QUADRATIC, f"3 does not divide p+1={p + 1}")
+    if n == 2:
+        return done(
+            SYNCHRONIZING,
+            RULE_REDEI,
+            f"gcd(m={m}, p+1={p + 1}) = 1: by Redei's theorem no proper orbital union"
+            " has omega = chi",
+        )
     if m in (2, 3) and is_prime(n):
         repunit = (q - 1) // (p - 1)
         if repunit % m:
@@ -200,8 +231,9 @@ def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
             RULE_SPECTRAL,
             f"no k=p^t passes the divisibility and least-eigenvalue filter for ({field.q},{mb})",
         )
-    cert = subfield_certificate(field, mb)
-    if cert is not None:
+    found = factorization_certificate(field, mb, meter, single=True)
+    if found is not None:
+        cert = found[1]
         return (
             "eq",
             cert,
@@ -348,8 +380,9 @@ def classify(
     budget: int | None = None,
     exhaustive_cap: int | None = None,
 ) -> Classification:
-    """Full pipeline: validate, fast paths, single-graph criterion for
-    m in {2, 3}, exhaustive orbital-union check, else Unknown."""
+    """Full pipeline: validate, fast paths, factorization witness,
+    single-graph criterion for m in {2, 3}, exhaustive orbital-union check,
+    else Unknown."""
     fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
@@ -357,6 +390,12 @@ def classify(
     p, n, mb = params.p, params.n, params.m_bar
     meter = _Budget.of(budget)
     field = build_field(p, n)
+    found = factorization_certificate(field, m, meter)
+    if found is not None:
+        subset, cert = found
+        detail = (f"Delta-subset {subset}: GF({cert.omega}) + B = GF({q}) with B an F_p-subspace"
+                  f" whose units avoid the subset, so omega=chi={cert.omega}")
+        return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
     carried: list[Reason] = []
     if m in (2, 3):  # here m_bar == m, and equality on one graph is an iff
         kind, cert, _, detail = _single_orbital_status(field, m, meter)

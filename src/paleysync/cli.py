@@ -371,6 +371,10 @@ def _self_check_rows(rows) -> None:
                 theta_bar = row["q"] / theta
                 if int(row["omega"]) > theta_bar + 1e-6 or int(row["chi"]) < theta_bar - 1e-6:
                     raise OracleMismatchError(f"sandwich violated: {row}")
+        if row["verdict"] == NON_SYNCHRONIZING and row["omega"]:
+            omega = int(row["omega"])
+            if omega != int(row["chi"]) or row["q"] % omega:  # the classify module's lemma
+                raise OracleMismatchError(f"witness must have omega = chi dividing q: {row}")
         if row["verdict"] == UNKNOWN and row["status"] == "complete":
             raise OracleMismatchError(f"Unknown verdict must not be 'complete': {row}")
 

@@ -81,18 +81,22 @@ a timeout keeps G's cap as its upper bound.  The greedy coloring of G that
 the search over all vertices opens with is tried first, so the cut never
 searches a graph that search would close at its root.
 
-The subfield certificate (omega = chi = p^(n/2)) takes no search and no
-digit-wise field addition: its clique is the subfield, 0 and a subgroup
-coset, and its coloring the additive cosets of gamma times it, read off the
-rows of one Cayley graph.  verify_certificate checks a coloring class by
-class, each with the test every independent-set witness passes.
+The factorization certificate (omega = chi = p^t on an orbital union)
+takes no clique or coloring search and no digit-wise field addition: its
+clique is a subfield GF(p^t), 0 and a subgroup coset, and its coloring the
+additive cosets of an F_p-subspace B, read off the rows of one Cayley
+graph; B is gamma*GF(p^(n/2)), or the common kernel of trace functionals
+x -> Tr(gamma^j x), found by ANDs of rotated bitmasks (a metered search
+past the first functional).
+verify_certificate checks a coloring class by class, each with the test
+every independent-set witness passes.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, gcd
 
 from .errors import (
     BadDivisorError,
@@ -101,8 +105,8 @@ from .errors import (
     TooLargeError,
 )
 from .gf import FieldTables, subfield_elements, subgroup_coset
-from .paley import (Graph, _difference_graph, build_paley, complement, iter_bits, relabel,
-                    validate_residue_params)
+from .paley import (Graph, _difference_graph, build_paley, complement, iter_bits,
+                    normalize_params, relabel, validate_residue_params)
 from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
@@ -1086,11 +1090,11 @@ def brute_force_invariants(g: Graph) -> InvariantCertificate:
     )
 
 
-def _coset_coloring(field: FieldTables, s: int) -> tuple[int, ...]:
+def _coset_coloring(field: FieldTables, units: frozenset[int]) -> tuple[int, ...]:
     """Color map whose classes, numbered by least member, are the additive
-    cosets of gamma*GF(p^t), s = (q-1)/(p^t-1): the closed neighborhoods of
-    the Cayley graph of its nonzero part, subgroup_coset(field, s, 1)."""
-    rows = _difference_graph(field, subgroup_coset(field, s, 1)).adjacency
+    cosets of the F_p-subspace B with these units: the closed neighborhoods
+    of the Cayley graph of B minus 0."""
+    rows = _difference_graph(field, units).adjacency
     closed = (row | 1 << v for v, row in enumerate(rows))
     return _normalize_coloring(c & -c for c in closed)
 
@@ -1116,40 +1120,98 @@ def equal_certificate(g: Graph, clique, coloring) -> InvariantCertificate:
     )
 
 
-def subfield_certificate(field: FieldTables, m: int) -> InvariantCertificate | None:
-    """The omega = alpha = chi = p^(n/2) certificate of the m-th power residue
-    graph on GF(q), present exactly when the half-degree subfield C =
-    GF(p^(n/2)) is a clique; None otherwise.
+def _kernel_units(field: FieldTables, d: int, t: int, meter: _Budget) -> frozenset[int] | None:
+    """The units of an F_p-subspace B of codimension t holding no d-th
+    power, cut out by t functionals x -> Tr(gamma^j x); None when there is
+    none or the meter runs out.
 
-    Its gamma-multiple gamma*C is an independent set, so its additive cosets
-    color properly with |C| colors and equal_certificate applies, the coset
-    of 0 being gamma*C itself.  The coloring is built, and its coset graph
-    dropped, before the residue graph, so one q-row graph is alive at a time.
+    Over the exponents of gamma, the kernel of x -> Tr(gamma^j x) is Z - j,
+    Z the exponents of trace 0, so B's units are the AND of t rotations of
+    Z's bitmask, which must miss every multiple of d.  Multiplying B by a
+    d-th power rotates each j alike, so the first j is taken below d, and
+    GF(p)* scales a functional, so the others count modulo (q-1)/(p-1), in
+    increasing order.  The first functional is free (t = 1: a hyperplane),
+    each later one a node.  Such a kernel has dimension n - t exactly:
+    GF(p^t), whose units are d-th powers, meets it in 0 alone.
     """
-    n = field.n
-    clique = subfield_clique(field, m, n // 2) if n % 2 == 0 else None
-    if clique is None:
-        return None
-    coloring = _coset_coloring(field, (field.q - 1) // (len(clique) - 1))
-    return equal_certificate(build_paley(field, m), clique, coloring)
+    exp, trace = field.exp, field.trace
+    order = field.q - 1
+    full = (1 << order) - 1
+    zero = int("".join("0" if trace[x] else "1" for x in reversed(exp)), 2)
+    powers = full // ((1 << d) - 1)  # bits 0, d, 2d, ...
+    stack = [(full, iter(range(d)))]
+    while stack:
+        units, shifts = stack[-1]
+        for j in shifts:
+            if len(stack) > 1 and not meter.step():
+                return None
+            kernel = units & (zero >> j | zero << (order - j)) & full
+            if len(stack) < t:
+                start = j + 1 if len(stack) > 1 else 0
+                stack.append((kernel, iter(range(start, order // (field.p - 1)))))
+                break
+            if not kernel & powers:
+                return frozenset(exp[e] for e in iter_bits(kernel))
+        else:
+            stack.pop()
+    return None
+
+
+def factorization_certificate(field: FieldTables, m: int, meter: _Budget, single: bool = False
+                              ) -> tuple[list[int], InvariantCertificate] | None:
+    """(S, certificate) of omega = chi = p^t on the union G_S of orbitals,
+    from GF(q) = A + B with no clique or coloring search, or None;
+    single=True accepts only S = [0], the m-th power residue graph.
+
+    A is a subfield GF(p^t), t | n, t < n, whose units are the s-th powers,
+    s = (q-1)/(p^t-1): the classes S = {0, d, 2d, ...}, d = gcd(s, m_bar),
+    proper when d > 1.  B is an F_p-subspace of dimension n - t with no
+    d-th power among its units, so A is a clique of G_S and the cosets
+    x + B, numbered by least member, color it with p^t colors.  B is
+    gamma*GF(p^(n/2)) for t = n/2 (units in the classes 1 + S, so it always
+    exists), else found by _kernel_units: t = 1 first, then the largest t.
+    A spent meter returns None.  The coloring is built before G_S, so one
+    q-row graph is alive at a time, and equal_certificate checks both.
+    """
+    q, p, n = field.q, field.p, field.n
+    mb = normalize_params(q, m).m_bar
+    proper = [t for t in range(1, n) if n % t == 0]
+    for t in sorted(proper, key=lambda t: (2 * t != n, t != 1, -t)):  # the order above
+        s = (q - 1) // (p**t - 1)
+        d = gcd(s, mb)
+        if d == 1 or (single and d != mb):
+            continue
+        if 2 * t == n:
+            units = subgroup_coset(field, s, 1)
+        else:
+            units = _kernel_units(field, d, t, meter)
+            if meter.spent > meter.limit:
+                return None
+        if units is not None:
+            coloring = _coset_coloring(field, units)
+            clique = sorted(subfield_elements(field, t))
+            g = _difference_graph(field, subgroup_coset(field, d))
+            return list(range(0, mb, d)), equal_certificate(g, clique, coloring)
+    return None
 
 
 def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> InvariantCertificate:
     """Exact invariants of the m-th power residue graph on GF(q).
 
-    The subfield certificate when it applies (no search); otherwise
-    search within the spectral bounds.
+    The factorization certificate with S = [0] when one exists (no clique
+    or coloring search); otherwise search within the spectral bounds.
     """
-    cert = subfield_certificate(field, m)
-    if cert is not None:
-        return cert
+    validate_residue_params(field.q, m)
+    meter = _Budget.of(budget)
+    found = factorization_certificate(field, m, meter, single=True)
+    if found is not None:
+        return found[1]
     g = build_paley(field, m)
     q = field.q
     rep = theta_pair(field, m)
     omega_ub = int(rep.theta_complement + 1e-6)
     alpha_ub = int(rep.theta + 1e-6)
 
-    meter = _Budget.of(budget)
     omega_res = clique_number(g, upper_hint=omega_ub, budget=meter)
     alpha_res = independence_number(g, budget=meter, upper_hint=alpha_ub)
     # chi >= q / alpha >= theta of the complement, as alpha's bound is <= theta

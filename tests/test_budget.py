@@ -60,9 +60,12 @@ CALLS = {
     "certificate-79-3": lambda b: paley_certificate(build_field(79), 3, budget=b),
     "certificate-81-4": lambda b: paley_certificate(build_field(3, 4), 4, budget=b),
     "chromatic-73-3": lambda b: chromatic_number(build_paley(build_field(73), 3), budget=b),
-    "classify-121-5": lambda b: classify(121, 5, budget=b),
+    # (121, 5) is decided by the Redei fast path: its walk is called directly
+    "classify-121-5": lambda b: exhaustive_decision(build_field(11, 2), 5, budget=b),
     "classify-343-9": lambda b: classify(343, 9, budget=b),
-    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b),
+    # a hyperplane witness settles (81, 8)'s single orbital with no search
+    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b,
+                                                     spectral_prune=False),
 }
 
 
@@ -88,8 +91,9 @@ def test_no_union_graph_is_built_on_a_spent_budget(searches):
 
 
 def test_a_spent_budget_ends_a_wide_orbital_walk_at_once():
-    # (1331, 70): m_bar = 35 and no fast path, so the walk would cover 2^34
-    # odd masks; a lazy walk stops at the first pair past the budget.
-    result = classify(1331, 70, budget=1)
+    # (1331, 70): m_bar = 35, so the walk would cover 2^34 odd masks; a lazy
+    # walk stops at the first pair past the budget.  The walk is called
+    # directly: classify decides the row by a factorization witness.
+    result = exhaustive_decision(build_field(11, 3), 70, budget=1)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
     assert result.reasons[-1].detail.endswith("490853413 of 490853415 canonical pairs not reached")

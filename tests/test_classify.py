@@ -123,7 +123,8 @@ def test_classify_single_graph_criterion_path():
 
 
 def test_classify_budget_exhaustion_is_unknown():
-    result = classify(961, 5, budget=50_000)
+    # (961, 5) is decided by the Redei fast path; its orbital walk is not
+    result = exhaustive_decision(field_for(961), 5, budget=50_000)
     assert result.verdict == UNKNOWN
     assert result.status == "budget_exhausted"
     assert any(r.rule == "budget" for r in result.reasons)
@@ -305,9 +306,9 @@ def test_classification_json_shape():
 
 
 def test_exhaustive_cap_reports_skip():
-    # (361, 9): primitive, m_bar = 9, gcd(9, 20) = 1, no fast path applies
-    assert fast_paths(361, 9) is None
-    result = classify(361, 9, exhaustive_cap=8)
+    # (343, 9): primitive, m_bar = 9, no fast path and no factorization witness
+    assert fast_paths(343, 9) is None
+    result = classify(343, 9, exhaustive_cap=8)
     assert result.verdict == UNKNOWN
     assert result.status == "skipped_exhaustive"
 
@@ -349,10 +350,12 @@ def test_equal_invariants_certificate_is_verified(monkeypatch):
     an improper coloring from the colorability test is refused.  The union
     case runs on GF(25), where omega = 5 divides q and so the colorability
     test is reached; on a prime field no proper union has omega | q.  On
-    GF(81) with m = 8 the feasible set is {3} and no half-degree subfield is
-    a clique, so the default mode reaches the single-orbital search."""
+    GF(81) with m = 8 the feasible set is {3}; with the factorization
+    witness (a hyperplane, omega = chi = 3) taken away, the default mode
+    reaches the single-orbital search."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
+    monkeypatch.setattr(module, "factorization_certificate", lambda *args, **kw: None)
     with pytest.raises(InvalidWitnessError):
         exhaustive_decision(build_field(5, 2), 2, spectral_prune=False)
     with pytest.raises(InvalidWitnessError):
@@ -411,7 +414,8 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
 @pytest.mark.parametrize("q", [343, 361])
 def test_one_search_per_pair_decides_m9_within_budget(q):
     """(343, 9) and (361, 9): 29 canonical pairs, each one search; at 10^5
-    nodes every pair finishes, where searching complements as well ran out."""
-    result = classify(q, 9, budget=10**5)
+    nodes every pair finishes, where searching complements as well ran out.
+    The walk is called directly: classify decides (361, 9) by the Redei rule."""
+    result = exhaustive_decision(field_for(q), 9, budget=10**5)
     assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
     assert result.reasons[-1].detail.endswith("(29 canonical pairs, 28 union graphs searched)")

@@ -218,9 +218,10 @@ def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
 
 
 def _scan_81_8_by_search(monkeypatch, omega=None):
-    """Route (81, 8) through the single-orbital search: NonSynchronizing with
-    subset [0] and omega = chi = 3, so the scan fills its omega/chi columns
-    (every other NonSynchronizing row comes from a fast path).  `omega`
+    """Route (81, 8) through the orbital walk, whose single-orbital step
+    finds a hyperplane witness: NonSynchronizing with subset [0] and
+    omega = chi = 3, so the scan fills its omega/chi columns (every other
+    NonSynchronizing row with q <= 81 comes from a fast path).  `omega`
     replaces the certificate's clique number."""
     classify = cli.classify
 
@@ -250,6 +251,19 @@ def test_scan_sandwich_violation_exits_three(capsys, monkeypatch):
     code = _scan_81_8_by_search(monkeypatch, omega=4)
     assert code == 3
     assert "sandwich violated" in capsys.readouterr().err
+
+
+def test_self_check_refuses_a_witness_row_without_omega_equal_chi_dividing_q():
+    """A NonSynchronizing row with its omega filled must have omega = chi
+    and omega | q (the classify module's lemma): (343, 19), decided by a
+    factorization witness with omega = chi = 7, passes; a chi of 8 (within
+    the theta sandwich) or an omega = chi of 6 (theta blanked) does not."""
+    (row,) = cli._q_rows([343], {19}, 10**4, False)
+    assert (row["verdict"], row["omega"], row["chi"]) == ("NonSynchronizing", "7", "7")
+    cli._self_check_rows([row])
+    for corrupt in ({"chi": "8"}, {"omega": "6", "chi": "6", "theta": "", "lambda_min": ""}):
+        with pytest.raises(OracleMismatchError, match="omega = chi dividing q"):
+            cli._self_check_rows([{**row, **corrupt}])
 
 
 def test_budget_env_is_ignored_without_budget_option(capsys, monkeypatch):

@@ -39,7 +39,7 @@ from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
                                   _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
-                                  _tabu_coloring, subfield_certificate)
+                                  _tabu_coloring, factorization_certificate)
 from paleysync.paley import iter_bits
 from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
                       valid_graph_ms)
@@ -552,15 +552,17 @@ def test_verify_certificate_rejects_forged_independent_sets(independent_set, alp
 
 @pytest.mark.parametrize("q", [q for q in odd_prime_powers(729) if prime_power(q)[1] % 2 == 0])
 def test_subfield_certificate_colors_by_the_cosets_of_the_subfield_multiple(q):
-    """Every color class of a subfield certificate is v + gamma*GF(p^(n/2)),
-    computed here with the digit-wise field.add as the reference."""
+    """Every color class of a subfield certificate, the factorization
+    certificate with A = GF(p^(n/2)), is v + gamma*GF(p^(n/2)), computed
+    here with the digit-wise field.add as the reference."""
     field = field_for(q)
     multiple = [field.mul(field.gamma, c) for c in subfield_elements(field, field.n // 2)]
     certified = 0
     for m in valid_graph_ms(q):
-        cert = subfield_certificate(field, m)
-        if cert is None:
+        found = factorization_certificate(field, m, _Budget.of(None), single=True)
+        if found is None or found[1].omega != len(multiple):
             continue
+        cert = found[1]
         certified += 1
         classes = {}
         for v, c in enumerate(cert.coloring):
