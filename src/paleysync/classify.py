@@ -217,11 +217,12 @@ def _omega_equals_chi(g: Graph, meter: _Budget, k: int | None = None):
     return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
 
 
-def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
+def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget, witness: bool = True):
     """Decide whether the residue graph with index mb has equal clique and
     chromatic numbers.  Returns (kind, certificate, rule, detail) with kind
     one of "eq" | "neq" | "timeout" and rule the one that settled it; the
-    certificate is attached only for "eq".
+    certificate is attached only for "eq".  witness=False skips the
+    factorization witness with S = [0] and goes straight to search.
     """
     feas = feasible_clique_sizes(field, mb)
     if not feas:
@@ -231,14 +232,14 @@ def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget):
             RULE_SPECTRAL,
             f"no k=p^t passes the divisibility and least-eigenvalue filter for ({field.q},{mb})",
         )
-    found = factorization_certificate(field, mb, meter, single=True)
+    found = factorization_certificate(field, mb, meter, single=True) if witness else None
     if found is not None:
         cert = found[1]
         return (
             "eq",
             cert,
             RULE_EXHAUSTIVE,
-            f"omega=chi={cert.omega} by the subfield product certificate",
+            f"omega=chi={cert.omega} by a subspace factorization witness GF({cert.omega}) + B",
         )
     (k,) = feas
     kind, omega_res, cert = _omega_equals_chi(build_paley(field, mb), meter, k)
@@ -314,7 +315,11 @@ def _canonical_pair_count(width: int) -> int:
 
 
 def exhaustive_decision(
-    field: FieldTables, m: int, budget: int | _Budget | None = None, spectral_prune: bool = True
+    field: FieldTables,
+    m: int,
+    budget: int | _Budget | None = None,
+    spectral_prune: bool = True,
+    witness: bool = True,
 ) -> Classification:
     """Exact decision by checking omega = chi on every proper nonempty union
     of undirected orbitals, one search per rotation/complement family on its
@@ -322,6 +327,8 @@ def exhaustive_decision(
 
     spectral_prune=False disables the eigenvalue filter on single orbitals and
     forces a search-based decision there (slower, independent confirmation).
+    witness=False skips the single orbital's factorization witness, for a
+    caller that has ruled it out already, as classify has.
 
     The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
     required.  A spent node meter ends the check with an honest Unknown."""
@@ -344,7 +351,7 @@ def exhaustive_decision(
         if spectral_prune and mask == 1:
             # {single orbital, its complement}: one decision settles both (the lemma)
             subset = [0]
-            kind, cert, rule, detail = _single_orbital_status(field, mb, meter)
+            kind, cert, rule, detail = _single_orbital_status(field, mb, meter, witness)
             if kind == "neq":
                 reasons.append(Reason(rule, f"single orbitals and their complements cleared: {detail}"))
             elif kind == "timeout":
@@ -396,9 +403,10 @@ def classify(
         detail = (f"Delta-subset {subset}: GF({cert.omega}) + B = GF({q}) with B an F_p-subspace"
                   f" whose units avoid the subset, so omega=chi={cert.omega}")
         return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
+    # none with S = [0] either, so the single-orbital steps below skip that search
     carried: list[Reason] = []
     if m in (2, 3):  # here m_bar == m, and equality on one graph is an iff
-        kind, cert, _, detail = _single_orbital_status(field, m, meter)
+        kind, cert, _, detail = _single_orbital_status(field, m, meter, witness=False)
         if kind == "eq":
             return _non_synchronizing(field, params, [Reason(RULE_SINGLE_GRAPH, detail)], [0], cert)
         if kind == "neq":
@@ -411,5 +419,5 @@ def classify(
             Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
         )
         return Classification(q, p, n, m, UNKNOWN, tuple(carried), None, "skipped_exhaustive")
-    result = exhaustive_decision(field, m, meter)
+    result = exhaustive_decision(field, m, meter, witness=False)
     return replace(result, reasons=tuple(carried) + result.reasons)

@@ -1131,7 +1131,9 @@ def _kernel_units(field: FieldTables, d: int, t: int, meter: _Budget) -> frozens
     d-th power rotates each j alike, so the first j is taken below d, and
     GF(p)* scales a functional, so the others count modulo (q-1)/(p-1), in
     increasing order.  The first functional is free (t = 1: a hyperplane),
-    each later one a node.  Such a kernel has dimension n - t exactly:
+    each middle one a node.  The last is not tried j by j: each d-th power
+    e still in the kernel rules out the j in Z - e, one node each, and the
+    least j left is taken.  Such a kernel has dimension n - t exactly:
     GF(p^t), whose units are d-th powers, meets it in 0 alone.
     """
     exp, trace = field.exp, field.trace
@@ -1139,19 +1141,35 @@ def _kernel_units(field: FieldTables, d: int, t: int, meter: _Budget) -> frozens
     full = (1 << order) - 1
     zero = int("".join("0" if trace[x] else "1" for x in reversed(exp)), 2)
     powers = full // ((1 << d) - 1)  # bits 0, d, 2d, ...
+    functionals = order // (field.p - 1)
+
+    def ring(j: int) -> int:  # Z - j: bit e set when Tr(gamma^(e+j)) = 0
+        return (zero >> j | zero << (order - j)) & full
+
     stack = [(full, iter(range(d)))]
     while stack:
         units, shifts = stack[-1]
         for j in shifts:
             if len(stack) > 1 and not meter.step():
                 return None
-            kernel = units & (zero >> j | zero << (order - j)) & full
-            if len(stack) < t:
-                start = j + 1 if len(stack) > 1 else 0
-                stack.append((kernel, iter(range(start, order // (field.p - 1)))))
+            kernel = units & ring(j)
+            start = j + 1 if len(stack) > 1 else 0
+            if len(stack) == t:  # t = 1
+                if not kernel & powers:
+                    return frozenset(exp[e] for e in iter_bits(kernel))
+            elif len(stack) + 1 < t:
+                stack.append((kernel, iter(range(start, functionals))))
                 break
-            if not kernel & powers:
-                return frozenset(exp[e] for e in iter_bits(kernel))
+            else:
+                ruled_out = 0
+                for e in iter_bits(kernel & powers):
+                    if not meter.step():
+                        return None
+                    ruled_out |= ring(e)
+                left = ((1 << functionals) - 1) >> start << start & ~ruled_out
+                if left:
+                    kernel &= ring((left & -left).bit_length() - 1)
+                    return frozenset(exp[e] for e in iter_bits(kernel))
         else:
             stack.pop()
     return None

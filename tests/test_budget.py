@@ -63,9 +63,8 @@ CALLS = {
     # (121, 5) is decided by the Redei fast path: its walk is called directly
     "classify-121-5": lambda b: exhaustive_decision(build_field(11, 2), 5, budget=b),
     "classify-343-9": lambda b: classify(343, 9, budget=b),
-    # a hyperplane witness settles (81, 8)'s single orbital with no search
-    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b,
-                                                     spectral_prune=False),
+    # a hyperplane witness would settle (81, 8)'s single orbital with no search
+    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b, witness=False),
 }
 
 

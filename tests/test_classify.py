@@ -25,7 +25,8 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
+from paleysync.classify import (RULE_EXHAUSTIVE, _canonical_pair_count, _canonical_pair_masks,
+                                _omega_equals_chi, _single_orbital_status)
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import _Budget
 from conftest import field_for, valid_graph_ms
@@ -351,15 +352,51 @@ def test_equal_invariants_certificate_is_verified(monkeypatch):
     case runs on GF(25), where omega = 5 divides q and so the colorability
     test is reached; on a prime field no proper union has omega | q.  On
     GF(81) with m = 8 the feasible set is {3}; with the factorization
-    witness (a hyperplane, omega = chi = 3) taken away, the default mode
+    witness (a hyperplane, omega = chi = 3) skipped, the default mode
     reaches the single-orbital search."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
-    monkeypatch.setattr(module, "factorization_certificate", lambda *args, **kw: None)
     with pytest.raises(InvalidWitnessError):
         exhaustive_decision(build_field(5, 2), 2, spectral_prune=False)
     with pytest.raises(InvalidWitnessError):
-        exhaustive_decision(build_field(3, 4), 8)
+        exhaustive_decision(build_field(3, 4), 8, witness=False)
+
+
+def test_single_orbital_step_on_81_8_with_and_without_its_witness():
+    """(81, 8): the single orbital has a hyperplane witness, omega = chi = 3,
+    that spends no node.  Skipped (witness=False, as classify does once its
+    own witness search found none), the step searches: its 3-colorability
+    test runs out at 1 node and finds omega = chi = 3 by 50."""
+    field = build_field(3, 4)
+    meter = _Budget(0)
+    kind, cert, rule, detail = _single_orbital_status(field, 8, meter)
+    assert (kind, cert.omega, cert.chi, rule, meter.spent) == ("eq", 3, 3, RULE_EXHAUSTIVE, 0)
+    assert detail == "omega=chi=3 by a subspace factorization witness GF(3) + B"
+    assert _single_orbital_status(field, 8, _Budget(1), witness=False) == (
+        "timeout", None, "budget", "3-colorability undecided within budget")
+    kind, cert, rule, detail = _single_orbital_status(field, 8, _Budget(50), witness=False)
+    assert (kind, cert.omega, cert.chi, rule) == ("eq", 3, 3, RULE_EXHAUSTIVE)
+    assert detail == "omega=chi=3 found by exact search"
+    result = exhaustive_decision(field, 8, budget=1, witness=False)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    result = exhaustive_decision(field, 8, budget=50, witness=False)
+    assert (result.verdict, result.witness["orbital_subset"], result.witness["omega"]) == (
+        NON_SYNCHRONIZING, [0], 3)
+
+
+def test_single_orbital_search_reports_each_way_omega_and_chi_differ(monkeypatch):
+    """The step's two "neq" texts, on (81, 8) with its witness skipped: a
+    feasible set of {9} that the clique number 3 misses, and a colorability
+    test that answers unsat."""
+    module = sys.modules["paleysync.classify"]
+    field = build_field(3, 4)
+    monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {9})
+    assert _single_orbital_status(field, 8, _Budget(10**4), witness=False) == (
+        "neq", None, RULE_EXHAUSTIVE, "omega=3 is not in the feasible common-value set [9]")
+    monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {3})
+    monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("unsat", None, 0))
+    assert _single_orbital_status(field, 8, _Budget(10**4), witness=False) == (
+        "neq", None, RULE_EXHAUSTIVE, "omega=3 but the graph is not 3-colorable")
 
 
 def test_omega_equals_chi_agrees_on_a_union_and_its_complement():

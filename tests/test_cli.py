@@ -218,17 +218,17 @@ def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
 
 
 def _scan_81_8_by_search(monkeypatch, omega=None):
-    """Route (81, 8) through the orbital walk, whose single-orbital step
-    finds a hyperplane witness: NonSynchronizing with subset [0] and
-    omega = chi = 3, so the scan fills its omega/chi columns (every other
-    NonSynchronizing row with q <= 81 comes from a fast path).  `omega`
-    replaces the certificate's clique number."""
+    """Route (81, 8) through the single-orbital search, its factorization
+    witness skipped: NonSynchronizing with subset [0] and omega = chi = 3,
+    so the scan fills its omega/chi columns (every other NonSynchronizing
+    row with q <= 81 comes from a fast path).  `omega` replaces the
+    certificate's clique number."""
     classify = cli.classify
 
     def by_search(q, m, **kwargs):
         if (q, m) != (81, 8):
             return classify(q, m, **kwargs)
-        result = exhaustive_decision(build_field(3, 4), 8, budget=50)
+        result = exhaustive_decision(build_field(3, 4), 8, budget=50, witness=False)
         if omega is not None:
             result = dataclasses.replace(
                 result, certificate=dataclasses.replace(result.certificate, omega=omega)

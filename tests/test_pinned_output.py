@@ -40,24 +40,23 @@ Synchronizing, 33 Unknowns that reach further pairs (none fewer) and 6 in
 the "union graphs searched" count alone; in default 11 of 31, each in that
 count alone.
 
-The gf81-8 and paley-certificate digests were re-recorded when the
-factorization certificate (a subfield A and an F_p-subspace B with
-A + B = GF(q)) replaced the half-degree subfield certificate, and the
-no-search group was added for the Redei rule and the factorization witness
-in classify.  4 of 40 records differ, and no omega, alpha, chi or status of
-a certificate changed.  In paley-certificate (125, 31) is now certified by
-a hyperplane, in its clique, independent set and coloring alone.  In gf81-8
-the single orbital of (81, 8) is certified by a hyperplane at every budget:
-b = 5 and b = 50 differ in those three fields alone, and b = 1, an Unknown
-that ran out in the single-orbital search, is now that NonSynchronizing
-record.  So the single-orbital timeout is no longer reached: every single
-orbital with n >= 2 and q <= 2187 whose feasible set is nonempty has a
-factorization witness.
+The paley-certificate digest was re-recorded when the factorization
+certificate (a subfield A and an F_p-subspace B with A + B = GF(q))
+replaced the half-degree subfield certificate, and the no-search group was
+added for the Redei rule and the factorization witness, in classify and in
+the walk's single-orbital step.  1 of 37 paley-certificate records differs:
+(125, 31) is now certified by a hyperplane, in its clique, independent set
+and coloring alone, with no omega, alpha, chi or status changed.  gf81-8
+kept its digest by taking the walk with witness=False, so that it still
+pins the single-orbital search: a colorability timeout at b = 1 and an
+exact-search witness after it.  With the witness, (81, 8) is certified by a
+hyperplane at every budget; the no-search group holds it at b = 1.
 
-The corpus reaches every other reason kind the classifier emits: each
-fast-path rule, the Redei rule, the factorization witness, the single-graph
-criterion, the spectral filter, both exhaustive texts, the union timeouts,
-the subfield product certificate and an exact-search witness.
+The corpus reaches every reason kind the classifier emits: each fast-path
+rule, the Redei rule, the factorization witness, the single-graph
+criterion, the spectral filter, both exhaustive texts, the single-orbital
+and union timeouts, the subfield product certificate and an exact-search
+witness.
 
 A deliberate change of output re-records the digests: print
 `{name: _digest(items) for name, items in _corpus().items()}`.
@@ -83,11 +82,11 @@ PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
     "search-only": "cc9c27e3ea61f16d3cefa4e132c3d74109c815b5d3e8fa3e0fe252e063d3cf00",
-    "gf81-8": "b97d72702d17156252ede2d502d3692fbe4b3f79f8797b4b5d925f779f8e9ad1",
+    "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
     "default": "991403b03a3c09c9fd55e2b7dc00b6eedbd4fcc1f3bd6986439f00b4428840ff",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
     "paley-certificate": "3a2bcef3d4d6f6ae1d93abdf8cb8dc30a19b8a969324c6fc261c6135347ebda9",
-    "no-search": "0de4dc8c0ab35b797bc9979d0c8b02ae786f2d3713620eed95beb65fd63673bb",
+    "no-search": "aa7c1f32db473febc42de847e6513ae8d96ef01f63edc3bcd5ffd3be11f53ae0",
 }
 
 
@@ -122,8 +121,11 @@ def _corpus() -> dict:
             if 2 <= normalize_params(q, m).m_bar <= 8
             for b in (1, 5)
         ],
-        # the single orbital, settled by a hyperplane witness at every budget
-        "gf81-8": [_blob(exhaustive_decision(build_field(3, 4), 8, budget=b)) for b in (1, 5, 50)],
+        # the single-orbital search: a timeout at budget 1, an exact witness after
+        "gf81-8": [
+            _blob(exhaustive_decision(build_field(3, 4), 8, budget=b, witness=False))
+            for b in (1, 5, 50)
+        ],
         # the spectral filter and the subfield product certificate
         "default": [
             _blob(exhaustive_decision(field_for(q), m))
@@ -131,8 +133,10 @@ def _corpus() -> dict:
             for m in _divisors(q)
             if normalize_params(q, m).m_bar >= 2
         ],
-        # the Redei rule and factorization witnesses on S = [0] and on 5 classes
-        "no-search": [_blob(classify(q, m)) for q, m in ((121, 5), (343, 19), (1331, 35))],
+        # the Redei rule and factorization witnesses on S = [0] and on 5 classes,
+        # and a hyperplane witness in the walk's single-orbital step
+        "no-search": [_blob(classify(q, m)) for q, m in ((121, 5), (343, 19), (1331, 35))]
+        + [_blob(exhaustive_decision(build_field(3, 4), 8, budget=1))],
         # exact certificates and theta-capped timeout bounds past q = 81
         "paley-certificate": [
             paley_certificate(field_for(q), m, budget=2000).to_json_dict()
