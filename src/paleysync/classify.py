@@ -2,15 +2,17 @@
 generated by translations and multiplications by m-th power residues.
 
 The pipeline is: input validation (`paley.normalize_params`), cheap
-arithmetic fast paths (rule labels below), a factorization witness, a
-single-graph decision for m in {2, 3} where equality of clique and
-chromatic number is an exact criterion, and finally the exhaustive check of
-every proper union of undirected orbitals.  Past the witness every verdict
-rests on one per-graph question (Lemma 2.3), omega = chi, which one search,
-`_omega_equals_chi`, answers for the residue graph and for each orbital
-union alike; one builder, `_non_synchronizing`, turns its certificate into
-a verdict.  Every verdict carries an ordered reason trace naming the rule
-that fired.
+arithmetic fast paths (rule labels below), then the orbital walk,
+`exhaustive_decision`, the one place where omega = chi is decided.  By
+Lemma 2.3 a row is NonSynchronizing iff some proper union of undirected
+orbitals has omega = chi.  The walk first looks for a factorization witness
+on any union, then takes one union per canonical pair, each by one search,
+`_omega_equals_chi`.  The residue graph (mask 1) is a pair like any other,
+only first put through the spectral filter of Thm 4.6, whose one feasible
+value caps its clique search; for m_bar <= 3 it is the walk's one pair, and
+the walk is then Thm 5.2(2)'s single-graph criterion.  One builder,
+`_non_synchronizing`, turns a certificate into a verdict.  Every verdict
+carries an ordered reason trace naming the rule that fired.
 
 Lemma (Hajos/Redei; Szabo & Sands 2009): on a Cayley graph of GF(q)+, as
 every graph here is, omega = chi = k forces k | q and omega = chi = q/k on
@@ -45,7 +47,7 @@ class.  L = A would put every class in S, and L = B none: S is not proper.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
 from .errors import BadInputError
@@ -61,7 +63,6 @@ from .invariants import (
 from .paley import (
     Graph,
     PaleyParams,
-    build_paley,
     iter_bits,
     normalize_params,
     orbital_family,
@@ -81,7 +82,6 @@ RULE_GCD = "Thm 5.2(4)"
 RULE_ODD_M2 = "Thm 5.2(5)"
 RULE_QUADRATIC = "Thm 5.2(6)"
 RULE_REPUNIT = "Thm 5.2(3)"
-RULE_SINGLE_GRAPH = "Thm 5.2(2)"
 RULE_REDEI = "Redei n=2"
 RULE_FACTORIZATION = "subspace factorization"
 RULE_EXHAUSTIVE = "Lemma 2.3 exhaustive"
@@ -217,47 +217,6 @@ def _omega_equals_chi(g: Graph, meter: _Budget, k: int | None = None):
     return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
 
 
-def _single_orbital_status(field: FieldTables, mb: int, meter: _Budget, witness: bool = True):
-    """Decide whether the residue graph with index mb has equal clique and
-    chromatic numbers.  Returns (kind, certificate, rule, detail) with kind
-    one of "eq" | "neq" | "timeout" and rule the one that settled it; the
-    certificate is attached only for "eq".  witness=False skips the
-    factorization witness with S = [0] and goes straight to search.
-    """
-    feas = feasible_clique_sizes(field, mb)
-    if not feas:
-        return (
-            "neq",
-            None,
-            RULE_SPECTRAL,
-            f"no k=p^t passes the divisibility and least-eigenvalue filter for ({field.q},{mb})",
-        )
-    found = factorization_certificate(field, mb, meter, single=True) if witness else None
-    if found is not None:
-        cert = found[1]
-        return (
-            "eq",
-            cert,
-            RULE_EXHAUSTIVE,
-            f"omega=chi={cert.omega} by a subspace factorization witness GF({cert.omega}) + B",
-        )
-    (k,) = feas
-    kind, omega_res, cert = _omega_equals_chi(build_paley(field, mb), meter, k)
-    if not omega_res.exact:
-        bounds = f"[{omega_res.lower}, {omega_res.upper}]"
-        return "timeout", None, RULE_BUDGET, f"clique search exhausted budget with bounds {bounds}"
-    omega = omega_res.value
-    if kind == "eq":
-        return "eq", cert, RULE_EXHAUSTIVE, f"omega=chi={omega} found by exact search"
-    if kind == "timeout":
-        return "timeout", None, RULE_BUDGET, f"{omega}-colorability undecided within budget"
-    if omega != k:
-        detail = f"omega={omega} is not in the feasible common-value set {sorted(feas)}"
-    else:
-        detail = f"omega={omega} but the graph is not {omega}-colorable"
-    return "neq", None, RULE_EXHAUSTIVE, detail
-
-
 def _non_synchronizing(
     field: FieldTables, params: PaleyParams, reasons, subset: list[int], cert: InvariantCertificate
 ) -> Classification:
@@ -275,6 +234,20 @@ def _non_synchronizing(
         "complete", certificate=cert,
         spectral=theta_pair(field, params.m_bar) if len(subset) == 1 else None,
     )
+
+
+def _factorization_decision(
+    field: FieldTables, params: PaleyParams, meter: _Budget
+) -> Classification | None:
+    """The NonSynchronizing verdict of a factorization witness on some proper
+    union, found with no clique or coloring search; None when there is none."""
+    found = factorization_certificate(field, params.m, meter)
+    if found is None:
+        return None
+    subset, cert = found
+    detail = (f"Delta-subset {subset}: GF({cert.omega}) + B = GF({params.q}) with B an F_p-subspace"
+              f" whose units avoid the subset, so omega=chi={cert.omega}")
+    return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
 
 
 def _canonical_pair_masks(width: int) -> Iterator[int]:
@@ -319,16 +292,17 @@ def exhaustive_decision(
     m: int,
     budget: int | _Budget | None = None,
     spectral_prune: bool = True,
-    witness: bool = True,
 ) -> Classification:
-    """Exact decision by checking omega = chi on every proper nonempty union
-    of undirected orbitals, one search per rotation/complement family on its
-    canonical mask: a union and its complement agree (the module's lemma).
+    """Exact decision of omega = chi on every proper nonempty union of
+    undirected orbitals: a factorization witness on any union first, then
+    one search per rotation/complement family on its canonical mask, as a
+    union and its complement agree (the module's lemma).  The single
+    orbital, mask 1, is cleared with no search when its feasible set
+    (`feasible_clique_sizes`, Thm 4.6) is empty, else its one value k caps
+    the clique search.
 
-    spectral_prune=False disables the eigenvalue filter on single orbitals and
-    forces a search-based decision there (slower, independent confirmation).
-    witness=False skips the single orbital's factorization witness, for a
-    caller that has ruled it out already, as classify has.
+    spectral_prune=False skips the witness and the filter, and searches
+    every pair (slower, independent confirmation).
 
     The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
     required.  A spent node meter ends the check with an honest Unknown."""
@@ -338,31 +312,39 @@ def exhaustive_decision(
     if mb < 2:
         raise BadInputError(f"m_bar={mb} < 2: no proper orbital unions to check")
     meter = _Budget.of(budget)
+    if spectral_prune:
+        witnessed = _factorization_decision(field, params, meter)
+        if witnessed is not None:
+            return witnessed
     family = orbital_family(field, m)
     n_pairs = _canonical_pair_count(mb)
 
     reasons: list[Reason] = []
     unreached = n_pairs
+    searched = 0
 
     for mask in _canonical_pair_masks(mb):
         if meter.spent > meter.limit:  # every later search would time out at once
             break
         unreached -= 1
+        subset = sorted(iter_bits(mask))
+        k = None
         if spectral_prune and mask == 1:
-            # {single orbital, its complement}: one decision settles both (the lemma)
-            subset = [0]
-            kind, cert, rule, detail = _single_orbital_status(field, mb, meter, witness)
-            if kind == "neq":
-                reasons.append(Reason(rule, f"single orbitals and their complements cleared: {detail}"))
-            elif kind == "timeout":
-                reasons.append(Reason(rule, f"single-orbital check: {detail}"))
-        else:
-            subset = sorted(iter_bits(mask))
-            kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter)
-            if kind == "timeout":
-                detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
-                          else f"clique bounds [{omega_res.lower}, {omega_res.upper}]")
-                reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
+            feasible = feasible_clique_sizes(field, mb)
+            if not feasible:
+                reasons.append(Reason(
+                    RULE_SPECTRAL,
+                    "single orbitals and their complements cleared: no k=p^t passes the"
+                    f" divisibility and least-eigenvalue filter for ({q},{mb})",
+                ))
+                continue
+            (k,) = feasible
+        searched += 1
+        kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter, k)
+        if kind == "timeout":
+            detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
+                      else f"clique bounds [{omega_res.lower}, {omega_res.upper}]")
+            reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
         if kind == "eq":
             reasons.append(Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}"))
             return _non_synchronizing(field, params, reasons, subset, cert)
@@ -375,7 +357,7 @@ def exhaustive_decision(
         Reason(
             RULE_EXHAUSTIVE,
             f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
-            f" ({n_pairs} canonical pairs, {n_pairs - int(spectral_prune)} union graphs searched)",
+            f" ({n_pairs} canonical pairs, {searched} union graphs searched)",
         )
     )
     return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")
@@ -387,9 +369,9 @@ def classify(
     budget: int | None = None,
     exhaustive_cap: int | None = None,
 ) -> Classification:
-    """Full pipeline: validate, fast paths, factorization witness,
-    single-graph criterion for m in {2, 3}, exhaustive orbital-union check,
-    else Unknown."""
+    """Full pipeline: validate, fast paths, then the orbital walk; a row
+    with m_bar past exhaustive_cap gets only the walk's factorization
+    witness, else Unknown."""
     fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
@@ -397,27 +379,9 @@ def classify(
     p, n, mb = params.p, params.n, params.m_bar
     meter = _Budget.of(budget)
     field = build_field(p, n)
-    found = factorization_certificate(field, m, meter)
-    if found is not None:
-        subset, cert = found
-        detail = (f"Delta-subset {subset}: GF({cert.omega}) + B = GF({q}) with B an F_p-subspace"
-                  f" whose units avoid the subset, so omega=chi={cert.omega}")
-        return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
-    # none with S = [0] either, so the single-orbital steps below skip that search
-    carried: list[Reason] = []
-    if m in (2, 3):  # here m_bar == m, and equality on one graph is an iff
-        kind, cert, _, detail = _single_orbital_status(field, m, meter, witness=False)
-        if kind == "eq":
-            return _non_synchronizing(field, params, [Reason(RULE_SINGLE_GRAPH, detail)], [0], cert)
-        if kind == "neq":
-            return Classification(
-                q, p, n, m, SYNCHRONIZING, (Reason(RULE_SINGLE_GRAPH, detail),), None, "complete"
-            )
-        carried.append(Reason(RULE_SINGLE_GRAPH, f"inconclusive within budget: {detail}"))
-    if exhaustive_cap is not None and mb > exhaustive_cap:
-        carried.append(
-            Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
-        )
-        return Classification(q, p, n, m, UNKNOWN, tuple(carried), None, "skipped_exhaustive")
-    result = exhaustive_decision(field, m, meter, witness=False)
-    return replace(result, reasons=tuple(carried) + result.reasons)
+    if exhaustive_cap is None or mb <= exhaustive_cap:
+        return exhaustive_decision(field, m, meter)
+    skipped = Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
+    return _factorization_decision(field, params, meter) or Classification(
+        q, p, n, m, UNKNOWN, (skipped,), None, "skipped_exhaustive"
+    )

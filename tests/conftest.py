@@ -1,5 +1,7 @@
 import os
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,6 +21,18 @@ def valid_graph_ms(q):
 
 def residue_graph(q, m):
     return build_paley(field_for(q), m)
+
+
+@contextmanager
+def without_witness():
+    """Take the factorization witness out of `classify` and its orbital walk,
+    so that the single orbital is settled by its clique and coloring search.
+    The module is taken from sys.modules, since the package attribute
+    `paleysync.classify` is the function, not the module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["paleysync.classify"], "factorization_certificate",
+                      lambda *args: None)
+        yield
 
 
 def assert_no_child():

@@ -21,6 +21,7 @@ from paleysync import (
     exhaustive_decision,
     paley_certificate,
 )
+from conftest import without_witness
 
 MODULES = ("paleysync.classify", "paleysync.invariants")
 
@@ -55,6 +56,12 @@ def searches(monkeypatch):
     return log
 
 
+def _exhaustive_81_8_by_search(budget):
+    # a factorization witness would settle (81, 8) with no search
+    with without_witness():
+        return exhaustive_decision(build_field(3, 4), 8, budget=budget)
+
+
 CALLS = {
     "certificate-73-3": lambda b: paley_certificate(build_field(73), 3, budget=b),
     "certificate-79-3": lambda b: paley_certificate(build_field(79), 3, budget=b),
@@ -63,8 +70,7 @@ CALLS = {
     # (121, 5) is decided by the Redei fast path: its walk is called directly
     "classify-121-5": lambda b: exhaustive_decision(build_field(11, 2), 5, budget=b),
     "classify-343-9": lambda b: classify(343, 9, budget=b),
-    # a hyperplane witness would settle (81, 8)'s single orbital with no search
-    "exhaustive-81-8": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b, witness=False),
+    "exhaustive-81-8": _exhaustive_81_8_by_search,
 }
 
 
@@ -91,8 +97,9 @@ def test_no_union_graph_is_built_on_a_spent_budget(searches):
 
 def test_a_spent_budget_ends_a_wide_orbital_walk_at_once():
     # (1331, 70): m_bar = 35, so the walk would cover 2^34 odd masks; a lazy
-    # walk stops at the first pair past the budget.  The walk is called
-    # directly: classify decides the row by a factorization witness.
-    result = exhaustive_decision(build_field(11, 3), 70, budget=1)
+    # walk stops at the first pair past the budget.  The factorization
+    # witness, which decides the row with no search, is taken out.
+    with without_witness():
+        result = exhaustive_decision(build_field(11, 3), 70, budget=1)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
     assert result.reasons[-1].detail.endswith("490853413 of 490853415 canonical pairs not reached")

@@ -25,11 +25,10 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import (RULE_EXHAUSTIVE, _canonical_pair_count, _canonical_pair_masks,
-                                _omega_equals_chi, _single_orbital_status)
+from paleysync.classify import _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
 from paleysync.gf import odd_prime_powers
-from paleysync.invariants import _Budget
-from conftest import field_for, valid_graph_ms
+from paleysync.invariants import _Budget, factorization_certificate
+from conftest import field_for, valid_graph_ms, without_witness
 
 
 def test_primitivity_examples():
@@ -114,13 +113,31 @@ def test_classify_smallest_field():
 
 def test_classify_single_graph_criterion_path():
     # m = 3 with composite or repunit-divisible extension degree has no
-    # arithmetic fast path; the one-graph criterion decides via the spectral
-    # feasibility filter without any search.
+    # arithmetic fast path; the walk's one canonical pair is the residue
+    # graph, and the spectral feasibility filter clears it without any
+    # search: Thm 5.2(2)'s one-graph criterion.
     for q in (343, 625):
         result = classify(q, 3)
         assert result.verdict == SYNCHRONIZING
         assert result.status == "complete"
-        assert result.reasons[0].rule == "Thm 5.2(2)"
+        assert result.reasons[0].rule == "Thm 4.6 spectral"
+        assert result.reasons[-1].detail.endswith("(1 canonical pairs, 0 union graphs searched)")
+
+def test_classify_past_the_fast_paths_depends_on_m_only_through_m_bar():
+    """Two rows with the same q and m_bar have the same orbital unions, so
+    past the fast paths classify gives them the same verdict, status and
+    reason trace: every q <= 729, with the scan's exhaustive cap of 8."""
+    rows = {}
+    for q in odd_prime_powers(729):
+        for m in range(1, q):
+            if (q - 1) % m == 0 and fast_paths(q, m) is None:
+                rows.setdefault((q, normalize_params(q, m).m_bar), []).append(m)
+    shared = {key: ms for key, ms in rows.items() if len(ms) > 1}
+    assert shared[(343, 3)] == [3, 6]
+    for (q, _), ms in shared.items():
+        results = [classify(q, m, exhaustive_cap=8) for m in ms]
+        traces = {(r.verdict, r.status, r.reasons) for r in results}
+        assert len(traces) == 1, (q, ms, traces)
 
 
 def test_classify_budget_exhaustion_is_unknown():
@@ -346,57 +363,75 @@ def test_classification_is_frozen():
 
 
 def test_equal_invariants_certificate_is_verified(monkeypatch):
-    """Both callers of the "omega = chi" search, an orbital union and the
-    single-orbital exact search, check their certificate before it leaves:
-    an improper coloring from the colorability test is refused.  The union
+    """Every "omega = chi" search checks its certificate before it leaves,
+    the single orbital's capped search as well as any other union's: an
+    improper coloring from the colorability test is refused.  The union
     case runs on GF(25), where omega = 5 divides q and so the colorability
     test is reached; on a prime field no proper union has omega | q.  On
     GF(81) with m = 8 the feasible set is {3}; with the factorization
-    witness (a hyperplane, omega = chi = 3) skipped, the default mode
-    reaches the single-orbital search."""
+    witness taken out, the default mode reaches the single orbital's
+    search."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
     with pytest.raises(InvalidWitnessError):
         exhaustive_decision(build_field(5, 2), 2, spectral_prune=False)
-    with pytest.raises(InvalidWitnessError):
-        exhaustive_decision(build_field(3, 4), 8, witness=False)
+    with without_witness(), pytest.raises(InvalidWitnessError):
+        exhaustive_decision(build_field(3, 4), 8)
 
 
 def test_single_orbital_step_on_81_8_with_and_without_its_witness():
     """(81, 8): the single orbital has a hyperplane witness, omega = chi = 3,
-    that spends no node.  Skipped (witness=False, as classify does once its
-    own witness search found none), the step searches: its 3-colorability
-    test runs out at 1 node and finds omega = chi = 3 by 50."""
+    and the walk's witness search over every union finds GF(9) + B with
+    S = [0, 2, 4, 6]; neither spends a node.  With the witness taken out
+    the single orbital is searched like any other union: its
+    3-colorability test runs out at 1 node and finds omega = chi = 3 by
+    50."""
     field = build_field(3, 4)
     meter = _Budget(0)
-    kind, cert, rule, detail = _single_orbital_status(field, 8, meter)
-    assert (kind, cert.omega, cert.chi, rule, meter.spent) == ("eq", 3, 3, RULE_EXHAUSTIVE, 0)
-    assert detail == "omega=chi=3 by a subspace factorization witness GF(3) + B"
-    assert _single_orbital_status(field, 8, _Budget(1), witness=False) == (
-        "timeout", None, "budget", "3-colorability undecided within budget")
-    kind, cert, rule, detail = _single_orbital_status(field, 8, _Budget(50), witness=False)
-    assert (kind, cert.omega, cert.chi, rule) == ("eq", 3, 3, RULE_EXHAUSTIVE)
-    assert detail == "omega=chi=3 found by exact search"
-    result = exhaustive_decision(field, 8, budget=1, witness=False)
-    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
-    result = exhaustive_decision(field, 8, budget=50, witness=False)
+    subset, cert = factorization_certificate(field, 8, meter, single=True)
+    assert (subset, cert.omega, cert.chi, meter.spent) == ([0], 3, 3, 0)
+    result = exhaustive_decision(field, 8, budget=meter)
+    assert (result.verdict, result.witness["orbital_subset"], result.witness["omega"]) == (
+        NON_SYNCHRONIZING, [0, 2, 4, 6], 9)
+    assert [r.rule for r in result.reasons] == ["subspace factorization"]
+    assert meter.spent == 0
+    with without_witness():
+        result = exhaustive_decision(field, 8, budget=1)
+        assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+        assert result.reasons[0].detail == "Delta-subset [0]: 3-colorability undecided"
+        result = exhaustive_decision(field, 8, budget=50)
     assert (result.verdict, result.witness["orbital_subset"], result.witness["omega"]) == (
         NON_SYNCHRONIZING, [0], 3)
+    assert result.reasons[-1].detail == "Delta-subset [0] has omega=chi=3"
 
 
-def test_single_orbital_search_reports_each_way_omega_and_chi_differ(monkeypatch):
-    """The step's two "neq" texts, on (81, 8) with its witness skipped: a
+def test_single_orbital_search_moves_on_when_omega_and_chi_differ(monkeypatch):
+    """On (81, 8) with its witness taken out, each way the single orbital's
+    omega and chi can differ sends the walk past [0] to the next pair: a
     feasible set of {9} that the clique number 3 misses, and a colorability
     test that answers unsat."""
     module = sys.modules["paleysync.classify"]
     field = build_field(3, 4)
-    monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {9})
-    assert _single_orbital_status(field, 8, _Budget(10**4), witness=False) == (
-        "neq", None, RULE_EXHAUSTIVE, "omega=3 is not in the feasible common-value set [9]")
-    monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {3})
-    monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("unsat", None, 0))
-    assert _single_orbital_status(field, 8, _Budget(10**4), witness=False) == (
-        "neq", None, RULE_EXHAUSTIVE, "omega=3 but the graph is not 3-colorable")
+    built = []
+    union_graph = module.union_graph
+
+    def traced_union(family, subset):
+        built.append(tuple(subset))
+        return union_graph(family, subset)
+
+    monkeypatch.setattr(module, "union_graph", traced_union)
+    with without_witness():
+        monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {9})
+        result = exhaustive_decision(field, 8, budget=10**4)
+        assert built[:2] == [(0,), (0, 1)]
+        assert result.witness["orbital_subset"] != [0]
+        built.clear()
+        monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {3})
+        monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("unsat", None, 0))
+        result = exhaustive_decision(field, 8, budget=10**4)
+    assert built[:2] == [(0,), (0, 1)]
+    assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
+    assert result.reasons[-1].detail.endswith("(19 canonical pairs, 19 union graphs searched)")
 
 
 def test_omega_equals_chi_agrees_on_a_union_and_its_complement():

@@ -10,7 +10,7 @@ import paleysync.cli as cli
 from paleysync import InvariantCertificate, build_field, exhaustive_decision
 from paleysync.errors import OracleMismatchError
 from paleysync.cli import run
-from conftest import assert_no_child, open_fds
+from conftest import assert_no_child, open_fds, without_witness
 
 
 def _run(capsys, *argv):
@@ -228,7 +228,8 @@ def _scan_81_8_by_search(monkeypatch, omega=None):
     def by_search(q, m, **kwargs):
         if (q, m) != (81, 8):
             return classify(q, m, **kwargs)
-        result = exhaustive_decision(build_field(3, 4), 8, budget=50, witness=False)
+        with without_witness():
+            result = exhaustive_decision(build_field(3, 4), 8, budget=50)
         if omega is not None:
             result = dataclasses.replace(
                 result, certificate=dataclasses.replace(result.certificate, omega=omega)

@@ -30,7 +30,8 @@ from paleysync.classify import _omega_equals_chi
 from paleysync.gf import divisors, odd_prime_powers, prime_power
 from paleysync.invariants import _Budget, factorization_certificate
 from paleysync.paley import iter_bits
-from conftest import field_for
+from paleysync.spectral import feasible_clique_sizes
+from conftest import field_for, valid_graph_ms
 
 
 def _witness(q, m, single=False):
@@ -144,6 +145,29 @@ def test_classify_decides_the_wide_rows_by_a_witness(q, ms, subset):
         cert = result.certificate
         assert cert.omega == cert.chi == (9 if q == 729 else p)
         verify_certificate(union_graph(orbital_family(field_for(q), m), subset), cert)
+
+
+def test_every_feasible_residue_graph_has_a_single_orbital_witness():
+    """Where the spectral filter leaves a residue graph its one feasible
+    value k, a factorization witness with S = [0] has omega = chi = k: 62 of
+    the 126 residue graphs with n >= 2 and q <= 729.  On a prime field the
+    feasible set is always empty.  So with q <= 729 the walk never searches
+    the single orbital: the witness settles it first, or the filter clears
+    it.  This is checked, not proved."""
+    graphs = feasible = 0
+    for q in odd_prime_powers(729):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            sizes = feasible_clique_sizes(field, m)
+            if field.n == 1:
+                assert not sizes, (q, m)
+                continue
+            graphs += 1
+            if sizes:
+                feasible += 1
+                subset, cert = factorization_certificate(field, m, _Budget.of(None), single=True)
+                assert (subset, {cert.omega}) == ([0], sizes), (q, m)
+    assert (graphs, feasible) == (126, 62)
 
 
 def test_a_spent_meter_ends_the_functional_search():

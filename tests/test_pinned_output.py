@@ -47,16 +47,35 @@ added for the Redei rule and the factorization witness, in classify and in
 the walk's single-orbital step.  1 of 37 paley-certificate records differs:
 (125, 31) is now certified by a hyperplane, in its clique, independent set
 and coloring alone, with no omega, alpha, chi or status changed.  gf81-8
-kept its digest by taking the walk with witness=False, so that it still
+kept its digest by taking the walk without the witness, so that it still
 pins the single-orbital search: a colorability timeout at b = 1 and an
 exact-search witness after it.  With the witness, (81, 8) is certified by a
 hyperplane at every budget; the no-search group holds it at b = 1.
 
+The classify-large, gf81-8, default and no-search digests were re-recorded
+when the orbital walk became the one place where omega = chi is decided:
+the walk opens with the factorization witness over every union, the single
+orbital is searched like any other union once the spectral filter leaves
+it a feasible value, and classify lost its own step for m in {2, 3}.  13
+of 41 records differ, and no verdict or status changed:
+- classify-large, 1 of 3: (343, 3) is cleared by the spectral filter as the
+  walk's one pair, so its first rule reads "Thm 4.6 spectral" for
+  "Thm 5.2(2)" and the walk's closing reason follows it;
+- gf81-8, 1 of 3: the b = 1 timeout reads as any union's, "Delta-subset
+  [0]: 3-colorability undecided"; the group takes the witness out to reach
+  that search;
+- default, 10 of 31: each NonSynchronizing record is now led by the
+  witness reason, on the same subset; 4 of them, (25, m) for m in
+  {4, 8, 12, 24}, carry the witness's clique (and for m in {4, 8} its
+  independent set and coloring) in place of the search's;
+- no-search, 1 of 4: the walk on (81, 8) finds GF(9) + B on the subset
+  [0, 2, 4, 6], omega = chi = 9, before the single orbital's hyperplane
+  witness on [0].
+
 The corpus reaches every reason kind the classifier emits: each fast-path
-rule, the Redei rule, the factorization witness, the single-graph
-criterion, the spectral filter, both exhaustive texts, the single-orbital
-and union timeouts, the subfield product certificate and an exact-search
-witness.
+rule, the Redei rule, the factorization witness, the spectral filter, both
+exhaustive texts, the clique-bound and colorability timeouts and an
+exact-search witness.
 
 A deliberate change of output re-records the digests: print
 `{name: _digest(items) for name, items in _corpus().items()}`.
@@ -76,17 +95,17 @@ from paleysync import (
 )
 from paleysync.cli import _round_floats, run
 from paleysync.gf import odd_prime_powers
-from conftest import field_for, valid_graph_ms
+from conftest import field_for, valid_graph_ms, without_witness
 
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
-    "classify-large": "c84e4fcc3093bfcae3ff19a98751580cb6beaa758c612780281ad4d1f3fde153",
+    "classify-large": "225c8a48c4e7c412aaac791987b3b09b0cf40ed88b7a1e1120220d5360a0c2d0",
     "search-only": "cc9c27e3ea61f16d3cefa4e132c3d74109c815b5d3e8fa3e0fe252e063d3cf00",
-    "gf81-8": "89b7ad14788c9fb7ff12421f08b87cf5bca4d595188b38ad214892bb50549243",
-    "default": "991403b03a3c09c9fd55e2b7dc00b6eedbd4fcc1f3bd6986439f00b4428840ff",
+    "gf81-8": "d8d5eb523dee02e2985a859aa6e0a6e24ad66c43f5c6f1ad2041db175022a836",
+    "default": "bbc642fa7a9174148ebfdf7824046175966aecd7fc33accfba451ae00cca36ae",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
     "paley-certificate": "3a2bcef3d4d6f6ae1d93abdf8cb8dc30a19b8a969324c6fc261c6135347ebda9",
-    "no-search": "aa7c1f32db473febc42de847e6513ae8d96ef01f63edc3bcd5ffd3be11f53ae0",
+    "no-search": "9ba7c44c3dafe5c21e9981612a08fbaf75bba4fa0767756776aa2cd13134bb1e",
 }
 
 
@@ -104,14 +123,15 @@ def _divisors(q):
 def _corpus() -> dict:
     small = odd_prime_powers(49)
     groups = {
-        # fast paths, the single-graph criterion and budget-starved unions
+        # fast paths, with and without a budget
         "classify": [
             _blob(classify(q, m, budget=b))
             for q in small
             for m in _divisors(q)
             for b in (None, 1, 30)
         ],
-        # Thm 5.2(2), (5) and (3); the last returns before any field is built
+        # the walk's one pair cleared by the spectral filter (the single-graph
+        # criterion), Thm 5.2(5) and (3); the last returns before any field is built
         "classify-large": [_blob(classify(q, m)) for q, m in ((343, 3), (125, 2), (16807, 3))],
         # search-only unions: clique-bound and colorability timeouts, witnesses
         "search-only": [
@@ -121,12 +141,7 @@ def _corpus() -> dict:
             if 2 <= normalize_params(q, m).m_bar <= 8
             for b in (1, 5)
         ],
-        # the single-orbital search: a timeout at budget 1, an exact witness after
-        "gf81-8": [
-            _blob(exhaustive_decision(build_field(3, 4), 8, budget=b, witness=False))
-            for b in (1, 5, 50)
-        ],
-        # the spectral filter and the subfield product certificate
+        # the spectral filter and factorization witnesses
         "default": [
             _blob(exhaustive_decision(field_for(q), m))
             for q in odd_prime_powers(25)
@@ -134,7 +149,7 @@ def _corpus() -> dict:
             if normalize_params(q, m).m_bar >= 2
         ],
         # the Redei rule and factorization witnesses on S = [0] and on 5 classes,
-        # and a hyperplane witness in the walk's single-orbital step
+        # in classify and in the walk
         "no-search": [_blob(classify(q, m)) for q, m in ((121, 5), (343, 19), (1331, 35))]
         + [_blob(exhaustive_decision(build_field(3, 4), 8, budget=1))],
         # exact certificates and theta-capped timeout bounds past q = 81
@@ -145,6 +160,11 @@ def _corpus() -> dict:
             for m in valid_graph_ms(q)
         ],
     }
+    # the single orbital's search: a timeout at budget 1, an exact witness after
+    with without_witness():
+        groups["gf81-8"] = [
+            _blob(exhaustive_decision(build_field(3, 4), 8, budget=b)) for b in (1, 5, 50)
+        ]
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         code = run(["scan", "--q-max", "81"])
