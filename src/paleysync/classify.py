@@ -6,11 +6,13 @@ arithmetic fast paths (rule labels below), then the orbital walk,
 `exhaustive_decision`, the one place where omega = chi is decided.  By
 Lemma 2.3 a row is NonSynchronizing iff some proper union of undirected
 orbitals has omega = chi.  The walk first looks for a factorization witness
-on any union, then takes one union per canonical pair, each by one search,
-`_omega_equals_chi`.  The residue graph (mask 1) is a pair like any other,
-only first put through the spectral filter of Thm 4.6, whose one feasible
-value caps its clique search; for m_bar <= 3 it is the walk's one pair, and
-the walk is then Thm 5.2(2)'s single-graph criterion.  One builder,
+on any union, then takes one union per canonical pair, under rotation,
+Frobenius and complement, each cleared by the theta LP below or else by one
+search, `_omega_equals_chi`.  The residue graph (mask 1) is put through the
+spectral filter of Thm 4.6 instead, whose one feasible value caps its
+clique search; for m_bar <= 3 it is the walk's one pair, and the walk is
+then Thm 5.2(2)'s single-graph criterion.  A row past the cap gets the walk
+with no search, up to m_bar = LP_WALK_CAP.  One builder,
 `_non_synchronizing`, turns a certificate into a verdict.  Every verdict
 carries an ordered reason trace naming the rule that fired.
 
@@ -29,6 +31,28 @@ one coset x + B differ by a unit of B, so the cosets color G_S properly with
 |A| colors: omega = chi = |A|, and the row is NonSynchronizing with no
 search.  A is taken to be a subfield GF(p^t), so S is the classes its units
 hit.
+
+Theta LP (the prune, rule "Delsarte LP"): for G = G_S, omega(G) <= theta of
+the complement <= chi(G) (Lovasz 1979), so omega = chi = k forces both
+theta = k and, by the lemma, k = p^t; a union whose theta is provably no
+power of p is cleared.  theta of the complement of G_S is Delsarte's LP
+(Delsarte 1973; Schrijver 1979): the largest sum of f over GF(q) for f with
+f(0) = 1, f zero off 0 and the classes of S, and every character sum of f
+nonnegative.  Class-constant weights are exact: multiplying by an m_bar-th
+power fixes every class, so averaging f over those multipliers keeps it
+feasible with the same sum.  With f = x_i on class i, of `size` elements,
+the sum is 1 + size * sum(x) and the character of gamma^j gives the row
+1 + sum_i x_i * eta_(i+j mod m_bar) >= 0.  On a vertex-transitive graph
+theta(G) * theta(complement) = q (Lovasz 1979), and the complement of G_T
+is G_S, so weights for S and for T, which give theta's lower bounds L_S
+and L_T, put theta of the complement of G_S in [L_S, q/L_T]; one LP gives
+both, the weights for T from its dual (`spectral.theta_bounds`).  A pair
+{S, T} is cleared when that bracket, widened by THETA_MARGIN = 2^-40
+relative, holds no power of p.  Each set of weights is checked in floats
+with an explicit slop (`theta_bounds`); the margin lies far above the
+rounding of the final products and quotients.  Frobenius
+x -> x^p maps the class gamma^i * H onto gamma^(p*i) * H and G_S onto G_pS,
+so a pair decides the family under i -> p^a * i + s as well.
 
 Redei n=2 (a fast path): a row with n = 2 that reaches it has
 gcd(m, p+1) = 1 and is Synchronizing.  Redei's theorem (Redei 1965, as
@@ -68,7 +92,14 @@ from .paley import (
     orbital_family,
     union_graph,
 )
-from .spectral import SpectralReport, feasible_clique_sizes, theta_pair
+from .spectral import (
+    THETA_MARGIN,
+    SpectralReport,
+    feasible_clique_sizes,
+    gauss_periods,
+    theta_bounds,
+    theta_pair,
+)
 
 SYNCHRONIZING = "Synchronizing"
 NON_SYNCHRONIZING = "NonSynchronizing"
@@ -86,8 +117,13 @@ RULE_REDEI = "Redei n=2"
 RULE_FACTORIZATION = "subspace factorization"
 RULE_EXHAUSTIVE = "Lemma 2.3 exhaustive"
 RULE_SPECTRAL = "Thm 4.6 spectral"
+RULE_DELSARTE = "Delsarte LP"
 RULE_BUDGET = "budget"
 RULE_SKIPPED = "skipped"
+
+# widest m_bar whose orbital walk a row past the exhaustive cap gets: the
+# walk runs over 2^(m_bar-2) odd masks, so a wider one is skipped at once
+LP_WALK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -240,96 +276,113 @@ def _factorization_decision(
     field: FieldTables, params: PaleyParams, meter: _Budget
 ) -> Classification | None:
     """The NonSynchronizing verdict of a factorization witness on some proper
-    union, found with no clique or coloring search; None when there is none."""
+    union, found with no clique or coloring search; an Unknown when that
+    search spent the budget, None when there is no witness."""
     found = factorization_certificate(field, params.m, meter)
     if found is None:
-        return None
+        if meter.spent <= meter.limit:
+            return None
+        spent = Reason(RULE_BUDGET, "budget spent in the factorization witness search")
+        return Classification(params.q, params.p, params.n, params.m, UNKNOWN, (spent,), None,
+                              "budget_exhausted")
     subset, cert = found
     detail = (f"Delta-subset {subset}: GF({cert.omega}) + B = GF({params.q}) with B an F_p-subspace"
               f" whose units avoid the subset, so omega=chi={cert.omega}")
     return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
 
 
-def _canonical_pair_masks(width: int) -> Iterator[int]:
-    """One representative per {rotation class, complement} family of proper
-    nonempty orbital subsets: the least member, i.e. a mask no larger than
-    any rotation of itself or of its complement.  Rotating indices
-    multiplies every difference coset by gamma, which is a graph
-    isomorphism, so one member decides its whole rotation class.  An even
-    mask is never least: shifted right by one bit it is a smaller rotation
-    of itself, so only odd masks are tried.  The masks come lazily, in
-    increasing order: there are 2^(width-1) odd masks to walk."""
+def _canonical_pair_masks(width: int, mult: int = 1) -> Iterator[int]:
+    """One representative per family of proper nonempty orbital subsets under
+    the maps i -> u*i + s, u a power of mult, each with and without
+    complement: the least member.  Rotating indices multiplies every
+    difference coset by gamma and x -> x^p maps G_S onto G_pS, both graph
+    isomorphisms, so one member decides its whole family.  The least member
+    is odd with its top bit clear (else a rotation is smaller), so the walk
+    keeps the odd masks below 2^(width-1) that are no larger than any
+    rotation of themselves, of any image u*S or of their complements.  mult
+    must be a unit mod width, as p is mod m_bar.  The masks come lazily, in
+    increasing order."""
     full = (1 << width) - 1
-    return (
-        mask
-        for mask in range(1, full, 2)
-        if all(
-            mask <= (x << s | x >> (width - s)) & full
-            for x in (mask, full ^ mask)
-            for s in range(width)
-        )
-    )
+    units = {pow(mult, a, width) for a in range(width)} - {1}
+    frobenius = [[1 << u * i % width for i in range(width)] for u in units]
+
+    def no_rotation_below(mask: int, y: int) -> bool:
+        return all(mask <= (x << s | x >> (width - s)) & full for x in (y, full ^ y) for s in range(width))
+
+    for mask in range(1, 1 << width - 1, 2):
+        if no_rotation_below(mask, mask) and all(
+            no_rotation_below(mask, sum(image[i] for i in iter_bits(mask))) for image in frobenius
+        ):
+            yield mask
 
 
-def _canonical_pair_count(width: int) -> int:
-    """How many masks _canonical_pair_masks(width) yields, without the walk.
-
-    Burnside's lemma over the 2*width rotations, each with and without
-    complement, acting on all 2^width subsets: rotation by s fixes the
-    2^g subsets that are unions of its g = gcd(s, width) cycles, and
-    rotation by s then complement fixes 2^g of them when each cycle has
-    even length width/g (membership alternates around it), else none.
-    The orbit {empty set, full set} is the one not counted."""
+def _canonical_pair_count(width: int, mult: int = 1) -> int:
+    """How many masks _canonical_pair_masks(width, mult) yields, without the
+    walk.  Burnside's lemma over the maps i -> u*i + s, each with and
+    without complement, acting on all 2^width subsets: a map fixes the 2^c
+    subsets that are unions of its c cycles, and the map then complement
+    fixes 2^c of them when every cycle has even length (membership
+    alternates around it), else none.  The orbit {empty set, full set} is
+    the one not counted."""
+    units = {pow(mult, a, width) for a in range(width)}
     fixed = 0
-    for s in range(width):
-        g = gcd(s, width)
-        fixed += 2**g * (2 if (width // g) % 2 == 0 else 1)
-    return fixed // (2 * width) - 1
+    for u in units:
+        for s in range(width):
+            seen, lengths = bytearray(width), []
+            for i in range(width):
+                j, length = i, 0
+                while not seen[j]:
+                    seen[j] = 1
+                    j, length = (u * j + s) % width, length + 1
+                if length:
+                    lengths.append(length)
+            fixed += 2 ** len(lengths) * (1 + all(c % 2 == 0 for c in lengths))
+    return fixed // (2 * width * len(units)) - 1
 
 
-def exhaustive_decision(
-    field: FieldTables,
-    m: int,
-    budget: int | _Budget | None = None,
-    spectral_prune: bool = True,
+def _lp_clears(periods: tuple[float, ...], params: PaleyParams, mask: int, meter: _Budget) -> bool:
+    """One node: True when the theta LP clears the pair of `mask` and its
+    complement (the module's prune).  One LP on the classes S of the mask
+    gives checked lower bounds L_S and L_T for it and its complement T;
+    theta of the complement of G_S lies in [L_S, q/L_T], and the pair is
+    cleared when that bracket, widened by THETA_MARGIN, holds no power of p
+    (k = p^t lies in it iff q/k does in T's)."""
+    if not meter.step():
+        return False
+    low, rest = theta_bounds(periods, list(iter_bits(mask)), (params.q - 1) // params.m_bar)
+    low, high = low * (1 - THETA_MARGIN), params.q / rest * (1 + THETA_MARGIN)
+    return not any(low <= params.p**t <= high for t in range(params.n + 1))
+
+
+def _orbital_walk(
+    field: FieldTables, params: PaleyParams, meter: _Budget, prune: bool, cap: int | None = None
 ) -> Classification:
-    """Exact decision of omega = chi on every proper nonempty union of
-    undirected orbitals: a factorization witness on any union first, then
-    one search per rotation/complement family on its canonical mask, as a
-    union and its complement agree (the module's lemma).  The single
-    orbital, mask 1, is cleared with no search when its feasible set
-    (`feasible_clique_sizes`, Thm 4.6) is empty, else its one value k caps
-    the clique search.
+    """The pair walk of `exhaustive_decision`; with a cap, the walk of a row
+    past it, which clears pairs with no search or leaves the row
+    skipped_exhaustive, and does not start past LP_WALK_CAP."""
+    q, p, n, m, mb = params.q, params.p, params.n, params.m, params.m_bar
+    mult = p if prune else 1
 
-    spectral_prune=False skips the witness and the filter, and searches
-    every pair (slower, independent confirmation).
+    def skipped(why: str) -> Classification:
+        detail = f"m_bar={mb} exceeds the exhaustive cap {cap}{why}"
+        return Classification(q, p, n, m, UNKNOWN, (Reason(RULE_SKIPPED, detail),), None,
+                              "skipped_exhaustive")
 
-    The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
-    required.  A spent node meter ends the check with an honest Unknown."""
-    q, p, n = field.q, field.p, field.n
-    params = normalize_params(q, m)
-    mb = params.m_bar
-    if mb < 2:
-        raise BadInputError(f"m_bar={mb} < 2: no proper orbital unions to check")
-    meter = _Budget.of(budget)
-    if spectral_prune:
-        witnessed = _factorization_decision(field, params, meter)
-        if witnessed is not None:
-            return witnessed
-    family = orbital_family(field, m)
-    n_pairs = _canonical_pair_count(mb)
-
+    if cap is not None and mb > LP_WALK_CAP:
+        return skipped(f" and the LP walk cap {LP_WALK_CAP}")
+    n_pairs = _canonical_pair_count(mb, mult)
+    periods = gauss_periods(field, mb) if prune else ()
+    family = None
     reasons: list[Reason] = []
-    unreached = n_pairs
-    searched = 0
+    unreached, cleared, searched = n_pairs, 0, 0
 
-    for mask in _canonical_pair_masks(mb):
+    for mask in _canonical_pair_masks(mb, mult):
         if meter.spent > meter.limit:  # every later search would time out at once
             break
         unreached -= 1
         subset = sorted(iter_bits(mask))
         k = None
-        if spectral_prune and mask == 1:
+        if prune and mask == 1:
             feasible = feasible_clique_sizes(field, mb)
             if not feasible:
                 reasons.append(Reason(
@@ -339,7 +392,16 @@ def exhaustive_decision(
                 ))
                 continue
             (k,) = feasible
+        elif prune and _lp_clears(periods, params, mask, meter):
+            cleared += 1
+            continue
+        if meter.spent > meter.limit:  # no node was left for the LP test
+            unreached += 1
+            break
+        if cap is not None:
+            return skipped(f", and Delta-subset {subset} is not cleared without search")
         searched += 1
+        family = family or orbital_family(field, m)
         kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter, k)
         if kind == "timeout":
             detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
@@ -353,14 +415,57 @@ def exhaustive_decision(
         detail = f"{unreached} of {n_pairs} canonical pairs not reached"
         reasons.append(Reason(RULE_BUDGET, f"exhaustive check incomplete: budget spent, {detail}"))
         return Classification(q, p, n, m, UNKNOWN, tuple(reasons), None, "budget_exhausted")
+    by_lp = ""
+    if prune:
+        by_lp = (f", {cleared} pairs cleared by the theta LP and"
+                 f" {n_pairs - cleared - searched} by the spectral filter")
+    if cleared:
+        reasons.append(Reason(
+            RULE_DELSARTE,
+            f"{cleared} canonical pairs cleared with no search: checked LP weights for S and"
+            f" for its complement T put theta of the complement of G_S strictly between"
+            f" consecutive powers of {p}",
+        ))
     reasons.append(
         Reason(
             RULE_EXHAUSTIVE,
-            f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
+            f"all {2**mb - 2} proper nonempty orbital unions have omega != chi{by_lp}"
             f" ({n_pairs} canonical pairs, {searched} union graphs searched)",
         )
     )
     return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")
+
+
+def exhaustive_decision(
+    field: FieldTables,
+    m: int,
+    budget: int | _Budget | None = None,
+    spectral_prune: bool = True,
+) -> Classification:
+    """Exact decision of omega = chi on every proper nonempty union of
+    undirected orbitals: a factorization witness on any union first, then
+    one step per family of unions under rotation, Frobenius and complement
+    on its canonical mask, as a union and its complement agree (the
+    module's lemma).  The single orbital, mask 1, is cleared with no search
+    when its feasible set (`feasible_clique_sizes`, Thm 4.6) is empty, else
+    its one value k caps the clique search; any other pair is cleared by
+    the theta LP (one node) or searched.
+
+    spectral_prune=False skips the witness, the filter, the LP and the
+    Frobenius reduction, and searches every pair of the rotation walk
+    (slower, independent confirmation).
+
+    The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
+    required.  A spent node meter ends the check with an honest Unknown."""
+    params = normalize_params(field.q, m)
+    if params.m_bar < 2:
+        raise BadInputError(f"m_bar={params.m_bar} < 2: no proper orbital unions to check")
+    meter = _Budget.of(budget)
+    if spectral_prune:
+        witnessed = _factorization_decision(field, params, meter)
+        if witnessed is not None:
+            return witnessed
+    return _orbital_walk(field, params, meter, spectral_prune)
 
 
 def classify(
@@ -370,8 +475,9 @@ def classify(
     exhaustive_cap: int | None = None,
 ) -> Classification:
     """Full pipeline: validate, fast paths, then the orbital walk; a row
-    with m_bar past exhaustive_cap gets only the walk's factorization
-    witness, else Unknown."""
+    with m_bar past exhaustive_cap gets the walk's factorization witness,
+    then, up to LP_WALK_CAP, its walk with no search: Unknown unless the
+    filter and the theta LP clear every pair."""
     fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
@@ -381,7 +487,6 @@ def classify(
     field = build_field(p, n)
     if exhaustive_cap is None or mb <= exhaustive_cap:
         return exhaustive_decision(field, m, meter)
-    skipped = Reason(RULE_SKIPPED, f"m_bar={mb} exceeds the exhaustive cap {exhaustive_cap}")
-    return _factorization_decision(field, params, meter) or Classification(
-        q, p, n, m, UNKNOWN, (skipped,), None, "skipped_exhaustive"
+    return _factorization_decision(field, params, meter) or _orbital_walk(
+        field, params, meter, True, exhaustive_cap
     )

@@ -18,6 +18,7 @@ from .paley import Graph, iter_bits, validate_residue_params
 
 EIGEN_CAP = 200
 PRODUCT_TOL = 1e-9
+THETA_MARGIN = 2.0**-40  # relative; far above the float error of one LP check
 
 
 def gauss_periods(field: FieldTables, m: int) -> tuple[float, ...]:
@@ -91,6 +92,80 @@ def theta_pair(field: FieldTables, m: int) -> SpectralReport:
         theta_complement=q / theta,
         tolerance=PRODUCT_TOL,
     )
+
+
+def _delsarte_lp(coefficients: list[tuple[float, ...]], size: int
+                 ) -> tuple[list[float], list[float]]:
+    """Delsarte's LP for theta of the complement of the union G_S of classes,
+    each of `size` elements, where coefficients[j][i] is the period
+    eta[(s_i + j) % w] of the i-th class s_i of S: maximise 1 + size*sum(x)
+    subject to 1 + sum_i x_i*coefficients[j][i] >= 0 for every j, x free.
+    A dense simplex on the dictionary of the slack rows, from x = 0;
+    Bland's rule picks the least variable whose move raises the objective
+    (a free x moves either way) and, among the tightest rows, the least one
+    leaving; a free x, once basic, never leaves.  A step no row bounds, or
+    the pivot cap, stops it at a feasible x all the same.  Returns x and
+    the dual y >= 0, one multiplier per row: the objective's coefficients
+    of the nonbasic slacks, negated."""
+    w, k = len(coefficients), len(coefficients[0])
+    rows = [[1.0, *row] for row in coefficients] + [[1.0] + [float(size)] * k]  # the objective last
+    basic, nonbasic = list(range(k, k + w)), list(range(k))  # x_i is i, row j's slack k + j
+    for _ in range(8 * (w + k)):
+        cost = rows[w]
+        moves = [(v, c) for c, v in enumerate(nonbasic, 1) if cost[c] > 1e-12 or v < k and cost[c] < -1e-12]
+        if not moves:
+            break
+        col = min(moves)[1]
+        sign = 1.0 if cost[col] > 0 else -1.0
+        ratios = [(max(rows[r][0], 0.0) / -a, basic[r], r) for r in range(w)
+                  if basic[r] >= k and (a := rows[r][col] * sign) < -1e-12]
+        if not ratios:
+            break
+        out = min(ratios)[2]
+        inv = 1.0 / rows[out][col]
+        pivot = [-v * inv for v in rows[out]]
+        pivot[col] = inv
+        for r, row in enumerate(rows):
+            if f := row[col]:
+                row[col] = 0.0
+                rows[r] = [a + f * b for a, b in zip(row, pivot)]
+        rows[out] = pivot
+        basic[out], nonbasic[col - 1] = nonbasic[col - 1], basic[out]
+    value, reduced = dict(zip(basic, (row[0] for row in rows))), dict(zip(nonbasic, rows[w][1:]))
+    return [value.get(i, 0.0) for i in range(k)], [max(-reduced.get(k + j, 0.0), 0.0) for j in range(w)]
+
+
+def theta_bounds(periods: tuple[float, ...], subset: list[int], size: int) -> tuple[float, float]:
+    """Lower bounds L_S and L_T on theta of the complements of G_S and of
+    G_T, each union of classes of `size` elements, T the classes not in
+    `subset`, from one LP.  Delsarte's LP for S gives x_S, and its dual y
+    the weights for T: g = 1 at 0 and y_j/size on class j is nonnegative,
+    and its character sums vanish on the classes of S (the dual's
+    equalities), so the function of its character sums, divided by its
+    value D = 1 + sum(y) at 0, is feasible for T: x_T[i] = (1 + sum_j
+    y_j*eta[(i+j) % w] / size) / D.  theta of the two complements multiply
+    to q (Lovasz), so theta of the complement of G_S lies in [L_S, q/L_T],
+    which is tight at the optimum.  With S = {0}, L_S is theta_pair's
+    theta_complement.
+
+    Each side's weights x are checked here, whatever the solver did: the
+    least slack s of its rows is recomputed from the periods, and x/t is
+    feasible for t = max(1, 1 - s + slop), where slop = THETA_MARGIN*(1 +
+    sum|x|*(size + max|eta|)) exceeds the float error of s (a period is a
+    sum of `size` cosines, each off by under 1e-14).  A bound is never
+    below 1, that of x = 0, so q over it stays finite."""
+    w, twice = len(periods), periods * 2
+    rest = [i for i in range(w) if i not in subset]
+    x, y = _delsarte_lp(list(zip(*(twice[i:i + w] for i in subset))), size)
+    scale = 1 + math.fsum(y)
+    x_rest = [(1 + math.fsum(map(float.__mul__, y, twice[i:i + w])) / size) / scale for i in rest]
+    bounds = []
+    for side, weights in ((subset, x), (rest, x_rest)):
+        rows = zip(*(twice[i:i + w] for i in side))  # row j: eta[(i + j) % w], i on this side
+        slack = 1 + min(math.fsum(map(float.__mul__, weights, row)) for row in rows)
+        slop = THETA_MARGIN * (1 + sum(map(abs, weights)) * (size + max(map(abs, periods))))
+        bounds.append(max(1.0, 1 + size * math.fsum(weights) / max(1.0, 1 - slack + slop)))
+    return bounds[0], bounds[1]
 
 
 def eigen_oracle(g: Graph) -> list[float]:

@@ -35,6 +35,21 @@ def without_witness():
         yield
 
 
+@contextmanager
+def without_lp():
+    """Take the theta LP and the Frobenius reduction out of the orbital walk,
+    which then walks the rotation classes and searches every pair that the
+    spectral filter leaves, as it did before the LP; a row past the cap is
+    left skipped at its first such pair.  The LP costs no node here."""
+    module = sys.modules["paleysync.classify"]
+    masks, count = module._canonical_pair_masks, module._canonical_pair_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_lp_clears", lambda *args: False)
+        patch.setattr(module, "_canonical_pair_masks", lambda width, mult=1: masks(width))
+        patch.setattr(module, "_canonical_pair_count", lambda width, mult=1: count(width))
+        yield
+
+
 def assert_no_child():
     """No child of this process is left, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -21,7 +21,7 @@ from paleysync import (
     exhaustive_decision,
     paley_certificate,
 )
-from conftest import without_witness
+from conftest import without_lp, without_witness
 
 MODULES = ("paleysync.classify", "paleysync.invariants")
 
@@ -62,14 +62,22 @@ def _exhaustive_81_8_by_search(budget):
         return exhaustive_decision(build_field(3, 4), 8, budget=budget)
 
 
+def _by_search(call):
+    # the theta LP would clear every pair past the single orbital with no search
+    def searched(budget):
+        with without_lp():
+            return call(budget)
+    return searched
+
+
 CALLS = {
     "certificate-73-3": lambda b: paley_certificate(build_field(73), 3, budget=b),
     "certificate-79-3": lambda b: paley_certificate(build_field(79), 3, budget=b),
     "certificate-81-4": lambda b: paley_certificate(build_field(3, 4), 4, budget=b),
     "chromatic-73-3": lambda b: chromatic_number(build_paley(build_field(73), 3), budget=b),
     # (121, 5) is decided by the Redei fast path: its walk is called directly
-    "classify-121-5": lambda b: exhaustive_decision(build_field(11, 2), 5, budget=b),
-    "classify-343-9": lambda b: classify(343, 9, budget=b),
+    "classify-121-5": _by_search(lambda b: exhaustive_decision(build_field(11, 2), 5, budget=b)),
+    "classify-343-9": _by_search(lambda b: classify(343, 9, budget=b)),
     "exhaustive-81-8": _exhaustive_81_8_by_search,
 }
 
@@ -83,7 +91,8 @@ def test_one_public_call_spends_at_most_its_budget(searches, call, budget):
 
 
 def test_no_union_graph_is_built_on_a_spent_budget(searches):
-    result = classify(343, 9, budget=10_000)
+    with without_lp():
+        result = classify(343, 9, budget=10_000)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
     timed_out = [i for i, (_, timeout) in enumerate(searches["searches"]) if timeout]
     # the first timeout spends the budget, and no search or union follows it
@@ -98,8 +107,23 @@ def test_no_union_graph_is_built_on_a_spent_budget(searches):
 def test_a_spent_budget_ends_a_wide_orbital_walk_at_once():
     # (1331, 70): m_bar = 35, so the walk would cover 2^34 odd masks; a lazy
     # walk stops at the first pair past the budget.  The factorization
-    # witness, which decides the row with no search, is taken out.
-    with without_witness():
+    # witness, which decides the row with no search, and the theta LP, with
+    # its Frobenius reduction, are taken out.
+    with without_witness(), without_lp():
         result = exhaustive_decision(build_field(11, 3), 70, budget=1)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
     assert result.reasons[-1].detail.endswith("490853413 of 490853415 canonical pairs not reached")
+
+
+def test_a_spent_budget_ends_the_frobenius_reduced_walk_before_a_graph(searches):
+    # (1331, 70) with the theta LP: 163,619,991 pairs under rotation,
+    # Frobenius (11*i mod 35) and complement.  At budget 1 the filter clears
+    # the single orbital, the LP test of [0, 1] takes the one node and clears
+    # it, and the LP test of [0, 2] finds the meter spent: no union graph is
+    # built and no search runs.
+    with without_witness():
+        result = exhaustive_decision(build_field(11, 3), 70, budget=1)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    assert [r.rule for r in result.reasons] == ["Thm 4.6 spectral", "budget"]
+    assert result.reasons[-1].detail.endswith("163619989 of 163619991 canonical pairs not reached")
+    assert searches["unions"] == searches["searches"] == []

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from paleysync import (
     BadDivisorError,
     BadInputError,
     InvalidWitnessError,
+    Reason,
     build_field,
     build_paley,
     chromatic_number,
@@ -25,10 +27,10 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
+from paleysync.classify import LP_WALK_CAP, _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import _Budget, factorization_certificate
-from conftest import field_for, valid_graph_ms, without_witness
+from conftest import field_for, valid_graph_ms, without_lp, without_witness
 
 
 def test_primitivity_examples():
@@ -141,8 +143,10 @@ def test_classify_past_the_fast_paths_depends_on_m_only_through_m_bar():
 
 
 def test_classify_budget_exhaustion_is_unknown():
-    # (961, 5) is decided by the Redei fast path; its orbital walk is not
-    result = exhaustive_decision(field_for(961), 5, budget=50_000)
+    # (961, 5) is decided by the Redei fast path; its orbital walk is not,
+    # once the theta LP, which clears its pairs with no search, is taken out
+    with without_lp():
+        result = exhaustive_decision(field_for(961), 5, budget=50_000)
     assert result.verdict == UNKNOWN
     assert result.status == "budget_exhausted"
     assert any(r.rule == "budget" for r in result.reasons)
@@ -324,9 +328,11 @@ def test_classification_json_shape():
 
 
 def test_exhaustive_cap_reports_skip():
-    # (343, 9): primitive, m_bar = 9, no fast path and no factorization witness
+    # (343, 9): primitive, m_bar = 9, no fast path and no factorization
+    # witness; the theta LP, which clears its pairs, is taken out
     assert fast_paths(343, 9) is None
-    result = classify(343, 9, exhaustive_cap=8)
+    with without_lp():
+        result = classify(343, 9, exhaustive_cap=8)
     assert result.verdict == UNKNOWN
     assert result.status == "skipped_exhaustive"
 
@@ -406,8 +412,9 @@ def test_single_orbital_step_on_81_8_with_and_without_its_witness():
 
 
 def test_single_orbital_search_moves_on_when_omega_and_chi_differ(monkeypatch):
-    """On (81, 8) with its witness taken out, each way the single orbital's
-    omega and chi can differ sends the walk past [0] to the next pair: a
+    """On (81, 8) with its witness and the theta LP taken out, each way the
+    single orbital's omega and chi can differ sends the walk past [0] to the
+    next pair: a
     feasible set of {9} that the clique number 3 misses, and a colorability
     test that answers unsat."""
     module = sys.modules["paleysync.classify"]
@@ -420,7 +427,7 @@ def test_single_orbital_search_moves_on_when_omega_and_chi_differ(monkeypatch):
         return union_graph(family, subset)
 
     monkeypatch.setattr(module, "union_graph", traced_union)
-    with without_witness():
+    with without_witness(), without_lp():
         monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {9})
         result = exhaustive_decision(field, 8, budget=10**4)
         assert built[:2] == [(0,), (0, 1)]
@@ -467,7 +474,8 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
     """One search per canonical pair: a pair's complement is never built.
     (121, 5) has 3 pairs; the single orbital is settled without a union
     graph in the default mode, so 2 are built there and 3 without the
-    spectral filter."""
+    spectral filter.  The theta LP, which clears the other 2 with no graph,
+    is taken out."""
     built = []
 
     def traced_union(family, subset):
@@ -478,7 +486,8 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
     assert _canonical_pair_count(5) == 3
     for prune, expected in ((True, 2), (False, 3)):
         built.clear()
-        result = exhaustive_decision(field_for(121), 5, spectral_prune=prune)
+        with without_lp():
+            result = exhaustive_decision(field_for(121), 5, spectral_prune=prune)
         assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
         assert len(built) == len(set(built)) == expected
 
@@ -487,7 +496,120 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
 def test_one_search_per_pair_decides_m9_within_budget(q):
     """(343, 9) and (361, 9): 29 canonical pairs, each one search; at 10^5
     nodes every pair finishes, where searching complements as well ran out.
-    The walk is called directly: classify decides (361, 9) by the Redei rule."""
-    result = exhaustive_decision(field_for(q), 9, budget=10**5)
+    The walk is called directly: classify decides (361, 9) by the Redei rule.
+    The theta LP, which clears every pair but the single orbital, is taken
+    out."""
+    with without_lp():
+        result = exhaustive_decision(field_for(q), 9, budget=10**5)
     assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
     assert result.reasons[-1].detail.endswith("(29 canonical pairs, 28 union graphs searched)")
+
+
+def _affine_orbit_minima(width, mult):
+    """The least member of each orbit of the proper nonempty masks under
+    i -> u*i + s (u a power of mult) and complement, from bit strings."""
+    full = (1 << width) - 1
+    units = [pow(mult, a, width) for a in range(width)]
+    seen, reps = set(), []
+    for mask in range(1, full):
+        if mask in seen:
+            continue
+        orbit = set()
+        for x in (mask, full ^ mask):
+            for u in units:
+                word = "".join(str(x >> (u * i % width) & 1) for i in range(width))[::-1]
+                orbit.update(int(word[s:] + word[:s], 2) for s in range(width))
+        seen |= orbit
+        reps.append(min(orbit))
+    return sorted(reps)
+
+
+def test_frobenius_pair_count_matches_the_walk():
+    """For every width 2..16 and every unit u mod width (each is p mod width
+    for some prime p), the Burnside count equals the length of the walk, and
+    up to width 10 the walk is the orbit minima built from bit strings."""
+    for width in range(2, 17):
+        for u in range(1, width):
+            if gcd(u, width) == 1:
+                masks = list(_canonical_pair_masks(width, u))
+                assert _canonical_pair_count(width, u) == len(masks), (width, u)
+                if width <= 10:
+                    assert masks == _affine_orbit_minima(width, u), (width, u)
+    assert [_canonical_pair_count(11, 3), _canonical_pair_count(9, 7)] == [21, 13]
+    assert [_canonical_pair_count(11), _canonical_pair_count(9)] == [93, 29]
+
+
+def test_the_lp_decides_the_rows_past_the_cap_with_no_search():
+    """scan-729's last four rows, past the cap of 8: the filter clears the
+    single orbital, the theta LP every other pair of the Frobenius-reduced
+    walk, and no union graph is built."""
+    for q, m, pairs in ((243, 11, 21), (243, 22, 21), (343, 9, 13), (343, 18, 13)):
+        result = classify(q, m, exhaustive_cap=8)
+        assert (result.verdict, result.status) == (SYNCHRONIZING, "complete"), (q, m)
+        assert [r.rule for r in result.reasons] == ["Thm 4.6 spectral", "Delsarte LP",
+                                                    "Lemma 2.3 exhaustive"]
+        assert result.reasons[-1].detail.endswith(
+            f", {pairs - 1} pairs cleared by the theta LP and 1 by the spectral filter"
+            f" ({pairs} canonical pairs, 0 union graphs searched)")
+
+
+def test_the_walk_past_the_cap_costs_a_node_per_lp_and_stops_at_its_cap():
+    """Past the cap each LP test costs one node and the single orbital none:
+    (343, 9) spends nothing before its walk of 13 pairs, so 12 nodes decide
+    it and at 11 the walk runs out at its last pair.  A row wider than
+    LP_WALK_CAP is skipped before its walk: (2197, 18), and (3125, 142)
+    without its witness."""
+    assert classify(343, 9, budget=12, exhaustive_cap=8).verdict == SYNCHRONIZING
+    result = classify(343, 9, budget=11, exhaustive_cap=8)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    assert result.reasons[-1] == Reason(
+        "budget", "exhaustive check incomplete: budget spent, 1 of 13 canonical pairs not reached")
+    assert LP_WALK_CAP == 16
+    result = classify(2197, 18, exhaustive_cap=8)
+    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
+    assert result.reasons == (Reason(
+        "skipped", "m_bar=18 exceeds the exhaustive cap 8 and the LP walk cap 16"),)
+    with without_witness():
+        result = classify(3125, 142, budget=1, exhaustive_cap=8)
+    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
+    assert result.reasons[0].detail.endswith("and the LP walk cap 16")
+
+
+def test_a_pair_the_lp_leaves_skips_a_row_past_the_cap(monkeypatch):
+    """Past the cap a pair the LP does not clear is not searched: the row is
+    skipped at that pair."""
+    monkeypatch.setattr(sys.modules["paleysync.classify"], "_lp_clears",
+                        lambda periods, params, mask, meter: mask != 3)
+    result = classify(343, 9, exhaustive_cap=8)
+    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
+    assert result.reasons[0].detail == (
+        "m_bar=9 exceeds the exhaustive cap 8, and Delta-subset [0, 1] is not cleared without search")
+
+
+def test_a_witness_search_that_spends_the_budget_says_so():
+    """(6561, 5): the factorization witness search, which finds no B in
+    2,186 nodes, runs out at 100, and the reason names it."""
+    result = classify(6561, 5, budget=100, exhaustive_cap=8)
+    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
+    assert result.reasons == (Reason("budget", "budget spent in the factorization witness search"),)
+
+
+def test_pruned_and_reference_walks_agree_to_q_121():
+    """The Frobenius-reduced walk with its witness, filter and LP against the
+    rotation walk that searches every pair: every (q, m) with q <= 121 and
+    2 <= m_bar <= 8, at 20,000 nodes.  The rows whose reference search does
+    not finish there are listed; the pruned walk decides each of them."""
+    unfinished = []
+    for q in odd_prime_powers(121):
+        field = field_for(q)
+        for m in range(2, q):
+            if (q - 1) % m or not 2 <= normalize_params(q, m).m_bar <= 8:
+                continue
+            pruned = exhaustive_decision(field, m, budget=20_000)
+            reference = exhaustive_decision(field, m, budget=20_000, spectral_prune=False)
+            assert pruned.status == "complete", (q, m)
+            if reference.status != "complete":
+                unfinished.append((q, m))
+            else:
+                assert pruned.verdict == reference.verdict, (q, m)
+    assert unfinished == [(121, 3), (121, 4), (121, 8)]

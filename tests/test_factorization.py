@@ -17,6 +17,7 @@ from paleysync import (
     NON_SYNCHRONIZING,
     SYNCHRONIZING,
     UNKNOWN,
+    Reason,
     build_field,
     classify,
     exhaustive_decision,
@@ -173,7 +174,8 @@ def test_every_feasible_residue_graph_has_a_single_orbital_witness():
 def test_a_spent_meter_ends_the_functional_search():
     """(729, 13) has no hyperplane witness; its B, of codimension 2 beside
     A = GF(9), takes the metered search some nodes.  One node fewer returns
-    None with the meter spent, and classify then leaves the walk nothing."""
+    None with the meter spent, and classify's reason says where the budget
+    went."""
     meter = _Budget.of(None)
     subset, cert = factorization_certificate(build_field(3, 6), 13, meter)
     nodes = meter.spent
@@ -183,7 +185,7 @@ def test_a_spent_meter_ends_the_functional_search():
     assert short.spent == nodes
     result = classify(729, 13, budget=nodes - 1)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
-    assert result.reasons[-1].detail.endswith("315 of 315 canonical pairs not reached")
+    assert result.reasons == (Reason("budget", "budget spent in the factorization witness search"),)
     assert classify(729, 13, budget=nodes).verdict == NON_SYNCHRONIZING
 
 

@@ -72,10 +72,27 @@ of 41 records differ, and no verdict or status changed:
   [0, 2, 4, 6], omega = chi = 9, before the single orbital's hyperplane
   witness on [0].
 
+The classify-large, default and gf81-8 digests were re-recorded when the
+walk came to clear pairs by Delsarte's theta LP and to take one pair per
+family under rotation, Frobenius and complement.  22 of 41 records
+differ, and no verdict or status changed:
+- default, 21 of 31: the closing reason of every Synchronizing walk now
+  counts the pairs cleared by the LP and by the spectral filter; in 10 of
+  them, each with one pair that the filter clears, that count is all that
+  differs; in the other 11, (11, 5), (11, 10), (13, 6), (13, 12),
+  (17, 4), (17, 8), (17, 16), (19, 9), (19, 18), (23, 11) and (23, 22),
+  the LP clears every pair the search took before, so 0 union graphs are
+  searched where 2 to 92 were, and a "Delsarte LP" reason precedes the
+  closing one;
+- classify-large, 1 of 3: (343, 3), the closing reason's count alone;
+- gf81-8, 1 of 3: the b = 1 timeout counts 14 pairs (Frobenius, 3i mod
+  8, joins rotation), where it counted 19: "13 of 14 canonical pairs not
+  reached" for "18 of 19".
+
 The corpus reaches every reason kind the classifier emits: each fast-path
-rule, the Redei rule, the factorization witness, the spectral filter, both
-exhaustive texts, the clique-bound and colorability timeouts and an
-exact-search witness.
+rule, the Redei rule, the factorization witness, the spectral filter, the
+theta LP, both exhaustive texts, the clique-bound and colorability
+timeouts and an exact-search witness.
 
 A deliberate change of output re-records the digests: print
 `{name: _digest(items) for name, items in _corpus().items()}`.
@@ -99,10 +116,10 @@ from conftest import field_for, valid_graph_ms, without_witness
 
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
-    "classify-large": "225c8a48c4e7c412aaac791987b3b09b0cf40ed88b7a1e1120220d5360a0c2d0",
+    "classify-large": "d886d00d8298f6c4301485da9c5af962c4a813aa7c73132a9f4765898bb298e0",
     "search-only": "cc9c27e3ea61f16d3cefa4e132c3d74109c815b5d3e8fa3e0fe252e063d3cf00",
-    "gf81-8": "d8d5eb523dee02e2985a859aa6e0a6e24ad66c43f5c6f1ad2041db175022a836",
-    "default": "bbc642fa7a9174148ebfdf7824046175966aecd7fc33accfba451ae00cca36ae",
+    "gf81-8": "222cbc9777770dd502b4aac2b2498c1dae2c327b6e22beca1e8cade2aa184daa",
+    "default": "6ca140ea52b0ed6bb6c61bcf35c0fd7d55aecebcffe076fed6e0a5a0e70a85b1",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
     "paley-certificate": "3a2bcef3d4d6f6ae1d93abdf8cb8dc30a19b8a969324c6fc261c6135347ebda9",
     "no-search": "9ba7c44c3dafe5c21e9981612a08fbaf75bba4fa0767756776aa2cd13134bb1e",

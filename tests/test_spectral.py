@@ -18,6 +18,7 @@ from paleysync import (
     graph_from_edges,
     theta_pair,
 )
+from paleysync.spectral import THETA_MARGIN, _delsarte_lp, theta_bounds
 from conftest import field_for, odd_prime_powers, valid_graph_ms
 
 
@@ -193,3 +194,108 @@ def test_import_loads_no_numpy():
     code = "import sys, paleysync; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _undirected_widths(q):
+    """Every m_bar >= 2 of a residue graph on GF(q): 2 m_bar | q - 1."""
+    return [mb for mb in range(2, q) if (q - 1) % (2 * mb) == 0]
+
+
+def _bracket(periods, q, mask):
+    """[L_S, q/L_T], widened by THETA_MARGIN, for the pair of `mask`."""
+    subset = [i for i in range(len(periods)) if mask >> i & 1]
+    low, rest = theta_bounds(periods, subset, (q - 1) // len(periods))
+    return low * (1 - THETA_MARGIN), q / rest * (1 + THETA_MARGIN)
+
+
+def test_theta_lp_on_the_single_orbital_is_the_closed_form():
+    """On S = {0} the LP's checked bound is theta of the residue graph's
+    complement, 1 + degree/(-lambda_min), to 1e-9 relative, and the bound
+    for T from its dual makes the product q, for every (q, m_bar) with
+    q <= 729."""
+    checked = 0
+    for q in odd_prime_powers(729):
+        field = field_for(q)
+        for mb in _undirected_widths(q):
+            value, rest = theta_bounds(gauss_periods(field, mb), [0], (q - 1) // mb)
+            assert math.isclose(value, theta_pair(field, mb).theta_complement, rel_tol=1e-9), (q, mb)
+            assert math.isclose(value * rest, q, rel_tol=1e-8), (q, mb)
+            checked += 1
+    assert checked == 834
+
+
+def test_theta_lp_bracket_holds_every_feasible_clique_size():
+    """Wherever the exact filter keeps k (feasible_clique_sizes == {k}), the
+    LP bracket of the single orbital's pair holds k, so the LP never clears
+    a residue graph the filter keeps: q <= 729 and m_bar <= 64, which leaves
+    out 6 of the 62 such graphs, whose complement side is an LP in up to 363
+    weights."""
+    kept = 0
+    for q in odd_prime_powers(729):
+        field = field_for(q)
+        for mb in _undirected_widths(q):
+            sizes = feasible_clique_sizes(field, mb) if mb <= 64 else ()
+            if sizes:
+                (k,) = sizes
+                low, high = _bracket(gauss_periods(field, mb), q, 1)
+                assert low <= k <= high, (q, mb, low, high)
+                kept += 1
+    assert kept == 56
+
+
+def test_theta_bounds_rescale_weights_that_break_a_row(monkeypatch):
+    """theta_bounds checks the weights the LP gives: weights 1.5 times the
+    optimum break the least row, and the bound from them is still no more
+    than theta, where the unchecked objective would exceed it, on either
+    side; weights of negative sum give 1, the bound of x = 0, not less."""
+    periods, subset = gauss_periods(build_field(3, 5), 11), [0, 2, 3]
+    twice = periods * 2
+    x, y = _delsarte_lp(list(zip(*(twice[i:i + 11] for i in subset))), 22)
+    exact, exact_rest = theta_bounds(periods, subset, 22)
+    assert 1 + 1.5 * (exact - 1) > exact
+    module = sys.modules["paleysync.spectral"]
+    monkeypatch.setattr(module, "_delsarte_lp", lambda rows, size: ([1.5 * v for v in x], [3 * v for v in y]))
+    low, rest = theta_bounds(periods, subset, 22)
+    assert low <= exact * (1 + 1e-12) and rest <= exact_rest * (1 + 1e-12)
+    monkeypatch.setattr(module, "_delsarte_lp", lambda rows, size: ([-1.0] * 3, [0.0] * 11))
+    assert theta_bounds(periods, subset, 22)[0] == 1.0
+
+
+def test_theta_lp_agrees_with_highs_on_every_frobenius_pair():
+    """Every canonical pair of the walk (rotation, Frobenius and complement)
+    with q <= 343, on both of its members (one from the LP, the other from
+    its dual), against scipy's HiGHS solver;
+    only solves that HiGHS reports optimal (status 0) are compared, and the
+    widths are those up to 11, the widest of scan-729's walks, and up to 6
+    on prime fields: 1,048 LPs on 146 (q, m_bar)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from paleysync.classify import _canonical_pair_masks
+
+    compared = 0
+    for q in odd_prime_powers(343):
+        field = field_for(q)
+        for mb in _undirected_widths(q):
+            if mb > 11 or (field.n == 1 and mb > 6):
+                continue
+            periods, size, full = gauss_periods(field, mb), (q - 1) // mb, (1 << mb) - 1
+            for mask in _canonical_pair_masks(mb, field.p):
+                ours = theta_bounds(periods, [i for i in range(mb) if mask >> i & 1], size)
+                for member, bound in zip((mask, full ^ mask), ours):
+                    subset = [i for i in range(mb) if member >> i & 1]
+                    rows = [[-periods[(i + j) % mb] for i in subset] for j in range(mb)]
+                    res = linprog([-size] * len(subset), A_ub=rows, b_ub=[1.0] * mb,
+                                  bounds=[(None, None)] * len(subset), method="highs")
+                    if res.status == 0:
+                        assert abs(bound - (1 - res.fun)) <= 1e-7 * bound, (q, mb, member)
+                        compared += 1
+    assert compared > 1000
+
+
+def test_the_theta_lp_loads_no_numpy():
+    """The LP is pure Python: deciding (343, 9) by it leaves numpy unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paleysync.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, paleysync; r = paleysync.classify(343, 9, exhaustive_cap=8);"
+            " print(r.reasons[1].rule, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "Delsarte LP False"
