@@ -2,17 +2,19 @@
 generated by translations and multiplications by m-th power residues.
 
 The pipeline is: input validation (`paley.normalize_params`), cheap
-arithmetic fast paths (rule labels below), then the orbital walk,
-`exhaustive_decision`, the one place where omega = chi is decided.  By
-Lemma 2.3 a row is NonSynchronizing iff some proper union of undirected
-orbitals has omega = chi.  The walk first looks for a factorization witness
-on any union, then takes one union per canonical pair, under rotation,
-Frobenius and complement, each cleared by the theta LP below or else by one
-search, `_omega_equals_chi`.  The residue graph (mask 1) is put through the
-spectral filter of Thm 4.6 instead, whose one feasible value caps its
-clique search; for m_bar <= 3 it is the walk's one pair, and the walk is
-then Thm 5.2(2)'s single-graph criterion.  A row past the cap gets the walk
-with no search, up to m_bar = LP_WALK_CAP.  One builder,
+arithmetic fast paths (rule labels below), then `exhaustive_decision`, the
+one place where omega = chi is decided.  By Lemma 2.3 a row is
+NonSynchronizing iff some proper union of undirected orbitals has omega =
+chi.  It first looks for a factorization witness on any union, then runs the
+theta sweep below, which solves one LP per union it visits and searches,
+with `_omega_equals_chi`, only a union whose LP bracket holds a power of p.
+A search step costs one node and the LP of S costs |S| * m_bar, one per
+coefficient, so the node budget bounds the LPs, the searches and the sets
+the sweep holds; only the q-vertex graph that a search is run on is built
+and relabelled outside the meter.  For m_bar <= 3 every proper union is a class or the
+complement of one, so the sweep is Thm 5.2(2)'s single-graph criterion.
+spectral_prune=False runs the reference walk instead: one search per pair
+of a union and its complement, one pair per rotation class.  One builder,
 `_non_synchronizing`, turns a certificate into a verdict.  Every verdict
 carries an ordered reason trace naming the rule that fired.
 
@@ -22,7 +24,7 @@ the complement.  Proof: as omega * alpha <= q, each of the k color classes
 has q/k vertices.  For a k-clique A and a class B, a + b = a' + b' with
 a != a' would make b' - b = a - a' an edge inside B, so GF(q) = A + B and
 the cliques A + b, b in B, color the complement around its clique B.  So an
-omega not dividing q is "neq" untested; the walk searches one member per pair.
+omega not dividing q is "neq" untested, and one search decides a pair.
 
 Witness (`invariants.factorization_certificate`): conversely, let A be an
 F_p-subspace with A minus 0 inside the classes of S, and B one of size
@@ -32,10 +34,9 @@ one coset x + B differ by a unit of B, so the cosets color G_S properly with
 search.  A is taken to be a subfield GF(p^t), so S is the classes its units
 hit.
 
-Theta LP (the prune, rule "Delsarte LP"): for G = G_S, omega(G) <= theta of
-the complement <= chi(G) (Lovasz 1979), so omega = chi = k forces both
-theta = k and, by the lemma, k = p^t; a union whose theta is provably no
-power of p is cleared.  theta of the complement of G_S is Delsarte's LP
+Theta LP (rule "Delsarte LP"): for G = G_S, omega(G) <= theta of the
+complement <= chi(G) (Lovasz 1979), so omega = chi = k forces both theta = k
+and, by the lemma, k = p^t.  theta of the complement of G_S is Delsarte's LP
 (Delsarte 1973; Schrijver 1979): the largest sum of f over GF(q) for f with
 f(0) = 1, f zero off 0 and the classes of S, and every character sum of f
 nonnegative.  Class-constant weights are exact: multiplying by an m_bar-th
@@ -46,13 +47,29 @@ the sum is 1 + size * sum(x) and the character of gamma^j gives the row
 theta(G) * theta(complement) = q (Lovasz 1979), and the complement of G_T
 is G_S, so weights for S and for T, which give theta's lower bounds L_S
 and L_T, put theta of the complement of G_S in [L_S, q/L_T]; one LP gives
-both, the weights for T from its dual (`spectral.theta_bounds`).  A pair
-{S, T} is cleared when that bracket, widened by THETA_MARGIN = 2^-40
-relative, holds no power of p.  Each set of weights is checked in floats
-with an explicit slop (`theta_bounds`); the margin lies far above the
-rounding of the final products and quotients.  Frobenius
-x -> x^p maps the class gamma^i * H onto gamma^(p*i) * H and G_S onto G_pS,
-so a pair decides the family under i -> p^a * i + s as well.
+both, the weights for T from its dual (`spectral.theta_bounds`).  That
+bracket is widened by THETA_MARGIN = 2^-40 relative, and S is open when it
+holds a power of p; a closed S has omega != chi, and so has its complement.
+Each set of weights is checked in floats with an explicit slop
+(`theta_bounds`); the margin lies far above the rounding of the final
+products and quotients.  Frobenius x -> x^p maps the class gamma^i * H onto
+gamma^(p*i) * H and G_S onto G_pS, so S decides its family under
+i -> p^a * i + s as well.
+
+Theta sweep (`_sweep`): write f(S) = theta of the complement of G_S.  f
+grows with S, as that complement loses edges, and f(S) * f(T) = q.  If
+omega = chi = p^t on G_S, then f(S) = p^t and f(T) = p^(n-t), so one member
+X of {S, T} has f(X) <= p^floor(n/2), and every Y inside X has a checked
+L_Y <= f(Y) <= f(X) <= p^floor(n/2).  The sweep starts at the single class
+{0} and grows each set it visits by one class at a time, keeping one set
+per family under i -> p^a * i + s: the least of its images.  It stops
+growing S once L_S, widened down, exceeds p^floor(n/2), widened up.  Adding
+X's classes one at a time to one of them gives a chain of subsets of X, none
+of which stops, whose families the sweep visits in turn; so X's family is
+visited, and X's bracket holds f(X) = p^t: X is open and searched.  So an
+open set is searched (its clique search capped at q/L_T, widened, a proven
+bound on omega), and if no search finds omega = chi, no proper union has
+it: the row is Synchronizing.
 
 Redei n=2 (a fast path): a row with n = 2 that reaches it has
 gcd(m, p+1) = 1 and is Synchronizing.  Redei's theorem (Redei 1965, as
@@ -70,12 +87,13 @@ class.  L = A would put every class in S, and L = B none: S is not proper.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
 from .errors import BadInputError
-from .gf import FieldTables, build_field, is_prime
+from .gf import FieldTables, build_field, is_prime, prime_power
 from .invariants import (
     InvariantCertificate,
     _Budget,
@@ -95,7 +113,6 @@ from .paley import (
 from .spectral import (
     THETA_MARGIN,
     SpectralReport,
-    feasible_clique_sizes,
     gauss_periods,
     theta_bounds,
     theta_pair,
@@ -116,14 +133,8 @@ RULE_REPUNIT = "Thm 5.2(3)"
 RULE_REDEI = "Redei n=2"
 RULE_FACTORIZATION = "subspace factorization"
 RULE_EXHAUSTIVE = "Lemma 2.3 exhaustive"
-RULE_SPECTRAL = "Thm 4.6 spectral"
 RULE_DELSARTE = "Delsarte LP"
 RULE_BUDGET = "budget"
-RULE_SKIPPED = "skipped"
-
-# widest m_bar whose orbital walk a row past the exhaustive cap gets: the
-# walk runs over 2^(m_bar-2) odd masks, so a wider one is skipped at once
-LP_WALK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ class Classification:
     verdict: str
     reasons: tuple[Reason, ...]
     witness: dict | None
-    status: str  # "complete" | "budget_exhausted" | "skipped_exhaustive"
+    status: str  # "complete" | "budget_exhausted"
     certificate: InvariantCertificate | None = dataclass_field(default=None, repr=False)
     spectral: SpectralReport | None = dataclass_field(default=None, repr=False)
 
@@ -228,29 +239,37 @@ def fast_paths(q: int, m: int) -> Classification | None:
     return None
 
 
-def _omega_equals_chi(g: Graph, meter: _Budget, k: int | None = None):
+def _omega_equals_chi(g: Graph, meter: _Budget, low: float = 0.0, high: float | None = None):
     """Decide omega(g) = chi(g), the one per-graph question of Lemma 2.3.
 
     Runs the maximum-clique search, then tests colorability at omega; both
-    draw on the caller's meter.  Given the one feasible common value k of a
-    residue graph (theta of its complement, so omega <= k), the clique
-    search is capped at k.  An omega != k, or one not dividing q (the
-    module's lemma), is "neq" with no coloring search.  Returns (outcome,
-    omega_res, cert): outcome "eq" | "neq" | "timeout", omega_res the clique
-    search (not exact when that search timed out), and, for "eq" only, the
-    certificate of omega = chi that `equal_certificate` builds from the
-    clique and coloring and checks against g: no witness leaves unverified.
+    draw on the caller's meter.  Given a bracket [low, high] that holds
+    theta of the complement of g, which omega = chi would equal, the clique
+    search is capped at high, a proven bound on omega.  An omega below the
+    bracket, or one not dividing q (the module's lemma), is "neq" with no
+    coloring search.  Returns (outcome, omega_res, cert): outcome "eq" |
+    "neq" | "timeout", omega_res the clique search (not exact when that
+    search timed out), and, for "eq" only, the certificate of omega = chi
+    that `equal_certificate` builds from the clique and coloring and checks
+    against g: no witness leaves unverified.
     """
-    omega_res = clique_number(g, upper_hint=k, budget=meter)
+    omega_res = clique_number(g, upper_hint=None if high is None else int(high), budget=meter)
     if not omega_res.exact:
         return "timeout", omega_res, None
     omega = omega_res.value
-    if (k is not None and omega != k) or g.n_vertices % omega:
+    if omega < low or g.n_vertices % omega:
         return "neq", omega_res, None
     status, coloring, _ = k_colorable(g, omega, budget=meter, clique_hint=omega_res.witness)
     if status != "sat":
         return ("neq" if status == "unsat" else "timeout"), omega_res, None
     return "eq", omega_res, equal_certificate(g, omega_res.witness, coloring)
+
+
+def _undecided(subset: list[int], omega_res) -> Reason:
+    """The budget reason of a union whose search timed out."""
+    detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
+              else f"clique bounds [{omega_res.lower}, {omega_res.upper}]")
+    return Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}")
 
 
 def _non_synchronizing(
@@ -291,149 +310,131 @@ def _factorization_decision(
     return _non_synchronizing(field, params, [Reason(RULE_FACTORIZATION, detail)], subset, cert)
 
 
-def _canonical_pair_masks(width: int, mult: int = 1) -> Iterator[int]:
-    """One representative per family of proper nonempty orbital subsets under
-    the maps i -> u*i + s, u a power of mult, each with and without
-    complement: the least member.  Rotating indices multiplies every
-    difference coset by gamma and x -> x^p maps G_S onto G_pS, both graph
-    isomorphisms, so one member decides its whole family.  The least member
-    is odd with its top bit clear (else a rotation is smaller), so the walk
-    keeps the odd masks below 2^(width-1) that are no larger than any
-    rotation of themselves, of any image u*S or of their complements.  mult
-    must be a unit mod width, as p is mod m_bar.  The masks come lazily, in
-    increasing order."""
+def _canonical_pair_masks(width: int) -> Iterator[int]:
+    """One representative per pair of a proper nonempty orbital subset and
+    its complement, up to rotation: the least member.  Rotating indices
+    multiplies every difference coset by gamma, a graph isomorphism, so one
+    member decides its whole family.  The least member is odd with its top
+    bit clear (else a rotation is smaller), so the walk keeps the odd masks
+    below 2^(width-1) that are no larger than any rotation of themselves or
+    of their complements.  The masks come lazily, in increasing order."""
     full = (1 << width) - 1
-    units = {pow(mult, a, width) for a in range(width)} - {1}
-    frobenius = [[1 << u * i % width for i in range(width)] for u in units]
-
-    def no_rotation_below(mask: int, y: int) -> bool:
-        return all(mask <= (x << s | x >> (width - s)) & full for x in (y, full ^ y) for s in range(width))
-
     for mask in range(1, 1 << width - 1, 2):
-        if no_rotation_below(mask, mask) and all(
-            no_rotation_below(mask, sum(image[i] for i in iter_bits(mask))) for image in frobenius
-        ):
+        if all(mask <= (x << s | x >> (width - s)) & full for x in (mask, full ^ mask) for s in range(width)):
             yield mask
 
 
-def _canonical_pair_count(width: int, mult: int = 1) -> int:
-    """How many masks _canonical_pair_masks(width, mult) yields, without the
-    walk.  Burnside's lemma over the maps i -> u*i + s, each with and
-    without complement, acting on all 2^width subsets: a map fixes the 2^c
-    subsets that are unions of its c cycles, and the map then complement
-    fixes 2^c of them when every cycle has even length (membership
-    alternates around it), else none.  The orbit {empty set, full set} is
-    the one not counted."""
-    units = {pow(mult, a, width) for a in range(width)}
-    fixed = 0
-    for u in units:
-        for s in range(width):
-            seen, lengths = bytearray(width), []
-            for i in range(width):
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = 1
-                    j, length = (u * j + s) % width, length + 1
-                if length:
-                    lengths.append(length)
-            fixed += 2 ** len(lengths) * (1 + all(c % 2 == 0 for c in lengths))
-    return fixed // (2 * width * len(units)) - 1
+def _canonical_pair_count(width: int) -> int:
+    """How many masks _canonical_pair_masks(width) yields, without the walk.
+    Burnside's lemma over the rotations i -> i + s, each with and without
+    complement, acting on all 2^width subsets: a rotation has c = gcd(s,
+    width) cycles of length width/c and fixes the 2^c unions of them, and
+    the rotation then complement fixes 2^c of them when that length is even
+    (membership alternates around a cycle), else none.  The orbit {empty
+    set, full set} is the one not counted."""
+    cycles = [gcd(s, width) for s in range(width)]
+    return sum(2**c * (2 - width // c % 2) for c in cycles) // (2 * width) - 1
 
 
-def _lp_clears(periods: tuple[float, ...], params: PaleyParams, mask: int, meter: _Budget) -> bool:
-    """One node: True when the theta LP clears the pair of `mask` and its
-    complement (the module's prune).  One LP on the classes S of the mask
-    gives checked lower bounds L_S and L_T for it and its complement T;
-    theta of the complement of G_S lies in [L_S, q/L_T], and the pair is
-    cleared when that bracket, widened by THETA_MARGIN, holds no power of p
-    (k = p^t lies in it iff q/k does in T's)."""
-    if not meter.step():
-        return False
-    low, rest = theta_bounds(periods, list(iter_bits(mask)), (params.q - 1) // params.m_bar)
-    low, high = low * (1 - THETA_MARGIN), params.q / rest * (1 + THETA_MARGIN)
-    return not any(low <= params.p**t <= high for t in range(params.n + 1))
-
-
-def _orbital_walk(
-    field: FieldTables, params: PaleyParams, meter: _Budget, prune: bool, cap: int | None = None
-) -> Classification:
-    """The pair walk of `exhaustive_decision`; with a cap, the walk of a row
-    past it, which clears pairs with no search or leaves the row
-    skipped_exhaustive, and does not start past LP_WALK_CAP."""
+def _orbital_walk(field: FieldTables, params: PaleyParams, meter: _Budget) -> Classification:
+    """The reference walk of `exhaustive_decision`: one search per pair of a
+    union and its complement, one pair per rotation class."""
     q, p, n, m, mb = params.q, params.p, params.n, params.m, params.m_bar
-    mult = p if prune else 1
-
-    def skipped(why: str) -> Classification:
-        detail = f"m_bar={mb} exceeds the exhaustive cap {cap}{why}"
-        return Classification(q, p, n, m, UNKNOWN, (Reason(RULE_SKIPPED, detail),), None,
-                              "skipped_exhaustive")
-
-    if cap is not None and mb > LP_WALK_CAP:
-        return skipped(f" and the LP walk cap {LP_WALK_CAP}")
-    n_pairs = _canonical_pair_count(mb, mult)
-    periods = gauss_periods(field, mb) if prune else ()
-    family = None
+    n_pairs = _canonical_pair_count(mb)
+    family = orbital_family(field, m)
     reasons: list[Reason] = []
-    unreached, cleared, searched = n_pairs, 0, 0
-
-    for mask in _canonical_pair_masks(mb, mult):
+    unreached = n_pairs
+    for mask in _canonical_pair_masks(mb):
         if meter.spent > meter.limit:  # every later search would time out at once
             break
         unreached -= 1
-        subset = sorted(iter_bits(mask))
-        k = None
-        if prune and mask == 1:
-            feasible = feasible_clique_sizes(field, mb)
-            if not feasible:
-                reasons.append(Reason(
-                    RULE_SPECTRAL,
-                    "single orbitals and their complements cleared: no k=p^t passes the"
-                    f" divisibility and least-eigenvalue filter for ({q},{mb})",
-                ))
-                continue
-            (k,) = feasible
-        elif prune and _lp_clears(periods, params, mask, meter):
-            cleared += 1
-            continue
-        if meter.spent > meter.limit:  # no node was left for the LP test
-            unreached += 1
-            break
-        if cap is not None:
-            return skipped(f", and Delta-subset {subset} is not cleared without search")
-        searched += 1
-        family = family or orbital_family(field, m)
-        kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter, k)
+        subset = list(iter_bits(mask))
+        kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter)
         if kind == "timeout":
-            detail = (f"{omega_res.value}-colorability undecided" if omega_res.exact
-                      else f"clique bounds [{omega_res.lower}, {omega_res.upper}]")
-            reasons.append(Reason(RULE_BUDGET, f"Delta-subset {subset}: {detail}"))
+            reasons.append(_undecided(subset, omega_res))
         if kind == "eq":
             reasons.append(Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}"))
             return _non_synchronizing(field, params, reasons, subset, cert)
-
     if meter.spent > meter.limit:
         detail = f"{unreached} of {n_pairs} canonical pairs not reached"
         reasons.append(Reason(RULE_BUDGET, f"exhaustive check incomplete: budget spent, {detail}"))
         return Classification(q, p, n, m, UNKNOWN, tuple(reasons), None, "budget_exhausted")
-    by_lp = ""
-    if prune:
-        by_lp = (f", {cleared} pairs cleared by the theta LP and"
-                 f" {n_pairs - cleared - searched} by the spectral filter")
-    if cleared:
-        reasons.append(Reason(
-            RULE_DELSARTE,
-            f"{cleared} canonical pairs cleared with no search: checked LP weights for S and"
-            f" for its complement T put theta of the complement of G_S strictly between"
-            f" consecutive powers of {p}",
-        ))
-    reasons.append(
-        Reason(
-            RULE_EXHAUSTIVE,
-            f"all {2**mb - 2} proper nonempty orbital unions have omega != chi{by_lp}"
-            f" ({n_pairs} canonical pairs, {searched} union graphs searched)",
-        )
-    )
+    reasons.append(Reason(
+        RULE_EXHAUSTIVE,
+        f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
+        f" ({n_pairs} canonical pairs, {n_pairs} union graphs searched)",
+    ))
     return Classification(q, p, n, m, SYNCHRONIZING, tuple(reasons), None, "complete")
+
+
+def _least_image(mask: int, width: int, units: tuple[int, ...]) -> int:
+    """The least image of the orbital subset `mask` under the maps
+    i -> u*i + s, u in `units`.  Rotating indices multiplies every
+    difference coset by gamma, and x -> x^p maps G_S onto G_pS, both graph
+    isomorphisms, so with `units` the powers of p mod m_bar every image has
+    the same omega, chi and theta.  The least image holds class 0, so only
+    the shifts that move a member of u*mask to 0 are tried."""
+    full, least = (1 << width) - 1, mask
+    for u in units:
+        members = [u * i % width for i in iter_bits(mask)]
+        x = sum(1 << i for i in members)
+        least = min(least, *((x >> i | x << (width - i)) & full for i in members))
+    return least
+
+
+def _sweep(field: FieldTables, params: PaleyParams, meter: _Budget) -> Classification:
+    """The theta sweep of `exhaustive_decision` (the module's proof), layer
+    by layer from the single class: one LP per set visited, the least
+    member of its family, and one search per set whose bracket holds a
+    power of p.  The LP of S costs |S| * m_bar nodes, one per coefficient
+    of its matrix, so an LP node takes about as long as a search node, and
+    the budget bounds the LPs however many orbitals there are.  A set is
+    grown only once it is visited, and a layer's sets are told apart by
+    their least images alone, so the sets held at once are no more than
+    the sweep has paid for."""
+    q, p, n, m, mb = params.q, params.p, params.n, params.m, params.m_bar
+    periods, size, full = gauss_periods(field, mb), (q - 1) // mb, (1 << mb) - 1
+    units = tuple(sorted({pow(p, a, mb) for a in range(mb)}))
+    stop = p ** (n // 2) * (1 + THETA_MARGIN)
+    family, visited, searched = None, 0, 0
+    growing, seen, layer = deque([0]), set(), 0  # the empty set grows into the layer of {0}
+
+    def unknown(reason: Reason) -> Classification:
+        return Classification(q, p, n, m, UNKNOWN, (reason,), None, "budget_exhausted")
+
+    while growing:
+        parent = growing.popleft()
+        if parent.bit_count() > layer:  # the sets of the last layer cannot recur
+            seen, layer = set(), parent.bit_count()
+        for rep in (_least_image(parent | 1 << i, mb, units) for i in range(mb) if not parent >> i & 1):
+            if rep in seen or rep == full:
+                continue
+            seen.add(rep)
+            subset = list(iter_bits(rep))
+            if not meter.spend(mb * len(subset)):
+                return unknown(Reason(RULE_BUDGET, f"exhaustive check incomplete: budget spent after"
+                                                   f" {visited} sets visited, before Delta-subset {subset}"))
+            visited += 1
+            low, rest = theta_bounds(periods, subset, size)
+            low, high = low * (1 - THETA_MARGIN), q / rest * (1 + THETA_MARGIN)
+            if any(low <= p**t <= high for t in range(n + 1)):
+                searched += 1
+                family = family or orbital_family(field, m)
+                kind, omega_res, cert = _omega_equals_chi(union_graph(family, subset), meter, low, high)
+                if kind == "timeout":
+                    return unknown(_undecided(subset, omega_res))
+                if kind == "eq":
+                    reason = Reason(RULE_EXHAUSTIVE, f"Delta-subset {subset} has omega=chi={cert.omega}")
+                    return _non_synchronizing(field, params, [reason], subset, cert)
+            if low <= stop:
+                growing.append(rep)
+    return Classification(q, p, n, m, SYNCHRONIZING, (
+        Reason(RULE_DELSARTE, f"theta sweep: {visited} sets visited, one per family under"
+                              f" i -> p^a*i + s; {visited - searched} cleared with no search, their"
+                              f" checked bracket [L_S, q/L_T] holding no power of {p}"),
+        Reason(RULE_EXHAUSTIVE, f"all {2**mb - 2} proper nonempty orbital unions have omega != chi"
+                                f" ({visited} sets visited, {searched} union graphs searched)"),
+    ), None, "complete")
 
 
 def exhaustive_decision(
@@ -444,16 +445,13 @@ def exhaustive_decision(
 ) -> Classification:
     """Exact decision of omega = chi on every proper nonempty union of
     undirected orbitals: a factorization witness on any union first, then
-    one step per family of unions under rotation, Frobenius and complement
-    on its canonical mask, as a union and its complement agree (the
-    module's lemma).  The single orbital, mask 1, is cleared with no search
-    when its feasible set (`feasible_clique_sizes`, Thm 4.6) is empty, else
-    its one value k caps the clique search; any other pair is cleared by
-    the theta LP (one node) or searched.
+    the theta sweep, which solves one LP (|S| * m_bar nodes) per family of
+    unions S it visits and searches only a union whose bracket holds a
+    power of p.
 
-    spectral_prune=False skips the witness, the filter, the LP and the
-    Frobenius reduction, and searches every pair of the rotation walk
-    (slower, independent confirmation).
+    spectral_prune=False skips the witness and the LP, and searches one
+    member of every pair of a union and its complement, one pair per
+    rotation class (slower, independent confirmation).
 
     The caller is expected to have ruled out imprimitivity; m_bar >= 2 is
     required.  A spent node meter ends the check with an honest Unknown."""
@@ -461,32 +459,14 @@ def exhaustive_decision(
     if params.m_bar < 2:
         raise BadInputError(f"m_bar={params.m_bar} < 2: no proper orbital unions to check")
     meter = _Budget.of(budget)
-    if spectral_prune:
-        witnessed = _factorization_decision(field, params, meter)
-        if witnessed is not None:
-            return witnessed
-    return _orbital_walk(field, params, meter, spectral_prune)
+    if not spectral_prune:
+        return _orbital_walk(field, params, meter)
+    return _factorization_decision(field, params, meter) or _sweep(field, params, meter)
 
 
-def classify(
-    q: int,
-    m: int,
-    budget: int | None = None,
-    exhaustive_cap: int | None = None,
-) -> Classification:
-    """Full pipeline: validate, fast paths, then the orbital walk; a row
-    with m_bar past exhaustive_cap gets the walk's factorization witness,
-    then, up to LP_WALK_CAP, its walk with no search: Unknown unless the
-    filter and the theta LP clear every pair."""
+def classify(q: int, m: int, budget: int | None = None) -> Classification:
+    """Full pipeline: validate, fast paths, then `exhaustive_decision`."""
     fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
-    params = normalize_params(q, m)
-    p, n, mb = params.p, params.n, params.m_bar
-    meter = _Budget.of(budget)
-    field = build_field(p, n)
-    if exhaustive_cap is None or mb <= exhaustive_cap:
-        return exhaustive_decision(field, m, meter)
-    return _factorization_decision(field, params, meter) or _orbital_walk(
-        field, params, meter, True, exhaustive_cap
-    )
+    return exhaustive_decision(build_field(*prime_power(q)), m, budget)

@@ -35,7 +35,6 @@ from .invariants import BRUTE_FORCE_CAP, DEFAULT_BUDGET, brute_force_invariants,
 from .paley import Graph, build_paley, normalize_params
 from .spectral import EIGEN_CAP, eigen_oracle, theta_pair
 
-SCAN_EXHAUSTIVE_CAP = 8
 ORACLE_TOL = 1e-8
 SCAN_COLUMNS = "q,p,n,m,r,m_bar,primitive,verdict,rule,omega,chi,theta,lambda_min,status"
 
@@ -176,7 +175,8 @@ def _cmd_classify(args) -> int:
 
 
 def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
-    """The scan's rows of these q's: in the order of qs, each q's in m order."""
+    """The scan's rows of these q's: in the order of qs, each q's in m order.
+    The `rule` cell is the first reason, the rule that decided the row."""
     rows = []
     for q in qs:
         field = _field_for(q)
@@ -187,7 +187,7 @@ def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
         reports = {}  # m_bar -> SpectralReport: every m with the same m_bar shares one
         for m in ms:
             params = normalize_params(q, m)
-            result = classify(q, m, budget=budget, exhaustive_cap=SCAN_EXHAUSTIVE_CAP)
+            result = classify(q, m, budget=budget)
             prim = primitivity(q, m)
             omega = chi = theta = lam = ""
             if params.m_bar >= 2:

@@ -143,6 +143,15 @@ class _Budget:
         self.spent += 1
         return True
 
+    def spend(self, nodes: int) -> bool:
+        """Spend `nodes` nodes at once: True while the limit allows them
+        all, else False, as the step past the limit."""
+        if self.spent + nodes > self.limit:
+            self.spent = self.limit + 1
+            return False
+        self.spent += nodes
+        return True
+
 
 @dataclass(frozen=True)
 class SearchResult:

@@ -25,8 +25,9 @@ def residue_graph(q, m):
 
 @contextmanager
 def without_witness():
-    """Take the factorization witness out of `classify` and its orbital walk,
-    so that the single orbital is settled by its clique and coloring search.
+    """Take the factorization witness out of `classify` and
+    `exhaustive_decision`, so that a union the sweep leaves open is settled
+    by its clique and coloring search.
     The module is taken from sys.modules, since the package attribute
     `paleysync.classify` is the function, not the module."""
     with pytest.MonkeyPatch.context() as patch:
@@ -37,16 +38,13 @@ def without_witness():
 
 @contextmanager
 def without_lp():
-    """Take the theta LP and the Frobenius reduction out of the orbital walk,
-    which then walks the rotation classes and searches every pair that the
-    spectral filter leaves, as it did before the LP; a row past the cap is
-    left skipped at its first such pair.  The LP costs no node here."""
-    module = sys.modules["paleysync.classify"]
-    masks, count = module._canonical_pair_masks, module._canonical_pair_count
+    """Make the theta LP of the sweep leave every set open: both bounds are
+    1, so every bracket [L_S, q/L_T] holds every power of p and no set stops
+    growing.  The sweep then visits one union per family under
+    i -> p^a*i + s and searches each, its clique search capped at q alone.
+    Each LP still costs its |S| * m_bar nodes."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_lp_clears", lambda *args: False)
-        patch.setattr(module, "_canonical_pair_masks", lambda width, mult=1: masks(width))
-        patch.setattr(module, "_canonical_pair_count", lambda width, mult=1: count(width))
+        patch.setattr(sys.modules["paleysync.classify"], "theta_bounds", lambda *args: (1.0, 1.0))
         yield
 
 

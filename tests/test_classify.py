@@ -27,7 +27,7 @@ from paleysync import (
     union_graph,
     verify_certificate,
 )
-from paleysync.classify import LP_WALK_CAP, _canonical_pair_count, _canonical_pair_masks, _omega_equals_chi
+from paleysync.classify import _canonical_pair_count, _canonical_pair_masks, _least_image, _omega_equals_chi
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import _Budget, factorization_certificate
 from conftest import field_for, valid_graph_ms, without_lp, without_witness
@@ -115,20 +115,21 @@ def test_classify_smallest_field():
 
 def test_classify_single_graph_criterion_path():
     # m = 3 with composite or repunit-divisible extension degree has no
-    # arithmetic fast path; the walk's one canonical pair is the residue
-    # graph, and the spectral feasibility filter clears it without any
-    # search: Thm 5.2(2)'s one-graph criterion.
-    for q in (343, 625):
+    # arithmetic fast path; every proper union is the residue graph or its
+    # complement, up to rotation, and the theta LP clears that pair without
+    # any search: Thm 5.2(2)'s one-graph criterion.  (625, 3) also visits
+    # [0, 1], the complement of a class, as n = 4 is even.
+    for q, sets in ((343, 1), (625, 2)):
         result = classify(q, 3)
         assert result.verdict == SYNCHRONIZING
         assert result.status == "complete"
-        assert result.reasons[0].rule == "Thm 4.6 spectral"
-        assert result.reasons[-1].detail.endswith("(1 canonical pairs, 0 union graphs searched)")
+        assert result.reasons[0].rule == "Delsarte LP"
+        assert result.reasons[-1].detail.endswith(f"({sets} sets visited, 0 union graphs searched)")
 
 def test_classify_past_the_fast_paths_depends_on_m_only_through_m_bar():
     """Two rows with the same q and m_bar have the same orbital unions, so
     past the fast paths classify gives them the same verdict, status and
-    reason trace: every q <= 729, with the scan's exhaustive cap of 8."""
+    reason trace: every q <= 729."""
     rows = {}
     for q in odd_prime_powers(729):
         for m in range(1, q):
@@ -137,16 +138,15 @@ def test_classify_past_the_fast_paths_depends_on_m_only_through_m_bar():
     shared = {key: ms for key, ms in rows.items() if len(ms) > 1}
     assert shared[(343, 3)] == [3, 6]
     for (q, _), ms in shared.items():
-        results = [classify(q, m, exhaustive_cap=8) for m in ms]
+        results = [classify(q, m) for m in ms]
         traces = {(r.verdict, r.status, r.reasons) for r in results}
         assert len(traces) == 1, (q, ms, traces)
 
 
 def test_classify_budget_exhaustion_is_unknown():
-    # (961, 5) is decided by the Redei fast path; its orbital walk is not,
-    # once the theta LP, which clears its pairs with no search, is taken out
-    with without_lp():
-        result = exhaustive_decision(field_for(961), 5, budget=50_000)
+    # (961, 5) is decided by the Redei fast path; the reference walk, which
+    # searches every pair, is not
+    result = exhaustive_decision(field_for(961), 5, budget=50_000, spectral_prune=False)
     assert result.verdict == UNKNOWN
     assert result.status == "budget_exhausted"
     assert any(r.rule == "budget" for r in result.reasons)
@@ -327,16 +327,6 @@ def test_classification_json_shape():
     assert blob["reasons"][0]["rule"] == "Thm 5.2(6)"
 
 
-def test_exhaustive_cap_reports_skip():
-    # (343, 9): primitive, m_bar = 9, no fast path and no factorization
-    # witness; the theta LP, which clears its pairs, is taken out
-    assert fast_paths(343, 9) is None
-    with without_lp():
-        result = classify(343, 9, exhaustive_cap=8)
-    assert result.verdict == UNKNOWN
-    assert result.status == "skipped_exhaustive"
-
-
 def test_canonical_pair_masks_are_orbit_minima():
     """One pair per orbit of the proper nonempty masks under rotation and
     complement, namely the orbit's least member; orbits built here from
@@ -374,9 +364,8 @@ def test_equal_invariants_certificate_is_verified(monkeypatch):
     improper coloring from the colorability test is refused.  The union
     case runs on GF(25), where omega = 5 divides q and so the colorability
     test is reached; on a prime field no proper union has omega | q.  On
-    GF(81) with m = 8 the feasible set is {3}; with the factorization
-    witness taken out, the default mode reaches the single orbital's
-    search."""
+    GF(81) with m = 8 the bracket of the single orbital holds 3; with the
+    factorization witness taken out, the sweep searches it."""
     module = sys.modules["paleysync.classify"]
     monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("sat", (0,) * g.n_vertices, 0))
     with pytest.raises(InvalidWitnessError):
@@ -389,9 +378,10 @@ def test_single_orbital_step_on_81_8_with_and_without_its_witness():
     """(81, 8): the single orbital has a hyperplane witness, omega = chi = 3,
     and the walk's witness search over every union finds GF(9) + B with
     S = [0, 2, 4, 6]; neither spends a node.  With the witness taken out
-    the single orbital is searched like any other union: its
-    3-colorability test runs out at 1 node and finds omega = chi = 3 by
-    50."""
+    the sweep searches the single orbital, whose bracket holds 3: at budget
+    8 its LP takes every node, one per orbital, and its 3-colorability test
+    runs out at once, one node less leaves the LP unpaid, and by 57 it finds
+    omega = chi = 3."""
     field = build_field(3, 4)
     meter = _Budget(0)
     subset, cert = factorization_certificate(field, 8, meter, single=True)
@@ -402,21 +392,23 @@ def test_single_orbital_step_on_81_8_with_and_without_its_witness():
     assert [r.rule for r in result.reasons] == ["subspace factorization"]
     assert meter.spent == 0
     with without_witness():
-        result = exhaustive_decision(field, 8, budget=1)
+        result = exhaustive_decision(field, 8, budget=8)
         assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
         assert result.reasons[0].detail == "Delta-subset [0]: 3-colorability undecided"
-        result = exhaustive_decision(field, 8, budget=50)
+        result = exhaustive_decision(field, 8, budget=7)
+        assert result.reasons[0].detail.endswith("after 0 sets visited, before Delta-subset [0]")
+        result = exhaustive_decision(field, 8, budget=57)
     assert (result.verdict, result.witness["orbital_subset"], result.witness["omega"]) == (
         NON_SYNCHRONIZING, [0], 3)
     assert result.reasons[-1].detail == "Delta-subset [0] has omega=chi=3"
 
 
 def test_single_orbital_search_moves_on_when_omega_and_chi_differ(monkeypatch):
-    """On (81, 8) with its witness and the theta LP taken out, each way the
-    single orbital's omega and chi can differ sends the walk past [0] to the
-    next pair: a
-    feasible set of {9} that the clique number 3 misses, and a colorability
-    test that answers unsat."""
+    """On (81, 8) with its witness taken out, each way the single orbital's
+    omega and chi can differ sends the sweep past [0] to the next set: a
+    bracket [9, 81] that the clique number 3 falls below, and, with every
+    bracket left open, a colorability test that answers unsat.  The sweep
+    then searches one union per family under i -> 3^a*i + s, all 25."""
     module = sys.modules["paleysync.classify"]
     field = build_field(3, 4)
     built = []
@@ -427,18 +419,18 @@ def test_single_orbital_search_moves_on_when_omega_and_chi_differ(monkeypatch):
         return union_graph(family, subset)
 
     monkeypatch.setattr(module, "union_graph", traced_union)
-    with without_witness(), without_lp():
-        monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {9})
+    monkeypatch.setattr(module, "theta_bounds", lambda periods, subset, size: (9.0 if subset == [0] else 1.0, 1.0))
+    with without_witness():
         result = exhaustive_decision(field, 8, budget=10**4)
-        assert built[:2] == [(0,), (0, 1)]
-        assert result.witness["orbital_subset"] != [0]
-        built.clear()
-        monkeypatch.setattr(module, "feasible_clique_sizes", lambda field, mb: {3})
+    assert built[:2] == [(0,), (0, 1)]
+    assert result.witness["orbital_subset"] != [0]
+    built.clear()
+    with without_witness(), without_lp():
         monkeypatch.setattr(module, "k_colorable", lambda g, k, **kw: ("unsat", None, 0))
         result = exhaustive_decision(field, 8, budget=10**4)
     assert built[:2] == [(0,), (0, 1)]
     assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
-    assert result.reasons[-1].detail.endswith("(19 canonical pairs, 19 union graphs searched)")
+    assert result.reasons[-1].detail.endswith("(25 sets visited, 25 union graphs searched)")
 
 
 def test_omega_equals_chi_agrees_on_a_union_and_its_complement():
@@ -472,10 +464,10 @@ def test_omega_equals_chi_agrees_on_a_union_and_its_complement():
 
 def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
     """One search per canonical pair: a pair's complement is never built.
-    (121, 5) has 3 pairs; the single orbital is settled without a union
-    graph in the default mode, so 2 are built there and 3 without the
-    spectral filter.  The theta LP, which clears the other 2 with no graph,
-    is taken out."""
+    (121, 5) has 3 pairs under rotation and complement, and the reference
+    walk builds one graph for each.  The sweep with every bracket left open
+    builds one per set it visits, 6 under rotation (11 is 1 mod 5), never
+    the same one twice."""
     built = []
 
     def traced_union(family, subset):
@@ -484,7 +476,7 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
 
     monkeypatch.setattr(sys.modules["paleysync.classify"], "union_graph", traced_union)
     assert _canonical_pair_count(5) == 3
-    for prune, expected in ((True, 2), (False, 3)):
+    for prune, expected in ((True, 6), (False, 3)):
         built.clear()
         with without_lp():
             result = exhaustive_decision(field_for(121), 5, spectral_prune=prune)
@@ -495,110 +487,102 @@ def test_the_orbital_walk_builds_one_union_graph_per_pair(monkeypatch):
 @pytest.mark.parametrize("q", [343, 361])
 def test_one_search_per_pair_decides_m9_within_budget(q):
     """(343, 9) and (361, 9): 29 canonical pairs, each one search; at 10^5
-    nodes every pair finishes, where searching complements as well ran out.
-    The walk is called directly: classify decides (361, 9) by the Redei rule.
-    The theta LP, which clears every pair but the single orbital, is taken
-    out."""
-    with without_lp():
-        result = exhaustive_decision(field_for(q), 9, budget=10**5)
+    nodes the reference walk finishes every pair, where searching
+    complements as well ran out.  The walk is called directly: classify
+    decides (361, 9) by the Redei rule and (343, 9) by the theta LP."""
+    result = exhaustive_decision(field_for(q), 9, budget=10**5, spectral_prune=False)
     assert (result.verdict, result.status) == (SYNCHRONIZING, "complete")
-    assert result.reasons[-1].detail.endswith("(29 canonical pairs, 28 union graphs searched)")
+    assert result.reasons[-1].detail.endswith("(29 canonical pairs, 29 union graphs searched)")
 
 
-def _affine_orbit_minima(width, mult):
-    """The least member of each orbit of the proper nonempty masks under
-    i -> u*i + s (u a power of mult) and complement, from bit strings."""
-    full = (1 << width) - 1
-    units = [pow(mult, a, width) for a in range(width)]
-    seen, reps = set(), []
-    for mask in range(1, full):
-        if mask in seen:
-            continue
-        orbit = set()
-        for x in (mask, full ^ mask):
-            for u in units:
-                word = "".join(str(x >> (u * i % width) & 1) for i in range(width))[::-1]
-                orbit.update(int(word[s:] + word[:s], 2) for s in range(width))
-        seen |= orbit
-        reps.append(min(orbit))
-    return sorted(reps)
+def _affine_orbit(mask, width, mult):
+    """The images of mask under i -> u*i + s (u a power of mult), from bit
+    strings."""
+    orbit = set()
+    for u in [pow(mult, a, width) for a in range(width)]:
+        word = "".join(str(mask >> (u * i % width) & 1) for i in range(width))[::-1]
+        orbit.update(int(word[s:] + word[:s], 2) for s in range(width))
+    return orbit
 
 
-def test_frobenius_pair_count_matches_the_walk():
-    """For every width 2..16 and every unit u mod width (each is p mod width
-    for some prime p), the Burnside count equals the length of the walk, and
-    up to width 10 the walk is the orbit minima built from bit strings."""
-    for width in range(2, 17):
+def test_the_sweep_keeps_the_least_member_of_each_orbit():
+    """For every width 2..10 and every unit u mod width (each is p mod width
+    for some prime p), the sweep's representative of every proper nonempty
+    mask, taken over the powers of u, is the least member of the orbit
+    built from bit strings."""
+    for width in range(2, 11):
         for u in range(1, width):
             if gcd(u, width) == 1:
-                masks = list(_canonical_pair_masks(width, u))
-                assert _canonical_pair_count(width, u) == len(masks), (width, u)
-                if width <= 10:
-                    assert masks == _affine_orbit_minima(width, u), (width, u)
-    assert [_canonical_pair_count(11, 3), _canonical_pair_count(9, 7)] == [21, 13]
-    assert [_canonical_pair_count(11), _canonical_pair_count(9)] == [93, 29]
+                units = tuple(sorted({pow(u, a, width) for a in range(width)}))
+                for mask in range(1, (1 << width) - 1):
+                    assert _least_image(mask, width, units) == min(_affine_orbit(mask, width, u)), (width, u, mask)
+    assert len({_least_image(mask, 9, (1, 4, 7)) for mask in range(1, 511)}) == 26
 
 
 def test_the_lp_decides_the_rows_past_the_cap_with_no_search():
-    """scan-729's last four rows, past the cap of 8: the filter clears the
-    single orbital, the theta LP every other pair of the Frobenius-reduced
-    walk, and no union graph is built."""
-    for q, m, pairs in ((243, 11, 21), (243, 22, 21), (343, 9, 13), (343, 18, 13)):
-        result = classify(q, m, exhaustive_cap=8)
+    """scan-729's four rows with m_bar > 8 past the fast paths and the
+    witness: the theta sweep clears every set it visits, 20 on (243, m) and
+    3 on (343, m), and no union graph is built."""
+    for q, m, sets in ((243, 11, 20), (243, 22, 20), (343, 9, 3), (343, 18, 3)):
+        result = classify(q, m)
         assert (result.verdict, result.status) == (SYNCHRONIZING, "complete"), (q, m)
-        assert [r.rule for r in result.reasons] == ["Thm 4.6 spectral", "Delsarte LP",
-                                                    "Lemma 2.3 exhaustive"]
-        assert result.reasons[-1].detail.endswith(
-            f", {pairs - 1} pairs cleared by the theta LP and 1 by the spectral filter"
-            f" ({pairs} canonical pairs, 0 union graphs searched)")
+        assert [r.rule for r in result.reasons] == ["Delsarte LP", "Lemma 2.3 exhaustive"]
+        assert result.reasons[0].detail.startswith(f"theta sweep: {sets} sets visited,")
+        assert result.reasons[-1].detail.endswith(f"({sets} sets visited, 0 union graphs searched)")
 
 
-def test_the_walk_past_the_cap_costs_a_node_per_lp_and_stops_at_its_cap():
-    """Past the cap each LP test costs one node and the single orbital none:
-    (343, 9) spends nothing before its walk of 13 pairs, so 12 nodes decide
-    it and at 11 the walk runs out at its last pair.  A row wider than
-    LP_WALK_CAP is skipped before its walk: (2197, 18), and (3125, 142)
-    without its witness."""
-    assert classify(343, 9, budget=12, exhaustive_cap=8).verdict == SYNCHRONIZING
-    result = classify(343, 9, budget=11, exhaustive_cap=8)
-    assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
-    assert result.reasons[-1] == Reason(
-        "budget", "exhaustive check incomplete: budget spent, 1 of 13 canonical pairs not reached")
-    assert LP_WALK_CAP == 16
-    result = classify(2197, 18, exhaustive_cap=8)
-    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
-    assert result.reasons == (Reason(
-        "skipped", "m_bar=18 exceeds the exhaustive cap 8 and the LP walk cap 16"),)
-    with without_witness():
-        result = classify(3125, 142, budget=1, exhaustive_cap=8)
-    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
-    assert result.reasons[0].detail.endswith("and the LP walk cap 16")
+def test_the_sweep_is_decided_at_a_budget_of_its_lp_nodes():
+    """The LP of a set S the sweep visits costs |S| * m_bar nodes, and
+    neither row spends one before it: (343, 9) visits 3 sets for 45 nodes
+    and (2197, 18) 48 for 2,898, so a budget of that many decides each, and
+    one node less leaves it Unknown with a reason that names the set whose
+    LP it cannot pay for."""
+    for q, m, sets, nodes, last in ((343, 9, 3, 45, [0, 3]), (2197, 18, 48, 2898, [0, 4, 6, 9])):
+        result = classify(q, m, budget=nodes)
+        assert (result.verdict, result.status) == (SYNCHRONIZING, "complete"), (q, m)
+        assert result.reasons[-1].detail.endswith(f"({sets} sets visited, 0 union graphs searched)")
+        result = classify(q, m, budget=nodes - 1)
+        assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted"), (q, m)
+        assert result.reasons == (Reason("budget", f"exhaustive check incomplete: budget spent after"
+                                                   f" {sets - 1} sets visited, before Delta-subset {last}"),)
 
 
-def test_a_pair_the_lp_leaves_skips_a_row_past_the_cap(monkeypatch):
-    """Past the cap a pair the LP does not clear is not searched: the row is
-    skipped at that pair."""
-    monkeypatch.setattr(sys.modules["paleysync.classify"], "_lp_clears",
-                        lambda periods, params, mask, meter: mask != 3)
-    result = classify(343, 9, exhaustive_cap=8)
-    assert (result.verdict, result.status) == (UNKNOWN, "skipped_exhaustive")
-    assert result.reasons[0].detail == (
-        "m_bar=9 exceeds the exhaustive cap 8, and Delta-subset [0, 1] is not cleared without search")
+def test_an_open_bracket_is_searched_before_the_row_is_synchronizing(monkeypatch):
+    """With the LP of [0, 1] on (343, 9) patched to the bracket [7, 7], which
+    holds p, that union is searched (omega = 4 there, 80 clique nodes): at
+    no budget is the row Synchronizing without the search, 206 nodes decide
+    it (126 of them for the LPs of its 6 sets), and at budget 27, where the
+    LP of [0, 1] takes the last 18 nodes, the row is Unknown with a reason
+    that names the set."""
+    module = sys.modules["paleysync.classify"]
+    theta_bounds, union_graph = module.theta_bounds, module.union_graph
+    monkeypatch.setattr(module, "theta_bounds", lambda periods, subset, size: (
+        (7.0, 49.0) if subset == [0, 1] else theta_bounds(periods, subset, size)))
+    built = []
+    monkeypatch.setattr(module, "union_graph", lambda family, subset: (
+        built.append(list(subset)) or union_graph(family, subset)))
+    for budget in range(207):
+        built.clear()
+        result = classify(343, 9, budget=budget)
+        assert result.verdict == UNKNOWN or built == [[0, 1]], budget
+        assert (result.verdict == SYNCHRONIZING) == (budget == 206), budget
+    assert result.reasons[-1].detail.endswith("(6 sets visited, 1 union graphs searched)")
+    assert classify(343, 9, budget=27).reasons == (Reason("budget", "Delta-subset [0, 1]: clique bounds [4, 7]"),)
 
 
 def test_a_witness_search_that_spends_the_budget_says_so():
     """(6561, 5): the factorization witness search, which finds no B in
     2,186 nodes, runs out at 100, and the reason names it."""
-    result = classify(6561, 5, budget=100, exhaustive_cap=8)
+    result = classify(6561, 5, budget=100)
     assert (result.verdict, result.status) == (UNKNOWN, "budget_exhausted")
     assert result.reasons == (Reason("budget", "budget spent in the factorization witness search"),)
 
 
 def test_pruned_and_reference_walks_agree_to_q_121():
-    """The Frobenius-reduced walk with its witness, filter and LP against the
-    rotation walk that searches every pair: every (q, m) with q <= 121 and
-    2 <= m_bar <= 8, at 20,000 nodes.  The rows whose reference search does
-    not finish there are listed; the pruned walk decides each of them."""
+    """The witness and the theta sweep against the rotation walk that
+    searches every pair: every (q, m) with q <= 121 and 2 <= m_bar <= 8, at
+    20,000 nodes.  The rows whose reference search does not finish there are
+    listed; the sweep decides each of them."""
     unfinished = []
     for q in odd_prime_powers(121):
         field = field_for(q)

@@ -89,10 +89,30 @@ differ, and no verdict or status changed:
   8, joins rotation), where it counted 19: "13 of 14 canonical pairs not
   reached" for "18 of 19".
 
+The classify-large, default and gf81-8 digests were re-recorded when the
+theta sweep replaced the Frobenius-reduced pair walk and its single-orbital
+filter, and the sweep group was added for its budget reason.  23 of the
+41 earlier records differ, and no verdict or status changed:
+- default, 21 of 31: every Synchronizing record, each on a prime field,
+  where the single class is the one set visited (p^floor(n/2) = 1 stops it
+  from growing), now reads "Delsarte LP" ("theta sweep: 1 sets visited",
+  cleared with no search) and closes with "(1 sets visited, 0 union graphs
+  searched)"; it read "Thm 4.6 spectral", in 11 of them a "Delsarte LP"
+  pair count, and a closing reason that counted canonical pairs;
+- classify-large, 1 of 3: (343, 3), the same two reasons;
+- gf81-8, 1 of 3: the b = 1 timeout, "Delta-subset [0]: 3-colorability
+  undecided", is now the only reason: the sweep ends at its first timeout,
+  so "13 of 14 canonical pairs not reached" no longer follows it.
+
+When the LP of a set S came to cost |S| * m_bar nodes, where it cost one,
+the gf81-8 group moved its budgets from 1, 5 and 50 to 8, 12 and 57, and
+the sweep group from 2 and 3 to 44 and 45, so that each search and each
+budget reason gets the nodes it had; no digest moved.
+
 The corpus reaches every reason kind the classifier emits: each fast-path
-rule, the Redei rule, the factorization witness, the spectral filter, the
-theta LP, both exhaustive texts, the clique-bound and colorability
-timeouts and an exact-search witness.
+rule, the Redei rule, the factorization witness, the theta sweep and its
+budget reason, the exhaustive texts of the sweep and of the reference walk,
+the clique-bound and colorability timeouts and an exact-search witness.
 
 A deliberate change of output re-records the digests: print
 `{name: _digest(items) for name, items in _corpus().items()}`.
@@ -116,11 +136,12 @@ from conftest import field_for, valid_graph_ms, without_witness
 
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
-    "classify-large": "d886d00d8298f6c4301485da9c5af962c4a813aa7c73132a9f4765898bb298e0",
+    "classify-large": "11dbf59e1311bacece004880ec16540ddf835e25967c3be166840f0c48c218c7",
     "search-only": "cc9c27e3ea61f16d3cefa4e132c3d74109c815b5d3e8fa3e0fe252e063d3cf00",
-    "gf81-8": "222cbc9777770dd502b4aac2b2498c1dae2c327b6e22beca1e8cade2aa184daa",
-    "default": "6ca140ea52b0ed6bb6c61bcf35c0fd7d55aecebcffe076fed6e0a5a0e70a85b1",
+    "gf81-8": "f771112afe93bd9eb6646fff3d5a4f58e1002663830205fe6cbe81e59082ee0b",
+    "default": "eadfa649b0a5b4a1eacdae1e845897611367ec517c93d9e173ee2d3225b2168a",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
+    "sweep": "e950ca10be8ac484f84ffd5464ad43944ca3f41f931adcb62381cadd0ec503d3",
     "paley-certificate": "3a2bcef3d4d6f6ae1d93abdf8cb8dc30a19b8a969324c6fc261c6135347ebda9",
     "no-search": "9ba7c44c3dafe5c21e9981612a08fbaf75bba4fa0767756776aa2cd13134bb1e",
 }
@@ -147,8 +168,8 @@ def _corpus() -> dict:
             for m in _divisors(q)
             for b in (None, 1, 30)
         ],
-        # the walk's one pair cleared by the spectral filter (the single-graph
-        # criterion), Thm 5.2(5) and (3); the last returns before any field is built
+        # the single-graph criterion, cleared by the theta LP, Thm 5.2(5) and
+        # (3); the last returns before any field is built
         "classify-large": [_blob(classify(q, m)) for q, m in ((343, 3), (125, 2), (16807, 3))],
         # search-only unions: clique-bound and colorability timeouts, witnesses
         "search-only": [
@@ -158,7 +179,7 @@ def _corpus() -> dict:
             if 2 <= normalize_params(q, m).m_bar <= 8
             for b in (1, 5)
         ],
-        # the spectral filter and factorization witnesses
+        # the theta sweep and factorization witnesses
         "default": [
             _blob(exhaustive_decision(field_for(q), m))
             for q in odd_prime_powers(25)
@@ -169,6 +190,8 @@ def _corpus() -> dict:
         # in classify and in the walk
         "no-search": [_blob(classify(q, m)) for q, m in ((121, 5), (343, 19), (1331, 35))]
         + [_blob(exhaustive_decision(build_field(3, 4), 8, budget=1))],
+        # the theta sweep one node short of its 3 LPs' 45 nodes, and at 45
+        "sweep": [_blob(classify(343, 9, budget=b)) for b in (44, 45)],
         # exact certificates and theta-capped timeout bounds past q = 81
         "paley-certificate": [
             paley_certificate(field_for(q), m, budget=2000).to_json_dict()
@@ -177,10 +200,11 @@ def _corpus() -> dict:
             for m in valid_graph_ms(q)
         ],
     }
-    # the single orbital's search: a timeout at budget 1, an exact witness after
+    # the single orbital's search after its LP's 8 nodes: a timeout at budget
+    # 8, an exact witness after
     with without_witness():
         groups["gf81-8"] = [
-            _blob(exhaustive_decision(build_field(3, 4), 8, budget=b)) for b in (1, 5, 50)
+            _blob(exhaustive_decision(build_field(3, 4), 8, budget=b)) for b in (8, 12, 57)
         ]
     stdout = io.StringIO()
     with redirect_stdout(stdout):

@@ -262,14 +262,14 @@ def test_theta_bounds_rescale_weights_that_break_a_row(monkeypatch):
 
 
 def test_theta_lp_agrees_with_highs_on_every_frobenius_pair():
-    """Every canonical pair of the walk (rotation, Frobenius and complement)
-    with q <= 343, on both of its members (one from the LP, the other from
+    """One union per family under rotation, Frobenius and complement, with
+    q <= 343, on both members of the pair (one from the LP, the other from
     its dual), against scipy's HiGHS solver;
     only solves that HiGHS reports optimal (status 0) are compared, and the
     widths are those up to 11, the widest of scan-729's walks, and up to 6
     on prime fields: 1,048 LPs on 146 (q, m_bar)."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    from paleysync.classify import _canonical_pair_masks
+    from paleysync.classify import _least_image
 
     compared = 0
     for q in odd_prime_powers(343):
@@ -278,7 +278,9 @@ def test_theta_lp_agrees_with_highs_on_every_frobenius_pair():
             if mb > 11 or (field.n == 1 and mb > 6):
                 continue
             periods, size, full = gauss_periods(field, mb), (q - 1) // mb, (1 << mb) - 1
-            for mask in _canonical_pair_masks(mb, field.p):
+            units = tuple({pow(field.p, a, mb) for a in range(mb)})
+            reps = {_least_image(mask, mb, units) for mask in range(1, full)}
+            for mask in sorted(mask for mask in reps if mask <= _least_image(full ^ mask, mb, units)):
                 ours = theta_bounds(periods, [i for i in range(mb) if mask >> i & 1], size)
                 for member, bound in zip((mask, full ^ mask), ours):
                     subset = [i for i in range(mb) if member >> i & 1]
@@ -295,7 +297,7 @@ def test_the_theta_lp_loads_no_numpy():
     """The LP is pure Python: deciding (343, 9) by it leaves numpy unloaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(paleysync.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, paleysync; r = paleysync.classify(343, 9, exhaustive_cap=8);"
-            " print(r.reasons[1].rule, 'numpy' in sys.modules)")
+    code = ("import sys, paleysync; r = paleysync.classify(343, 9);"
+            " print(r.reasons[0].rule, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "Delsarte LP False"
