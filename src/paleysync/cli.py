@@ -4,21 +4,22 @@ Commands: field, graph, invariants, spectrum, classify, scan.  Output is
 deterministic: JSON keys in fixed order, floats at 12 significant digits,
 CSV columns fixed.  Exit codes: 0 ok, 1 bad arguments (including an
 --out path that cannot be written), 2 budget exhausted (partial output
-still emitted), 3 oracle mismatch, 4 internal error (any other
-RuntimeError, such as a RecursionError).
+still emitted), 3 oracle mismatch or a failed self-check (a witness the
+program built that fails verify_certificate), 4 internal error (any other
+exception, such as a RecursionError or a MemoryError).
 
 `scan` runs its rows on every CPU this process may run on (its affinity
-mask, else the CPU count, at most one per q).  This process and one child
-per further CPU, forked with a pipe, take the q's largest first off flags
-in a shared map, so a faster worker takes more of them.  Each child writes
-its rows as JSON and leaves by os._exit.  The rows are put in q order,
-each q's once, so the self-check, the CSV and the exit code see the list
-one process gives.  Where os.fork is missing, the rows run here; the q's
-of a failed fork go to the other workers, and those of a child that left
-no complete report are run here.  An error on any q sends the scan back
-to one loop over every q, which raises the error of the smallest failing
-q, as one process does.  Every child leads its own process group, and any
-exit kills each group, reaps each child and closes each pipe.
+mask, else the CPU count, at most one per q).  This process and one
+`_child.Child` per further CPU take the q's largest first off flags in a
+shared map, so a faster worker takes more of them.  Each child reports
+its rows as JSON.  The rows are put in q order, each q's once, so the
+self-check, the CSV and the exit code see the list one process gives.
+Where os.fork is missing, or a fork fails, the other workers take the
+q's, this process included; those of a child that left no complete
+report are run here.  An error on any q sends the scan back to one loop
+over every q, which raises the error of the smallest failing q, as one
+process does.  Any exit closes every child: its process group killed, the
+child reaped and its pipe closed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import json
 import os
 import sys
 
+from ._child import Child
 from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
-from .errors import OracleMismatchError
+from .errors import InvalidWitnessError, OracleMismatchError
 from .gf import SIZE_LIMIT, build_field, divisors, odd_prime_power, odd_prime_powers
 from .invariants import BRUTE_FORCE_CAP, DEFAULT_BUDGET, brute_force_invariants, paley_certificate
 from .paley import Graph, build_paley, normalize_params
@@ -253,91 +255,37 @@ def _claim(flags, qs: list[int]):
             yield qs[i]
 
 
-def _fork_worker(flags, qs: list[int], m_set, budget: int, oracle: bool):
-    """Fork a child that takes q's off the shared flags, writes its
-    [q, rows] pairs to a pipe as one JSON list, each row as its list of
-    values, and leaves: (pid, read end), or None when the fork fails.  The
-    child leads its own process group, so that killing the group also ends
-    any process it forked."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the other workers take its q's
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        # The child leaves by os._exit, so nothing of the caller's (atexit
-        # hooks, buffered files, a test runner) runs twice; an error exits 1
-        # with nothing written, and the parent runs the child's q's again.
-        code = 1
-        try:
-            os.setpgid(0, 0)
-            os.close(read_end)
-            done = [[q, [list(row.values()) for row in _q_rows([q], m_set, budget, oracle)]]
-                    for q in _claim(flags, qs)]
-            out = json.dumps(done, separators=(",", ":")).encode()
-            while out:
-                out = out[os.write(write_end, out):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        os.setpgid(pid, pid)  # as the child does: the group exists once either has run
-    except OSError:  # the child has already set it and exited
-        pass
-    return pid, read_end
-
-
-def _read_worker(read_end: int) -> list:
-    """A child's (q, rows) pairs, read to the end of its pipe, or [] when
-    its report is not complete (the child failed, or died before it wrote
-    all of it)."""
-    chunks = []
-    while chunk := os.read(read_end, 1 << 16):
-        chunks.append(chunk)
-    columns = SCAN_COLUMNS.split(",")
-    try:
-        return [(q, [dict(zip(columns, values)) for values in rows])
-                for q, rows in json.loads(b"".join(chunks))]
-    except ValueError:
-        return []
-
-
 def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) -> list[dict]:
     """The rows of every q, in q then m order, from `workers` processes:
-    this one and workers - 1 forked children take the q's, largest first,
-    off flags in a shared map.  The q's of a child that left no complete
-    report are run here at the end.  Every child is killed and reaped, and
-    every pipe closed, on any exit."""
+    this one and up to workers - 1 children take the q's, largest first,
+    off flags in a shared map.  A child reports [q, rows] pairs, each row
+    as its list of values.  The q's of a child with no complete report are
+    run here at the end.  Every child is closed on any exit."""
     import mmap
-    import signal
 
     flags = mmap.mmap(-1, len(qs))  # anonymous and shared with the children
+
+    def share() -> list:
+        return [[q, [list(row.values()) for row in _q_rows([q], m_set, budget, oracle)]]
+                for q in _claim(flags, qs)]
+
     children = []
     try:
         for _ in range(workers - 1):
-            child = _fork_worker(flags, qs, m_set, budget, oracle)
+            child = Child.start(share)
             if child is not None:
                 children.append(child)
         by_q = {q: _q_rows([q], m_set, budget, oracle) for q in _claim(flags, qs)}
-        for _, read_end in children:
-            for q, rows in _read_worker(read_end):
-                by_q.setdefault(q, rows)
+        columns = SCAN_COLUMNS.split(",")
+        for child in children:
+            for q, rows in child.result() or ():
+                by_q.setdefault(q, [dict(zip(columns, values)) for values in rows])
     finally:
-        for pid, read_end in children:
-            try:
-                os.killpg(pid, signal.SIGKILL)
-            except OSError:  # no such group: kill the child alone
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
+        for child in children:
+            child.close()
         flags.close()
-    for q in qs:
-        if q not in by_q:
-            by_q[q] = _q_rows([q], m_set, budget, oracle)
-    return [row for q in qs for row in by_q[q]]
+    return [row for q in qs
+            for row in (by_q[q] if q in by_q else _q_rows([q], m_set, budget, oracle))]
 
 
 def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[dict]:
@@ -345,7 +293,7 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[dict]:
     process may run on (see _forked_rows)."""
     qs = odd_prime_powers(q_max)
     workers = min(_workers(), len(qs))
-    if workers > 1 and hasattr(os, "fork"):
+    if workers > 1:
         try:
             return _forked_rows(qs, workers, m_set, budget, oracle)
         except Exception:
@@ -469,13 +417,14 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_ARGS
     try:
         return args.func(args)
+    except (OracleMismatchError, InvalidWitnessError) as exc:
+        # The CLI takes no witness, so an invalid one is the program's own.
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ORACLE_MISMATCH
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_ARGS
-    except OracleMismatchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ORACLE_MISMATCH
-    except RuntimeError as exc:
+    except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL_ERROR
 

@@ -28,47 +28,32 @@ independent-set and coloring results into an `InvariantCertificate`, for
 the searched certificates and the no-search ones (brute force, omega = chi)
 alike, and verifies it whenever all three are exact.
 
-Each k-test of chi opens with a probe: the exhaustive search on PROBE
-(4,096) nodes, or on what the meter has left when that is less, so with at
-most PROBE nodes left the probe is the whole k-test.  The probe decides all
-but six k-tests of the q <= 81 sweep; when it runs out with nodes left, a
-Tabucol search (`_tabu_coloring`) gets half of them, at most TABU_MOVES
-moves, and then the exhaustive search restarts on the rest.  A coloring
-the tabu search finds is exact, since every smaller k is already excluded.
-The cap keeps an unsatisfiable k-test on a large budget from spending half
-of it on colorings that do not exist before the exhaustive search proves so.
-At budget 50,000 the schedule decides chi(61, 3) = 8, chi(73, 3) = 10 and
-chi(79, 3) = 9, which the exhaustive search leaves open at 300,000 nodes;
-chi(81, 4) stays in [6, 9] there.  It is 7: the exhaustive 6-test is unsat
-after 3,122,536 nodes, and a 7-coloring takes the exhaustive search 142
-nodes and the tabu search 145 moves, so paley_certificate decides it at
-budget 3,300,000 (about 90 s on a 2-vCPU Xeon).
-
-Those are the stages in turn, whose results and node counts every k-test
-returns; where os.fork exists and the tabu search would get a move, the
-k-test overlaps them in two processes.  The probe runs on one meter
-(`_Probe`), through one k_colorable call.  At PROBE // 4 steps the meter
-forks a child that runs the tabu search alone, from the meter the stages
-in turn would give it (the probe's PROBE + 1 nodes spent), writes its spent
-count and its coloring, if any, to a pipe, and leaves.  A probe that
-decides kills and reaps the child.  At the probe's end the meter reads the
-child's report if it is written, and a coloring ends the search.  Else,
-since a rerun from the root would first repeat the probe's PROBE nodes, the
-meter charges the tabu search's moves and those nodes, takes the call's
-limit, and lets the search run on as the rerun (one with PROBE nodes or
-fewer left times out there, as the restarted rerun would), reading the
-pipe whenever a report is waiting, checked every PROBE // 4 steps.  A tabu
-coloring wins, with the child's spent count.  An unsat result stands at
-once, since no coloring exists, and the child is killed unread; a sat or
-timeout result stands once the child has reported its failure.  A failed
-fork, or a child that dies without a report, sends the k-test back to the
-stages in turn, run here from the probe's timeout.  Any exit kills and reaps a
-child still running, so no process outlives the call.  The count that
-k_colorable reports for the probe holds the charge and every node its
-search ran, also when a tabu coloring then stops it.  The child leaves
-by os._exit, taking no lock that another thread could hold, so a
-multithreaded caller may call chromatic_number; Python 3.12 and later warn
-(DeprecationWarning) on a fork in a process with threads.
+Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
+opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
+what the meter has left when that is less, so with at most PROBE nodes
+left the probe is the whole k-test.  The probe decides all but six
+k-tests of the q <= 81 sweep.  Past it, a Tabucol search (`_tabu_coloring`)
+gets half the nodes left, at most TABU_MOVES moves, on the meter the
+probe's timeout leaves, and a coloring it finds is exact, since every
+smaller k is already excluded.  It runs in a forked child
+(`_child.Child`) started at PROBE // 4 steps when it gets a move, else,
+or when the child dies or the fork fails, here on the same meter values.
+A tabu coloring ends the k-test.  Else, since an exhaustive search
+restarted from the root would first repeat the probe's PROBE nodes, the
+meter charges them and the tabu moves at the probe's end and lets the
+probe's search run on as that restart, taking the report once written
+(polled every PROBE // 4 steps).  A tabu coloring still wins, with the
+tabu search's count; an unsat result stands at once, since no coloring
+exists.  So every result and count is that of the stages run in turn,
+whichever process ran the tabu search, and every exit closes the child.
+The cap keeps an unsatisfiable k-test on a large budget from spending
+half of it on colorings that do not exist.  At budget 50,000 the schedule
+decides chi(61, 3) = 8, chi(73, 3) = 10 and chi(79, 3) = 9, which the
+exhaustive search leaves open at 300,000 nodes; chi(81, 4) stays in
+[6, 9] there.  It is 7: the exhaustive 6-test is unsat after 3,122,536
+nodes, and a 7-coloring takes the exhaustive search 142 nodes and the
+tabu search 145 moves, so paley_certificate decides it at budget
+3,300,000 (about 90 s on a 2-vCPU Xeon).
 
 On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
@@ -94,10 +79,10 @@ every independent-set witness passes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import ceil, gcd
 
+from ._child import Child
 from .errors import (
     BadDivisorError,
     BadInputError,
@@ -707,43 +692,27 @@ def _tabu_moves(limit: int, spent: int) -> int:
     return min((limit - spent) // 2, TABU_MOVES)
 
 
-def _tabu_then_rerun(g: Graph, adj: list[int], n: int, k: int, clique: list[int],
-                     meter: _Budget):
-    """The stages of a k-test after its probe timed out, run in turn here:
-    the tabu search, then, if it fails, the exhaustive search again from the
-    root on the rest of the meter.  Returns (status, coloring)."""
-    coloring = _tabu_coloring(adj, n, k, meter, _tabu_moves(meter.limit, meter.spent))
-    if coloring is not None:
-        return "sat", coloring
-    status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
-    return status, coloring
+class _KTest(_Budget):
+    """The meter of one k-test of chi (see the module docstring): up to the
+    probe's end it counts like _Budget(PROBE) on the caller's count, then,
+    unless the tabu report is a coloring, on to the call's limit as the
+    rerun.  `tabu` is that report, (spent, coloring), the coloring None
+    when the search failed."""
 
+    __slots__ = ("adj", "n", "k", "start", "call_limit", "moves", "mark", "past", "child",
+                 "tabu")
 
-class _Probe(_Budget):
-    """The meter of a k-test's probe that overlaps the stages after it (see
-    the module docstring).
-
-    Up to the probe's end it counts like _Budget(PROBE) on the caller's
-    count, and at PROBE // 4 steps it forks the tabu child.  At the probe's
-    end, unless the child has already settled the k-test, it charges the
-    restart of the rerun and runs on to the call's limit as the rerun,
-    polling the child every PROBE // 4 steps.  `tabu` is None while the
-    child runs, then its report: (spent, coloring), the coloring None when
-    the tabu search failed, or (None, None) when there is no report (the
-    fork failed or the child died).
-    """
-
-    __slots__ = ("adj", "n", "k", "moves", "start", "call_limit", "mark", "phase", "pid",
-                 "read_end", "tabu")
-
-    def __init__(self, adj: list[int], n: int, k: int, meter: _Budget, moves: int):
-        super().__init__(meter.spent + PROBE)
-        self.adj, self.n, self.k, self.moves = adj, n, k, moves
-        self.start = self.spent = meter.spent
+    def __init__(self, adj: list[int], n: int, k: int, meter: _Budget):
+        self.start = meter.spent
+        super().__init__(self.start + min(PROBE, meter.limit - self.start))
+        self.spent = self.start
+        self.adj, self.n, self.k = adj, n, k
         self.call_limit = meter.limit
-        self.mark = self.start + PROBE // 4  # the next step that is not a plain count
-        self.phase = 0  # 0 before the fork, 1 in the rest of the probe, 2 past its end
-        self.pid = self.read_end = self.tabu = None
+        self.moves = _tabu_moves(meter.limit, self.start + PROBE + 1)
+        # the next step that is not a plain count: the fork point, else the probe's end
+        self.mark = self.start + PROBE // 4 if self.moves > 0 else self.limit
+        self.past = False  # past the probe's end, where the tabu report counts
+        self.child = self.tabu = None
 
     def step(self) -> bool:
         if self.spent < self.mark:
@@ -752,25 +721,27 @@ class _Probe(_Budget):
         return self._event()
 
     def _event(self) -> bool:
-        if self.phase == 0:
-            self.phase = 1
-            self._fork()
-            self.mark = self.limit
-            return self.step()
-        if self.phase == 1:  # the probe's end
-            self.phase = 2
-            if self.tabu is None:
-                self._read(block=False)
-            if self._settled():
+        if not self.past:
+            if self.spent < self.limit:  # the fork point
+                self.child = Child.start(self._tabu)
+                self.mark = self.limit
+                return self.step()
+            if self.start + PROBE + 1 > self.call_limit:  # the probe was the whole k-test
+                self.spent = self.limit + 1
+                return False
+            self.past = True
+            if self.child is None or self.child.ready():
+                self._take()
+            if self.tabu and self.tabu[1] is not None:
                 self.spent = self.limit + 1  # the probe's timeout
                 return False
             # The rerun would restart from the root, and its first PROBE
             # nodes are the probe's: charge them and run on.
             self.spent = self.start + PROBE + 1 + self.moves + PROBE
             self.limit = self.call_limit
-        elif self.spent < self.limit and self.tabu is None:
-            self._read(block=False)
-            if self._settled():
+        elif self.tabu is None and self.spent < self.limit and self.child.ready():
+            self._take()
+            if self.tabu[1] is not None:
                 return False
         if self.spent >= self.limit:
             self.spent = self.limit + 1
@@ -781,109 +752,38 @@ class _Probe(_Budget):
         self.spent += 1
         return True
 
-    def _settled(self) -> bool:
-        """True when the child's report ends the search: a coloring, or none."""
-        return self.tabu is not None and (self.tabu[0] is None or self.tabu[1] is not None)
+    def _tabu(self) -> tuple[int, tuple[int, ...] | None]:
+        """The tabu search on the meter the probe's timeout leaves:
+        (spent, coloring)."""
+        meter = _Budget(self.call_limit)
+        meter.spent = self.start + PROBE + 1
+        coloring = _tabu_coloring(self.adj, self.n, self.k, meter, self.moves)
+        return meter.spent, coloring
 
-    def _fork(self) -> None:
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the stages run in turn
-            os.close(read_end)
-            os.close(write_end)
-            self.tabu = (None, None)
-            return
-        if pid == 0:
-            # The child: the tabu search on the meter the stages in turn give
-            # it, then "spent colors..." to the pipe.  It leaves by os._exit,
-            # so nothing of the caller's (atexit hooks, buffered files, a
-            # test runner) runs twice; an error exits 1 with nothing used.
-            code = 1
-            try:
-                os.close(read_end)
-                meter = _Budget(self.call_limit)
-                meter.spent = self.start + PROBE + 1
-                coloring = _tabu_coloring(self.adj, self.n, self.k, meter, self.moves)
-                out = " ".join(map(str, (meter.spent, *(coloring or ())))).encode()
-                while out:
-                    out = out[os.write(write_end, out):]
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        self.pid, self.read_end = pid, read_end
-
-    def _read(self, block: bool) -> None:
-        """Take the child's report and reap it: once it is written, or, with
-        block, when the child is done."""
-        import select
-
-        if not block and not select.select([self.read_end], [], [], 0)[0]:
-            return
-        out = b""
-        while chunk := os.read(self.read_end, 1 << 16):
-            out += chunk
-        code = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        self.tabu = (None, None)
-        if code == 0:
-            spent, *colors = out.split()
-            self.tabu = (int(spent), tuple(map(int, colors)) if colors else None)
+    def _take(self) -> None:
+        """Take the tabu report: the child's, waiting for it, else (no
+        child, or a dead one) the search run here."""
+        self.tabu = (self.child and self.child.result()) or self._tabu()
 
     def settle(self, status: str, coloring, meter: _Budget):
-        """The k-test's (status, coloring) as the stages in turn give it, with
-        their spent count on the caller's meter; a timeout within the meter
-        when the tabu search and the rerun are still to run in turn."""
-        # The probe decided, or the search ran on to unsat: no coloring
-        # exists, so the child's report cannot change the result, and
-        # close() kills the child unread.
-        if self.phase < 2 or status == "unsat":
-            meter.spent = self.spent
-            return status, coloring
-        if self.tabu is None:
-            self._read(block=True)
-        spent, tabu_coloring = self.tabu
-        if spent is None:  # no report: back to the probe's timeout
-            meter.spent = self.start + PROBE + 1
-            return "timeout", None
-        if tabu_coloring is not None:
-            meter.spent = spent
-            return "sat", tabu_coloring
+        """The k-test's (status, coloring), its count spent on the caller's
+        meter.  Past the probe's end a tabu coloring wins, with the tabu
+        search's count; an unsat result stands without the report, since no
+        coloring exists."""
+        if self.past and status != "unsat":
+            if self.tabu is None:
+                self._take()
+            spent, tabu_coloring = self.tabu
+            if tabu_coloring is not None:
+                meter.spent = spent
+                return "sat", tabu_coloring
         meter.spent = self.spent
         return status, coloring
 
     def close(self) -> None:
-        """Kill and reap a child still running, and close the pipe."""
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.read_end is not None:
-            os.close(self.read_end)
-            self.read_end = None
-
-
-def _probe(g: Graph, adj: list[int], n: int, k: int, clique: list[int], meter: _Budget):
-    """A k-test's probe, the exhaustive search on at most PROBE nodes:
-    (status, coloring), the timeout within the meter when the tabu search
-    and the rerun are to run in turn.  Where os.fork exists and the tabu
-    search would get a move, the probe overlaps those stages and returns
-    their result (see _Probe)."""
-    moves = _tabu_moves(meter.limit, meter.spent + PROBE + 1)
-    if moves > 0 and hasattr(os, "fork"):
-        probe = _Probe(adj, n, k, meter, moves)
-        try:
-            status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
-            return probe.settle(status, coloring, meter)
-        finally:
-            probe.close()
-    probe = _Budget(min(PROBE, meter.limit - meter.spent))
-    status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
-    meter.spent += probe.spent
-    return status, coloring
+        """Kill and reap the child, if any, and close its pipe."""
+        if self.child is not None:
+            self.child.close()
 
 
 def _normalize_coloring(coloring) -> tuple[int, ...]:
@@ -903,10 +803,9 @@ def chromatic_number(
     k-colorability is tested upward from the lower bound, so the first
     satisfiable k is exact.  `lower` must be sound if supplied; the clique
     witness (computed here when not passed in) seeds every k-test.  The
-    search's upper bound comes from a greedy coloring it can exhibit.  A
-    k-test whose probe runs out with nodes left tries the tabu search before
-    the exhaustive search runs on; a forked child runs the tabu search beside
-    the probe (see the module docstring), and its moves spend the same meter.
+    search's upper bound comes from a greedy coloring it can exhibit.  Each
+    k-test is a probe, a tabu search and the probe's search run on (see the
+    module docstring), all on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -929,10 +828,13 @@ def chromatic_number(
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
 
     for k in range(lo, ub):
-        status, coloring = _probe(g, adj, n, k, clique, meter)
-        if status == "timeout" and meter.spent <= meter.limit:
-            # Every k below is excluded, so a k-coloring found here is exact.
-            status, coloring = _tabu_then_rerun(g, adj, n, k, clique, meter)
+        # Every k below is excluded, so a k-coloring found here is exact.
+        test = _KTest(adj, n, k, meter)
+        try:
+            status, coloring, _ = k_colorable(g, k, budget=test, clique_hint=clique)
+            status, coloring = test.settle(status, coloring, meter)
+        finally:
+            test.close()
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

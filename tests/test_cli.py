@@ -7,7 +7,7 @@ import time
 import pytest
 
 import paleysync.cli as cli
-from paleysync import InvariantCertificate, build_field, exhaustive_decision
+from paleysync import InvalidWitnessError, InvariantCertificate, build_field, exhaustive_decision
 from paleysync.errors import OracleMismatchError
 from paleysync.cli import run
 from conftest import assert_no_child, open_fds, without_witness
@@ -146,6 +146,25 @@ def test_other_runtime_errors_are_not_oracle_mismatches(capsys, monkeypatch, exc
     assert code == 4
     assert "oracle mismatch" not in err
     assert type(exc).__name__ in err
+
+
+@pytest.mark.parametrize("target, argv, exc, code", [
+    ("paley_certificate", ("invariants", "9", "2"),
+     InvalidWitnessError("coloring is not proper: color 0 holds an edge"), 3),
+    ("classify", ("classify", "13", "3"), MemoryError("out of memory"), 4),
+], ids=["self-check", "memory"])
+def test_an_internal_failure_exits_with_the_code_that_names_it(capsys, monkeypatch, target, argv,
+                                                               exc, code):
+    """The CLI takes no witness, so a witness that fails verify_certificate
+    is the program's own and fails its self-check (3), not the arguments
+    (1); any other exception, a MemoryError included, is an internal
+    error (4), and none escapes run."""
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, boom)
+    assert run(list(argv)) == code
+    assert str(exc) in capsys.readouterr().err
 
 
 def test_scan_csv(capsys):

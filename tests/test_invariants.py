@@ -39,7 +39,8 @@ from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
                                   _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
-                                  _tabu_coloring, factorization_certificate)
+                                  _tabu_coloring, _tabu_moves, factorization_certificate)
+from paleysync._child import Child
 from paleysync.paley import iter_bits
 from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
                       valid_graph_ms)
@@ -743,41 +744,88 @@ def test_tabu_coloring_makes_the_reference_moves_on_random_graphs():
     assert outcomes == {"sat", "cap", "meter"}
 
 
+def _chi_by(k_test, g, lo, budget):
+    """chi as k_test(k, meter) -> (status, coloring) decides k = lo, lo + 1,
+    ... on one meter, up to the DSATUR coloring's count, whose coloring a
+    timeout carries."""
+    def first_seen(coloring):
+        seen = {}
+        return tuple(seen.setdefault(c, len(seen)) for c in coloring)
+
+    greedy = _dsatur_coloring(list(g.adjacency), g.n_vertices)
+    ub = max(greedy) + 1
+    meter = _Budget(budget)
+    for k in range(lo, ub):
+        status, coloring = k_test(k, meter)
+        if status == "sat":
+            return SearchResult(True, k, k, first_seen(coloring), meter.spent)
+        if status == "timeout":
+            return SearchResult(False, k, ub, first_seen(greedy), meter.spent)
+    return SearchResult(True, ub, ub, first_seen(greedy), meter.spent)
+
+
+def _exhaustive_alone(g, lo, budget, clique):
+    """chi by k_colorable alone."""
+    return _chi_by(lambda k, meter: k_colorable(g, k, budget=meter, clique_hint=clique)[:2],
+                   g, lo, budget)
+
+
+def _stages_in_turn(g, lo, budget, clique, outcomes=None):
+    """chi with each k-test's stages run in turn, in this process: the
+    exhaustive probe on _Budget(PROBE), or on what is left when that is
+    less; if it times out with nodes left, the tabu search with _tabu_moves
+    moves; if that fails, k_colorable from the root on the rest of the
+    meter.  `outcomes` collects what each k-test past its probe came to."""
+    adj, n = list(g.adjacency), g.n_vertices
+    probe_nodes = sys.modules["paleysync.invariants"].PROBE
+
+    def k_test(k, meter):
+        probe = _Budget(min(probe_nodes, meter.limit - meter.spent))
+        status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+        meter.spent += probe.spent
+        if status != "timeout" or meter.spent > meter.limit:
+            return status, coloring
+        coloring = _tabu_coloring(adj, n, k, meter, _tabu_moves(meter.limit, meter.spent))
+        if coloring is not None:
+            outcome = "sat", coloring
+        else:
+            outcome = k_colorable(g, k, budget=meter, clique_hint=clique)[:2]
+        if outcomes is not None:
+            outcomes.add(("tabu " if coloring is not None else "rerun ") + outcome[0])
+        return outcome
+
+    return _chi_by(k_test, g, lo, budget)
+
+
 @pytest.mark.parametrize("budget", [PROBE + 1, 10_000, 50_000])
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
-    """nodes is every k-test node plus every tabu move.  At PROBE + 1 the
-    probe spends the whole meter, so the tabu search gets no move.  The
-    wrappers count the stages in turn, with os.fork gone: a rerun in a
-    forked child passes no wrapper.  The forked run returns the same."""
+    """nodes is every k-test node plus every tabu move, as the stages in
+    turn count them.  At PROBE + 1 the probe spends the whole meter, so the
+    tabu search gets no move.  The tabu search runs in this process with
+    os.fork gone, where the wrapper sees its moves."""
     invariants = sys.modules["paleysync.invariants"]
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     assert_no_child()
-    spent = {"k_colorable": 0, "tabu": 0}
+    moves = []
 
-    def traced_colorable(*args, **kwargs):
-        res = k_colorable(*args, **kwargs)
-        spent["k_colorable"] += res[2]
-        return res
-
-    def traced_tabu(adj, n, k, meter, moves):
+    def traced_tabu(adj, n, k, meter, cap):
         before = meter.spent
-        coloring = _tabu_coloring(adj, n, k, meter, moves)
-        spent["tabu"] += meter.spent - before
+        coloring = _tabu_coloring(adj, n, k, meter, cap)
+        moves.append(meter.spent - before)
         return coloring
 
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(invariants, "k_colorable", traced_colorable)
     monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
     res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    assert res.nodes == spent["k_colorable"] + spent["tabu"] <= budget + 1
+    assert res == forked == _stages_in_turn(g, 9, budget, clique)
+    assert res.nodes <= budget + 1
     assert res.exact == (budget == 50_000)
     if budget == PROBE + 1:
-        assert (spent["tabu"], res.nodes) == (0, budget + 1)
+        assert (moves, res.nodes) == ([0], budget + 1)
     else:
-        assert spent["tabu"] > 0
-    assert res == forked
+        assert len(moves) == 1 and moves[0] > 0
 
 
 def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
@@ -797,8 +845,9 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
     with pytest.raises(Stop):
         chromatic_number(g, lower=6, budget=10**8, clique_hint=clique)
     assert moves == [TABU_MOVES]
-    # The rerun's child, forked before the tabu search, is killed and reaped,
-    # not waited on through its 10**8-node search.
+    # The tabu child's search raises, so the child dies and the search is
+    # run here, where it raises too: the call ends with the child reaped,
+    # not after a 10**8-node rerun.
     assert_no_child()
     assert time.perf_counter() - start < 30
 
@@ -807,12 +856,13 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
                                      (79, 3, 9), (81, 4, 6)])
 def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypatch, q, m, k):
     """The six k-tests of the q <= 81 sweep at budget 50,000 that outlast
-    the probe: the forked path and the in-process one (os.fork gone) return
-    the same result, node count included, and leave no child."""
+    the probe: with a fork and with os.fork gone, chi returns what the
+    stages in turn return, node count included, and leaves no child."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
     assert_no_child()
+    assert forked == _stages_in_turn(g, k, 50_000, clique)
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == forked
 
@@ -820,37 +870,23 @@ def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypat
 def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
     """With PROBE cut to 8, random graphs reach every outcome of the stages
     after the probe: a tabu coloring, or a failed tabu search followed by a
-    sat, unsat or timeout rerun.  The forked path returns what the stages
-    in turn return, node count included, and leaves no child."""
-    invariants = sys.modules["paleysync.invariants"]
-    monkeypatch.setattr(invariants, "PROBE", 8)
+    sat, unsat or timeout rerun.  With a fork and with os.fork gone, chi
+    returns what the stages in turn return, node count included, and
+    leaves no child."""
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 8)
     cases = [(random_graph(40, seed, 0.5), budget)
              for seed in range(4) for budget in (50, 200, 1000, 5000)]
-    forked = []
+    outcomes = set()
+    expected = []
     for g, budget in cases:
-        forked.append(chromatic_number(g, budget=budget))
+        clique = clique_number(g).witness
+        expected.append(_stages_in_turn(g, len(clique), budget, clique, outcomes))
+        assert chromatic_number(g, budget=budget, clique_hint=clique) == expected[-1], budget
         assert_no_child()
-
-    events = []
-
-    def traced_colorable(*args, **kwargs):
-        res = k_colorable(*args, **kwargs)
-        events.append(res[0])
-        return res
-
-    def traced_tabu(*args):
-        coloring = _tabu_coloring(*args)
-        events.append("tabu" if coloring is None else "tabu sat")
-        return coloring
-
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(invariants, "k_colorable", traced_colorable)
-    monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
-    for (g, budget), res in zip(cases, forked):
-        assert chromatic_number(g, budget=budget) == res, budget
-    outcomes = {"tabu sat"} & set(events)
-    outcomes |= {f"rerun {after}" for before, after in zip(events, events[1:]) if before == "tabu"}
     assert outcomes == {"tabu sat", "rerun sat", "rerun unsat", "rerun timeout"}
+    monkeypatch.delattr(os, "fork")
+    for (g, budget), res in zip(cases, expected):
+        assert chromatic_number(g, budget=budget, clique_hint=clique_number(g).witness) == res
 
 
 def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
@@ -872,6 +908,7 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
     monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
     res = chromatic_number(g, lower=9, budget=10_000, clique_hint=clique)
     assert_no_child()
+    assert res == _stages_in_turn(g, 9, 10_000, clique)
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
     assert (res.exact, res.nodes) == (False, 10_001)
@@ -881,16 +918,16 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
 def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_turn(monkeypatch,
                                                                                   budget, late):
     """(79, 3) at k = 9: a tabu child whose search raises exits with nothing
-    written.  At budget 10,000 the rerun has no node past the probe's, so
-    the caller finds the dead child when it reads the report.  At 50,000
-    (late) the child dies only once the caller's search has run on past
-    the probe, and the caller finds it at a poll.  Either way the caller
-    runs the tabu search and the rerun in turn from the probe's timeout,
-    and returns what the run without os.fork does, node count included."""
+    written.  At budget 10,000 the charge leaves the rerun no node past the
+    probe's, so the caller finds the dead child when it takes the report.
+    At 50,000 (late) the child dies only once the caller's search has run
+    on past the probe, and the caller finds it at a poll.  Either way the
+    caller runs the tabu search itself, once, and returns what the stages
+    in turn return, node count included."""
     invariants = sys.modules["paleysync.invariants"]
     most_constrained = invariants._most_constrained
     caller = os.getpid()
-    stages, nodes = [], []
+    here, nodes = [], []
     read_end, write_end = os.pipe()
 
     def dies_in_child(*args):
@@ -898,6 +935,7 @@ def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_tur
             if late:
                 os.read(read_end, 1)  # wait for the caller's search to pass the probe
             raise RuntimeError("the child's tabu search fails")
+        here.append(args[2])
         return _tabu_coloring(*args)
 
     def past_the_probe(*args):
@@ -907,25 +945,21 @@ def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_tur
             time.sleep(0.2)  # the child dies before the next poll
         return most_constrained(*args)
 
-    def traced_stages(*args):
-        stages.append(args[3])
-        return tabu_then_rerun(*args)
-
-    tabu_then_rerun = invariants._tabu_then_rerun
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
     monkeypatch.setattr(invariants, "_tabu_coloring", dies_in_child)
     monkeypatch.setattr(invariants, "_most_constrained", past_the_probe)
-    monkeypatch.setattr(invariants, "_tabu_then_rerun", traced_stages)
+    fds = open_fds()
     try:
         res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     finally:
         os.close(read_end)
         os.close(write_end)
     assert_no_child()
-    assert stages == [9]  # the fallback ran, once
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res
+    assert open_fds() == fds - 2
+    assert here == [9]  # the dead child's search ran here, once
+    monkeypatch.undo()
+    assert res == _stages_in_turn(g, 9, budget, clique)
     assert res.exact == (budget == 50_000)
 
 
@@ -960,6 +994,7 @@ def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
     status = reaped[forked[0]]
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
     assert (res.exact, res.lower) == (True, 5)
+    assert res == _stages_in_turn(g, 4, 50_000, clique)
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
     status, _, nodes = k_colorable(g, 4, clique_hint=clique)
@@ -970,22 +1005,23 @@ def test_an_unsat_rerun_does_not_wait_for_the_tabu_child(monkeypatch):
     """With PROBE cut to 1,024, the 4-test of (41, 5), unsat after 2,330
     nodes, outlasts the probe and the search running on as the rerun proves
     it unsat while the tabu child still searches for a 4-coloring.  No
-    coloring exists, so the result stands at once: no blocking read of the
-    child's report, the result of the stages in turn, and no child left."""
-    invariants = sys.modules["paleysync.invariants"]
-    monkeypatch.setattr(invariants, "PROBE", 1024)
-    read, blocking = invariants._Probe._read, []
+    coloring exists, so the result stands at once: no read of the child's
+    report that would wait for it, the result of the stages in turn, and no
+    child left."""
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 1024)
+    result, waits = Child.result, []
 
-    def traced_read(self, block):
-        blocking.append(block)
-        return read(self, block)
+    def traced_result(self):
+        waits.append(not self.ready())
+        return result(self)
 
-    monkeypatch.setattr(invariants._Probe, "_read", traced_read)
+    monkeypatch.setattr(Child, "result", traced_result)
     g = residue_graph(41, 5)
     clique = clique_number(g).witness
     res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
     assert_no_child()
-    assert True not in blocking
+    assert True not in waits
+    assert res == _stages_in_turn(g, 4, 50_000, clique)
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
     assert (res.exact, res.lower) == (True, 5)
@@ -1034,8 +1070,9 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
                                                                                q, m, k):
     """At PROBE + 1 and PROBE + 2 the tabu search gets no move, at PROBE + 3
     one; at 3 * PROBE the rerun's allotment crosses PROBE, so the probe's
-    search runs on past its end or times out there.  The forked result is
-    that of the run without os.fork, node count included."""
+    search runs on past its end or times out there.  With a fork and with
+    os.fork gone, chi returns what the stages in turn return, node count
+    included."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     budgets = [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]
@@ -1043,6 +1080,7 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
     for budget in budgets:
         forked.append(chromatic_number(g, lower=k, budget=budget, clique_hint=clique))
         assert_no_child()
+        assert forked[-1] == _stages_in_turn(g, k, budget, clique), budget
     monkeypatch.delattr(os, "fork")
     for budget, res in zip(budgets, forked):
         assert chromatic_number(g, lower=k, budget=budget, clique_hint=clique) == res, budget
@@ -1052,9 +1090,10 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
 def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
     """(79, 3) at k = 9: at budget 10,000 the tabu search fails and the rerun
     times out, at 50,000 the tabu search finds a 9-coloring.  When os.fork
-    raises OSError, the caller runs the stages in turn, to the result of the
-    forked run and of the run without os.fork, node count included, and
-    leaves no child and neither end of the pipe open."""
+    raises OSError, the caller runs the tabu search itself, to the result of
+    the stages in turn, of the forked run and of the run without os.fork,
+    node count included, and leaves no child and neither end of the pipe
+    open."""
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
     forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
@@ -1073,28 +1112,10 @@ def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
     assert_no_child()
     monkeypatch.delattr(os, "fork")
     assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res == forked
+    assert res == _stages_in_turn(g, 9, budget, clique)
     assert res.exact == (budget == 50_000)
     if not res.exact:
         assert res.nodes == 10_001
-
-
-def _exhaustive_alone(g, lo, budget, clique):
-    """chi by k_colorable alone: k = lo, lo + 1, ... on one meter, up to the
-    DSATUR coloring's count, whose coloring a timeout carries."""
-    def first_seen(coloring):
-        seen = {}
-        return tuple(seen.setdefault(c, len(seen)) for c in coloring)
-
-    greedy = _dsatur_coloring(list(g.adjacency), g.n_vertices)
-    ub = max(greedy) + 1
-    meter = _Budget(budget)
-    for k in range(lo, ub):
-        status, coloring, _ = k_colorable(g, k, budget=meter, clique_hint=clique)
-        if status == "sat":
-            return SearchResult(True, k, k, first_seen(coloring), meter.spent)
-        if status == "timeout":
-            return SearchResult(False, k, ub, first_seen(greedy), meter.spent)
-    return SearchResult(True, ub, ub, first_seen(greedy), meter.spent)
 
 
 def _probe_cases():
@@ -1110,11 +1131,12 @@ def _probe_cases():
 def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(monkeypatch):
     """With at most PROBE nodes left, the probe is the whole k-test: chi
     returns what k_colorable returns on one meter, node count included, and
-    neither the tabu search nor a rerun runs."""
+    the tabu search runs neither here nor in a child."""
     def no_stages(*args):
         raise AssertionError("a stage past the probe ran")
 
-    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_then_rerun", no_stages)
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", no_stages)
+    monkeypatch.setattr(Child, "start", no_stages)
     for key, g, lo in _probe_cases():
         clique = clique_number(g).witness
         for budget in (0, 1, 100, PROBE - 1, PROBE):
