@@ -55,7 +55,7 @@ nodes, and a 7-coloring takes the exhaustive search 142 nodes and the
 tabu search 145 moves, so paley_certificate decides it at budget
 3,300,000 (about 90 s on a 2-vCPU Xeon).
 
-On a graph marked as a Cayley graph (`Graph.cayley`: every residue graph,
+On a graph with a multiplier (`Graph.multiplier`: every residue graph,
 complement and orbital union on GF(q)) the clique search is cut to the
 neighborhood of vertex 0: omega(G) = 1 + omega(G[N(0)]).  This is sound
 because a Cayley graph is vertex-transitive, so a translation carries any
@@ -65,6 +65,23 @@ greedy clique and a cap one short of G's, and vertex 0 joins what it finds;
 a timeout keeps G's cap as its upper bound.  The greedy coloring of G that
 the search over all vertices opens with is tried first, so the cut never
 searches a graph that search would close at its root.
+
+The independence search, a clique search of the complement, also branches
+by orbits (orbital branching: Ostrowski, Linderoth, Rossi & Smriglio 2011).
+A multiplier (field, d) makes x -> a*x, a in the d-th powers H, an
+automorphism fixing 0, so N(0) is a union of H-orbits gamma^i * H.  With
+vertex 0 fixed, the root loop runs over N(0) in the color order of the
+search over all vertices, in its degeneracy labels; the first vertex v of
+each orbit opens the subtree of the cliques through 0 and v, and then the
+orbit leaves the candidates.  A clique through 0 and h*v, h in H, maps by
+x -> x/h onto one through 0 and v that misses the orbits dropped before,
+as their union is H-invariant, so no maximum clique is lost.  The
+incumbent is one greedy dive per orbit, from 0 and gamma^i, which may meet
+the cap, else the greedy coloring of N(0) may close the search; a timeout's
+lower bound also takes the 48-seed greedy start over all vertices.  The
+clique search keeps one branch per vertex, as its witness seeds every
+k-test of chi: seeded with (0, 1, 2) for (5, 38, 80), the 6-test of
+(81, 4) is open after 6,000,000 nodes, where it is unsat after 3,122,536.
 
 The factorization certificate (omega = chi = p^t on an orbital union)
 takes no clique or coloring search and no digit-wise field addition: its
@@ -192,9 +209,10 @@ def _degeneracy_order(adj: list[int], n: int) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def _greedy_clique(adj: list[int], seeds: list[int], cap: int) -> list[int]:
+def _greedy_clique(adj: list[int], seeds: list[int], cap: int, base: int = -1) -> list[int]:
     """Deterministic greedy clique used to seed the branch-and-bound: the
-    longest of the cliques grown from each seed, the first on a tie.
+    longest of the cliques grown from each seed (from `base` and the seed,
+    when base >= 0), the first on a tie.
 
     A later seed replaces the best only when strictly longer, so the seeds
     stop once the best reaches `cap`, a sound upper bound on omega, and a
@@ -205,8 +223,8 @@ def _greedy_clique(adj: list[int], seeds: list[int], cap: int) -> list[int]:
     for seed in seeds:
         if len(best) >= cap:
             break
-        clique = [seed]
-        cand = adj[seed]
+        clique = [seed] if base < 0 else [base, seed]
+        cand = adj[seed] & adj[clique[0]]
         while cand and len(clique) + cand.bit_count() > len(best):
             # The most neighbors in cand, the lowest v on a tie (the scan
             # ascends); no candidate beats one adjacent to all the others.
@@ -416,7 +434,7 @@ def clique_number(
     radj = relabel(g, rank).adjacency
     fixed: list[int] = []
     cand = (1 << n) - 1
-    if g.cayley:
+    if g.multiplier is not None:
         # Some maximum clique holds vertex 0 (module docstring).  G's own
         # coloring can bound omega tighter than that of N(0), so it goes first.
         if _greedy_classes(radj, cand)[1][-1] <= len(start):
@@ -431,9 +449,47 @@ def clique_number(
                         meter.spent - before)
 
 
+def _orbit_clique(g: Graph, upper_hint: int | None, meter: _Budget) -> SearchResult:
+    """Exact maximum clique of a graph with a multiplier, one H-orbit of N(0)
+    at a time (see the module docstring)."""
+    (field, d), n, adj = g.multiplier, g.n_vertices, list(g.adjacency)
+    cap = min(n if upper_hint is None else upper_hint, adj[0].bit_count() + 1)
+    best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, base=0) or [0]
+    if len(best) >= cap:
+        return SearchResult(True, len(best), len(best), tuple(best), 0)
+    order, _ = _degeneracy_order(adj, n)
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    radj = relabel(g, rank).adjacency
+    cand = radj[rank[0]]
+    vertices, bound = _greedy_classes(radj, cand)
+    before = meter.spent
+    exact = meter.step()
+    for v, b in zip(reversed(vertices), reversed(bound)):
+        if not exact or len(best) >= min(cap, 1 + b):
+            break
+        if not cand >> v & 1:  # its orbit is searched
+            continue
+        within = cand & radj[v]
+        if within:
+            found, exact = _max_clique(radj, within, len(best) - 2, cap - 2, meter)
+            if found:
+                best = sorted([0] + [order[u] for u in [v] + found])
+        # v's subtree holds a copy of every clique through 0 and v's orbit
+        cand &= ~sum(1 << rank[x] for x in field.exp[field.log[order[v]] % d::d])
+    if not exact:  # the greedy start of the search over all vertices
+        best = max(best, _greedy_clique(adj, list(reversed(order))[:48], cap), key=len)
+    return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
+                        meter.spent - before)
+
+
 def independence_number(g: Graph, budget: int | _Budget | None = None,
                         upper_hint: int | None = None) -> SearchResult:
-    """Exact independence number: maximum clique of the complement."""
+    """Exact independence number: maximum clique of the complement, one
+    orbit at a time when g has a multiplier (see the module docstring)."""
+    if g.multiplier is not None:
+        return _orbit_clique(complement(g), upper_hint, _Budget.of(budget))
     return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
 
 
@@ -1005,7 +1061,7 @@ def _coset_coloring(field: FieldTables, units: frozenset[int]) -> tuple[int, ...
     """Color map whose classes, numbered by least member, are the additive
     cosets of the F_p-subspace B with these units: the closed neighborhoods
     of the Cayley graph of B minus 0."""
-    rows = _difference_graph(field, units).adjacency
+    rows = _difference_graph(field, units, (field.q - 1) // 2).adjacency
     closed = (row | 1 << v for v, row in enumerate(rows))
     return _normalize_coloring(c & -c for c in closed)
 
@@ -1119,7 +1175,7 @@ def factorization_certificate(field: FieldTables, m: int, meter: _Budget, single
         if units is not None:
             coloring = _coset_coloring(field, units)
             clique = sorted(subfield_elements(field, t))
-            g = _difference_graph(field, subgroup_coset(field, d))
+            g = _difference_graph(field, subgroup_coset(field, d), d)
             return list(range(0, mb, d)), equal_certificate(g, clique, coloring)
     return None
 

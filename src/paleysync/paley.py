@@ -60,14 +60,15 @@ def normalize_params(q: int, m: int) -> PaleyParams:
 class Graph:
     """Undirected simple graph on vertices 0..n_vertices-1 with bitmask rows.
 
-    `cayley` records that the graph is a Cayley graph (of GF(q)+ here), so
-    vertex-transitive: the clique search may fix vertex 0.  It does not take
-    part in equality, which compares the graphs alone.
+    `multiplier` is (field, d) on a Cayley graph of GF(q)+ whose connection
+    set is a union of cosets of the d-th powers H, so translations and x -> a*x,
+    a in H, are automorphisms: the searches may fix vertex 0 and branch once
+    per H-orbit.  It is None on other graphs, and equality ignores it.
     """
 
     n_vertices: int
     adjacency: tuple[int, ...]
-    cayley: bool = dataclass_field(default=False, compare=False)
+    multiplier: tuple[FieldTables, int] | None = dataclass_field(default=None, compare=False)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
@@ -119,15 +120,16 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """The complement; the complement of a Cayley graph is one (of the
-    complementary connection set)."""
+    complementary connection set, a union of the same cosets)."""
     n = g.n_vertices
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adjacency)), g.cayley)
+    return Graph(n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adjacency)),
+                 g.multiplier)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of g under the vertex map v -> perm[v].  The image carries no
-    Cayley mark, so searches on it take the generic path.
+    multiplier, so searches on it take the generic path.
 
     Each row is permuted as a bit string, by one itemgetter over the
     binary digits: a leading 1 (bit n, stripped again) keeps the string
@@ -146,8 +148,9 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _difference_graph(field: FieldTables, diffs: frozenset[int]) -> Graph:
-    """Graph with u ~ v iff u - v lies in diffs (assumed symmetric, 0-free)."""
+def _difference_graph(field: FieldTables, diffs: frozenset[int], d: int) -> Graph:
+    """Graph with u ~ v iff u - v lies in diffs (assumed symmetric, 0-free,
+    and a union of cosets of the d-th powers)."""
     p, n = field.p, field.n
     top = carry_masks(p, n)
     row0 = 0
@@ -157,7 +160,7 @@ def _difference_graph(field: FieldTables, diffs: frozenset[int]) -> Graph:
     for prev, i in translation_walk(p, n):
         r, t, step = rows[prev], top[i], p**i
         rows.append(((r & ~t) << step) | ((r & t) >> step * (p - 1)))
-    return Graph(field.q, tuple(rows), cayley=True)
+    return Graph(field.q, tuple(rows), (field, d))
 
 
 def validate_residue_params(q: int, m: int) -> None:
@@ -173,7 +176,7 @@ def validate_residue_params(q: int, m: int) -> None:
 def build_paley(field: FieldTables, m: int) -> Graph:
     """Generalized Paley graph: u ~ v iff u - v is a nonzero m-th power."""
     validate_residue_params(field.q, m)
-    return _difference_graph(field, subgroup_coset(field, m, 0))
+    return _difference_graph(field, subgroup_coset(field, m, 0), m)
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def union_graph(family: OrbitalFamily, subset: Iterable[int]) -> Graph:
     diffs: set[int] = set()
     for i in indices:
         diffs |= family.difference_cosets[i]
-    return _difference_graph(family.field, frozenset(diffs))
+    return _difference_graph(family.field, frozenset(diffs), family.m_bar)
 
 
 def multiplier_map(field: FieldTables, i: int) -> tuple[int, ...]:

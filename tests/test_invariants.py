@@ -37,11 +37,12 @@ from paleysync import (
 )
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
+from paleysync import invariants
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
                                   _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
                                   _tabu_coloring, _tabu_moves, factorization_certificate)
 from paleysync._child import Child
-from paleysync.paley import iter_bits
+from paleysync.paley import _difference_graph, iter_bits
 from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
                       valid_graph_ms)
 
@@ -313,7 +314,7 @@ def test_cayley_clique_search_agrees_with_the_generic_search():
     vertices, and a witness that beats the greedy start (the lower bound of
     a budget-0 call) contains vertex 0."""
     for g, key in _cayley_graphs(81).items():
-        assert g.cayley, key
+        assert g.multiplier is not None, key
         res = clique_number(g)
         assert res.value == clique_number(Graph(g.n_vertices, g.adjacency)).value, key
         assert _is_witness(list(g.adjacency), res.witness, adjacent=True), key
@@ -323,10 +324,82 @@ def test_cayley_clique_search_agrees_with_the_generic_search():
 
 def test_only_difference_graphs_take_the_cayley_cut():
     g = union_graph(GF121_M5, {0, 1})
-    assert g.cayley and complement(g).cayley
+    assert g.multiplier == complement(g).multiplier == (GF121_M5.field, 5)
     for h in (relabel(g, range(g.n_vertices)), graph_from_edges(g.n_vertices, g.edges())):
-        assert h == g and not h.cayley
+        assert h == g and h.multiplier is None
         assert clique_number(h).nodes == 2517
+
+
+def test_every_difference_graph_maps_onto_itself_under_its_multiplier(monkeypatch):
+    """x -> gamma^d * x, the generator of the d-th powers, fixes 0 and maps
+    the rows of every graph built with the multiplier (field, d) onto
+    themselves: residue graphs, orbital unions, their complements, and the
+    graphs of the factorization certificate and its coset coloring."""
+    built = []
+
+    def spy(field, diffs, d):
+        built.append(_difference_graph(field, diffs, d))
+        return built[-1]
+
+    monkeypatch.setattr(invariants, "_difference_graph", spy)
+    for q, m in ((27, 13), (49, 6), (81, 8), (125, 31)):
+        assert factorization_certificate(field_for(q), m, _Budget(10**6)) is not None, (q, m)
+    assert len(built) == 8
+    for q in (25, 27, 49, 81):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            family = orbital_family(field, m)
+            built += [build_paley(field, m), union_graph(family, range(0, family.m_bar, 2))]
+    for g in built + [complement(g) for g in built]:
+        field, d = g.multiplier
+        image = multiplier_map(field, d)
+        assert image[0] == 0 and relabel(g, image) == g, (field.q, d)
+
+
+def test_independence_orbit_search_agrees_with_the_generic_search():
+    """One branch per multiplier orbit of N(0) finds the alpha of the search
+    over all vertices of a relabelled copy, which carries no multiplier."""
+    for g, key in _cayley_graphs(81).items():
+        res = independence_number(g)
+        assert res.value == independence_number(relabel(g, range(g.n_vertices))).value, key
+        assert _is_witness(list(g.adjacency), res.witness, adjacent=False), key
+
+
+def test_independence_orbit_search_agrees_past_q_81_at_the_theta_cap():
+    """Residue graphs with 81 < q <= 125, alpha capped at theta, 1,000 nodes
+    each: every exact answer of the search over all vertices is matched, and
+    every pair of brackets meets."""
+    for q in odd_prime_powers(125):
+        if q <= 81:
+            continue
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            g = build_paley(field, m)
+            cap = int(theta_pair(field, m).theta + 1e-6)
+            res = independence_number(g, budget=1000, upper_hint=cap)
+            ref = independence_number(relabel(g, range(q)), budget=1000, upper_hint=cap)
+            assert _is_witness(list(g.adjacency), res.witness, adjacent=False), (q, m)
+            assert len(res.witness) == res.lower, (q, m)
+            assert res.exact or not ref.exact, (q, m)
+            assert max(res.lower, ref.lower) <= min(res.upper, ref.upper), (q, m)
+
+
+def test_a_timed_out_independence_search_keeps_the_greedy_start():
+    """The lower bound of a timed-out alpha is at least the 48-seed greedy
+    start of the search over all vertices, the budget-0 answer on a
+    relabelled copy.  That start beats the orbit dives on (49, 6) and
+    (71, 5), so both must be among the timeouts checked."""
+    timed_out = set()
+    for q in odd_prime_powers(81):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            lower, upper = paley_certificate(field, m, budget=0).bounds["alpha"]
+            if lower < upper:
+                g = relabel(build_paley(field, m), range(q))
+                start = independence_number(g, budget=0, upper_hint=upper).lower
+                assert lower >= start, (q, m)
+                timed_out.add((q, m))
+    assert {(49, 6), (71, 5)} <= timed_out
 
 
 @pytest.mark.parametrize(

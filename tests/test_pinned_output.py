@@ -109,6 +109,20 @@ the gf81-8 group moved its budgets from 1, 5 and 50 to 8, 12 and 57, and
 the sweep group from 2 and 3 to 44 and 45, so that each search and each
 budget reason gets the nodes it had; no digest moved.
 
+The paley-certificate digest was re-recorded when the independence search
+of a graph with a multiplier came to branch once per H-orbit of N(0) and to
+open with one greedy dive per orbit.  28 of its 37 records differ, and no
+omega, clique or bound widened:
+- 24 in `independent_set` alone: (101, 2), (101, 50), (103, 3), (103, 17),
+  (103, 51), (107, 53), (109, 2), (109, 9), (109, 18), (109, 27),
+  (109, 54), (113, 2), (113, 7), (113, 14), (113, 28), (113, 56),
+  (121, 5), (121, 10), (121, 15), (121, 20), (121, 30), (121, 60),
+  (125, 2) and (125, 62);
+- 4 tightened, each with alpha exact where it was a bracket: (101, 5) and
+  (113, 4) stay timeouts, with chi in [6, 8] for [4, 8] and in [9, 11] for
+  [7, 11]; (101, 25) became exact, and (109, 3) too, with chi = 13 where
+  chi was in [7, 15].
+
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the Redei rule, the factorization witness, the theta sweep and its
 budget reason, the exhaustive texts of the sweep and of the reference walk,
@@ -142,7 +156,7 @@ PINNED = {
     "default": "eadfa649b0a5b4a1eacdae1e845897611367ec517c93d9e173ee2d3225b2168a",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
     "sweep": "e950ca10be8ac484f84ffd5464ad43944ca3f41f931adcb62381cadd0ec503d3",
-    "paley-certificate": "3a2bcef3d4d6f6ae1d93abdf8cb8dc30a19b8a969324c6fc261c6135347ebda9",
+    "paley-certificate": "75314e9efeb2c2bebd57b19d05d603b2596dd0ccb01aa4ab991ac28a32186b15",
     "no-search": "9ba7c44c3dafe5c21e9981612a08fbaf75bba4fa0767756776aa2cd13134bb1e",
 }
 
