@@ -47,7 +47,6 @@ from .invariants import (
     independence_number,
     k_colorable,
     paley_certificate,
-    subfield_clique,
     verify_certificate,
 )
 from .paley import (

@@ -56,32 +56,29 @@ tabu search 145 moves, so paley_certificate decides it at budget
 3,300,000 (about 90 s on a 2-vCPU Xeon).
 
 On a graph with a multiplier (`Graph.multiplier`: every residue graph,
-complement and orbital union on GF(q)) the clique search is cut to the
-neighborhood of vertex 0: omega(G) = 1 + omega(G[N(0)]).  This is sound
-because a Cayley graph is vertex-transitive, so a translation carries any
-maximum clique onto one through vertex 0, whose other vertices all lie in
-N(0).  The search inside N(0) starts from an incumbent one short of the
-greedy clique and a cap one short of G's, and vertex 0 joins what it finds;
-a timeout keeps G's cap as its upper bound.  The greedy coloring of G that
-the search over all vertices opens with is tried first, so the cut never
-searches a graph that search would close at its root.
-
-The independence search, a clique search of the complement, also branches
-by orbits (orbital branching: Ostrowski, Linderoth, Rossi & Smriglio 2011).
-A multiplier (field, d) makes x -> a*x, a in the d-th powers H, an
-automorphism fixing 0, so N(0) is a union of H-orbits gamma^i * H.  With
-vertex 0 fixed, the root loop runs over N(0) in the color order of the
-search over all vertices, in its degeneracy labels; the first vertex v of
-each orbit opens the subtree of the cliques through 0 and v, and then the
-orbit leaves the candidates.  A clique through 0 and h*v, h in H, maps by
-x -> x/h onto one through 0 and v that misses the orbits dropped before,
-as their union is H-invariant, so no maximum clique is lost.  The
-incumbent is one greedy dive per orbit, from 0 and gamma^i, which may meet
-the cap, else the greedy coloring of N(0) may close the search; a timeout's
-lower bound also takes the 48-seed greedy start over all vertices.  The
-clique search keeps one branch per vertex, as its witness seeds every
-k-test of chi: seeded with (0, 1, 2) for (5, 38, 80), the 6-test of
-(81, 4) is open after 6,000,000 nodes, where it is unsat after 3,122,536.
+complement and orbital union on GF(q)) the clique search fixes vertex 0 and
+branches once per orbit (orbital branching: Ostrowski, Linderoth, Rossi &
+Smriglio 2011).  A Cayley graph is vertex-transitive, so a translation
+carries any maximum clique onto one through 0, whose other vertices lie in
+N(0).  A multiplier (field, d) makes x -> a*x, a in the d-th powers H, an
+automorphism fixing 0, so N(0) is a union of H-orbits gamma^i * H.  The
+root loop runs over N(0) in the color order of the search over all
+vertices, in its degeneracy labels; the first vertex v of each orbit opens
+the subtree of the cliques through 0 and v, and then the orbit leaves the
+candidates.  A clique through 0 and h*v, h in H, maps by x -> x/h onto one
+through 0 and v that misses the orbits dropped before, as their union is
+H-invariant, so no maximum clique is lost.  A timeout keeps the cap as its
+upper bound.  Each caller brings its own incumbent, which only a larger
+clique replaces.  omega's is the 48-seed greedy start, and the greedy
+coloring of G may close its search before it opens, so wherever that start
+is maximum it is the witness whatever the search's order.  That witness
+seeds every k-test of chi, which is why omega does not take a clique
+through 0 as its incumbent: seeded with (0, 1, 2) for the start's
+(5, 38, 80), the 6-test of (81, 4) is open after 6,000,000 nodes, where it
+is unsat after 3,122,536.  The independence search's incumbent is one
+greedy dive per orbit, from 0 and gamma^i, which may meet the cap, else the
+greedy coloring of N(0) may close the search; a timeout's lower bound also
+takes the 48-seed greedy start.
 
 The factorization certificate (omega = chi = p^t on an orbital union)
 takes no clique or coloring search and no digit-wise field addition: its
@@ -101,7 +98,6 @@ from math import ceil, gcd
 
 from ._child import Child
 from .errors import (
-    BadDivisorError,
     BadInputError,
     InvalidWitnessError,
     TooLargeError,
@@ -405,66 +401,24 @@ def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
                     return best, True
 
 
-def clique_number(
-    g: Graph,
-    upper_hint: int | None = None,
-    budget: int | _Budget | None = None,
-) -> SearchResult:
-    """Exact maximum clique with witness.
-
-    upper_hint must be a sound upper bound (it prunes; it is also used for
-    early exit once matched).  On a Cayley graph the search runs inside N(0)
-    with vertex 0 fixed (see the module docstring).
-    """
-    n = g.n_vertices
-    adj = list(g.adjacency)
-    if n == 0:
-        return SearchResult(True, 0, 0, (), 0)
-    order, degeneracy = _degeneracy_order(adj, n)
-    cap = min(upper_hint if upper_hint is not None else n, degeneracy + 1, n)
-
-    start = _greedy_clique(adj, list(reversed(order))[: min(n, 48)], cap)
-    if len(start) >= cap:
-        return SearchResult(True, len(start), len(start), tuple(sorted(start)), 0)
-
-    # Search in degeneracy-ranked labels.
-    rank = [0] * n
+def _ranked(g: Graph, order: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """rank[v], the index of v in `order`, and g's rows in those labels."""
+    rank = [0] * len(order)
     for i, v in enumerate(order):
         rank[v] = i
-    radj = relabel(g, rank).adjacency
-    fixed: list[int] = []
-    cand = (1 << n) - 1
-    if g.multiplier is not None:
-        # Some maximum clique holds vertex 0 (module docstring).  G's own
-        # coloring can bound omega tighter than that of N(0), so it goes first.
-        if _greedy_classes(radj, cand)[1][-1] <= len(start):
-            return SearchResult(True, len(start), len(start), tuple(sorted(start)), 0)
-        fixed = [rank[0]]
-        cand = radj[rank[0]]
-    meter = _Budget.of(budget)
-    before = meter.spent
-    found, exact = _max_clique(radj, cand, len(start) - len(fixed), cap - len(fixed), meter)
-    witness = tuple(sorted(order[i] for i in fixed + found)) if found else tuple(sorted(start))
-    return SearchResult(exact, len(witness), len(witness) if exact else cap, witness,
-                        meter.spent - before)
+    return rank, relabel(g, rank).adjacency
 
 
-def _orbit_clique(g: Graph, upper_hint: int | None, meter: _Budget) -> SearchResult:
-    """Exact maximum clique of a graph with a multiplier, one H-orbit of N(0)
-    at a time (see the module docstring)."""
-    (field, d), n, adj = g.multiplier, g.n_vertices, list(g.adjacency)
-    cap = min(n if upper_hint is None else upper_hint, adj[0].bit_count() + 1)
-    best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, base=0) or [0]
-    if len(best) >= cap:
-        return SearchResult(True, len(best), len(best), tuple(best), 0)
-    order, _ = _degeneracy_order(adj, n)
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    radj = relabel(g, rank).adjacency
+def _orbit_search(g: Graph, order: list[int], rank: list[int], radj, best: list[int], cap: int,
+                  meter: _Budget) -> tuple[list[int], bool]:
+    """The clique search of a graph with a multiplier: vertex 0 and a clique
+    of N(0), one H-orbit at a time, in the labels `rank` gives (see the
+    module docstring).  `best` is the caller's incumbent, sorted, which a
+    clique found replaces only when larger, up to `cap`; returns (the best
+    clique, sorted, and exact)."""
+    field, d = g.multiplier
     cand = radj[rank[0]]
     vertices, bound = _greedy_classes(radj, cand)
-    before = meter.spent
     exact = meter.step()
     for v, b in zip(reversed(vertices), reversed(bound)):
         if not exact or len(best) >= min(cap, 1 + b):
@@ -478,19 +432,68 @@ def _orbit_clique(g: Graph, upper_hint: int | None, meter: _Budget) -> SearchRes
                 best = sorted([0] + [order[u] for u in [v] + found])
         # v's subtree holds a copy of every clique through 0 and v's orbit
         cand &= ~sum(1 << rank[x] for x in field.exp[field.log[order[v]] % d::d])
-    if not exact:  # the greedy start of the search over all vertices
-        best = max(best, _greedy_clique(adj, list(reversed(order))[:48], cap), key=len)
+    return best, exact
+
+
+def clique_number(
+    g: Graph,
+    upper_hint: int | None = None,
+    budget: int | _Budget | None = None,
+) -> SearchResult:
+    """Exact maximum clique with witness.
+
+    upper_hint must be a sound upper bound (it prunes; it is also used for
+    early exit once matched).  The incumbent is a greedy clique grown from
+    up to 48 seeds.  On a graph with a multiplier, unless the greedy
+    coloring of G closes the search, the search is the orbit search inside
+    N(0) from that incumbent (see the module docstring), so wherever the
+    incumbent is maximum, the witness does not depend on the search.
+    """
+    n = g.n_vertices
+    adj = list(g.adjacency)
+    if n == 0:
+        return SearchResult(True, 0, 0, (), 0)
+    order, degeneracy = _degeneracy_order(adj, n)
+    cap = min(upper_hint if upper_hint is not None else n, degeneracy + 1, n)
+    best = _greedy_clique(adj, list(reversed(order))[: min(n, 48)], cap)
+    if len(best) >= cap:
+        return SearchResult(True, len(best), len(best), tuple(best), 0)
+    rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
+    meter = _Budget.of(budget)
+    before = meter.spent
+    if g.multiplier is None:
+        found, exact = _max_clique(radj, (1 << n) - 1, len(best), cap, meter)
+        best = sorted(order[i] for i in found) if found else best
+    elif _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
+        exact = True  # G's coloring can bound omega tighter than that of N(0)
+    else:
+        best, exact = _orbit_search(g, order, rank, radj, best, cap, meter)
     return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
                         meter.spent - before)
 
 
 def independence_number(g: Graph, budget: int | _Budget | None = None,
                         upper_hint: int | None = None) -> SearchResult:
-    """Exact independence number: maximum clique of the complement, one
-    orbit at a time when g has a multiplier (see the module docstring)."""
-    if g.multiplier is not None:
-        return _orbit_clique(complement(g), upper_hint, _Budget.of(budget))
-    return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
+    """Exact independence number: maximum clique of the complement.  When g
+    has a multiplier, the incumbent is one greedy dive per orbit, and a
+    timeout's lower bound also takes the 48-seed greedy start (see the
+    module docstring)."""
+    h = complement(g)
+    if h.multiplier is None:
+        return clique_number(h, upper_hint=upper_hint, budget=budget)
+    (field, d), n, adj = h.multiplier, h.n_vertices, list(h.adjacency)
+    cap = min(n if upper_hint is None else upper_hint, adj[0].bit_count() + 1)
+    best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, base=0) or [0]
+    if len(best) >= cap:
+        return SearchResult(True, len(best), len(best), tuple(best), 0)
+    order, _ = _degeneracy_order(adj, n)
+    meter = _Budget.of(budget)
+    before = meter.spent
+    best, exact = _orbit_search(h, order, *_ranked(h, order), best, cap, meter)
+    if not exact:
+        best = max(best, _greedy_clique(adj, list(reversed(order))[:48], cap), key=len)
+    return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
+                        meter.spent - before)
 
 
 def _assign(adj: list[int], k: int, allow: list[int], cls: list[int], lost: list[int],
@@ -982,19 +985,6 @@ def _certificate(g: Graph, omega: SearchResult, alpha: SearchResult,
     if exact:
         verify_certificate(g, cert)
     return cert
-
-
-def subfield_clique(field: FieldTables, m: int, t: int):
-    """Subfield GF(p^t) as a clique of the m-th power residue graph, present
-    exactly when (p^t - 1) | (q-1)/m (the subfield's units are residues)."""
-    q = field.q
-    validate_residue_params(q, m)
-    if t < 1 or field.n % t:
-        raise BadDivisorError(f"t={t} does not divide n={field.n}")
-    sub_order = field.p**t - 1
-    if ((q - 1) // m) % sub_order:
-        return None
-    return tuple(sorted(subfield_elements(field, t)))
 
 
 def brute_force_invariants(g: Graph) -> InvariantCertificate:

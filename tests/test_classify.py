@@ -145,8 +145,8 @@ def test_classify_past_the_fast_paths_depends_on_m_only_through_m_bar():
 
 def test_classify_budget_exhaustion_is_unknown():
     # (961, 5) is decided by the Redei fast path; the reference walk, which
-    # searches every pair, is not
-    result = exhaustive_decision(field_for(961), 5, budget=50_000, spectral_prune=False)
+    # searches every pair, is not (it needs 2,345 nodes)
+    result = exhaustive_decision(field_for(961), 5, budget=1_000, spectral_prune=False)
     assert result.verdict == UNKNOWN
     assert result.status == "budget_exhausted"
     assert any(r.rule == "budget" for r in result.reasons)
@@ -549,8 +549,8 @@ def test_the_sweep_is_decided_at_a_budget_of_its_lp_nodes():
 
 def test_an_open_bracket_is_searched_before_the_row_is_synchronizing(monkeypatch):
     """With the LP of [0, 1] on (343, 9) patched to the bracket [7, 7], which
-    holds p, that union is searched (omega = 4 there, 80 clique nodes): at
-    no budget is the row Synchronizing without the search, 206 nodes decide
+    holds p, that union is searched (omega = 4 there, 7 clique nodes): at
+    no budget is the row Synchronizing without the search, 133 nodes decide
     it (126 of them for the LPs of its 6 sets), and at budget 27, where the
     LP of [0, 1] takes the last 18 nodes, the row is Unknown with a reason
     that names the set."""
@@ -561,11 +561,11 @@ def test_an_open_bracket_is_searched_before_the_row_is_synchronizing(monkeypatch
     built = []
     monkeypatch.setattr(module, "union_graph", lambda family, subset: (
         built.append(list(subset)) or union_graph(family, subset)))
-    for budget in range(207):
+    for budget in range(134):
         built.clear()
         result = classify(343, 9, budget=budget)
         assert result.verdict == UNKNOWN or built == [[0, 1]], budget
-        assert (result.verdict == SYNCHRONIZING) == (budget == 206), budget
+        assert (result.verdict == SYNCHRONIZING) == (budget == 133), budget
     assert result.reasons[-1].detail.endswith("(6 sets visited, 1 union graphs searched)")
     assert classify(343, 9, budget=27).reasons == (Reason("budget", "Delta-subset [0, 1]: clique bounds [4, 7]"),)
 

@@ -29,7 +29,6 @@ from paleysync import (
     paley_certificate,
     prime_power,
     relabel,
-    subfield_clique,
     subfield_elements,
     theta_pair,
     union_graph,
@@ -116,17 +115,6 @@ def test_solver_matches_brute_force_on_random_graphs(seed):
     assert clique_number(g).value == bf.omega
     assert independence_number(g).value == bf.alpha
     assert chromatic_number(g).value == bf.chi
-
-
-def test_subfield_clique_examples():
-    assert len(subfield_clique(build_field(3, 2), 2, 1)) == 3
-    assert subfield_clique(build_field(7, 2), 3, 1) is None  # 6 does not divide 16
-    sc = subfield_clique(build_field(5, 2), 3, 1)
-    assert len(sc) == 5
-    g = residue_graph(25, 3)
-    for i, u in enumerate(sc):
-        for v in sc[i + 1 :]:
-            assert g.has_edge(u, v)
 
 
 def test_paley_certificate_exact_and_verifiable():
@@ -269,17 +257,17 @@ def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
 @pytest.mark.parametrize(
     "subset, budget, exact, bounds, nodes",
     [
-        ({0, 1}, None, True, (4, 4), 74),
-        ({2, 3, 4}, None, True, (9, 9), 835),
-        ({0, 2}, None, True, (5, 5), 41),
-        ({1, 3, 4}, None, True, (9, 9), 607),
-        ({2, 3, 4}, 100, False, (9, 73), 101),
+        ({0, 1}, None, True, (4, 4), 7),
+        ({2, 3, 4}, None, True, (9, 9), 92),
+        ({0, 2}, None, True, (5, 5), 7),
+        ({1, 3, 4}, None, True, (9, 9), 46),
+        ({2, 3, 4}, 50, False, (9, 73), 51),
     ],
 )
 def test_cayley_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
     """The same unions as Cayley graphs: the search runs inside N(0) with
-    vertex 0 fixed, and the timeout keeps the upper bound of the full
-    search."""
+    vertex 0 fixed, one branch per multiplier orbit, and the timeout keeps
+    the upper bound of the full search."""
     g = union_graph(GF121_M5, subset)
     res = clique_number(g, budget=budget)
     assert (res.exact, (res.lower, res.upper), res.nodes) == (exact, bounds, nodes)
@@ -320,6 +308,27 @@ def test_cayley_clique_search_agrees_with_the_generic_search():
         assert _is_witness(list(g.adjacency), res.witness, adjacent=True), key
         if res.nodes and res.value > clique_number(g, budget=0).lower:
             assert 0 in res.witness, key
+
+
+def test_cayley_clique_search_branches_once_per_orbit():
+    """(6561, 8), the union [0, 1]: one branch per multiplier orbit of N(0)
+    proves omega = 9 within 2,000 nodes, where one branch per vertex of N(0)
+    timed out at 2,001 nodes with omega in [9, 1641]."""
+    g = union_graph(orbital_family(build_field(3, 8), 8), [0, 1])
+    res = clique_number(g, budget=2000)
+    assert (res.exact, res.value, res.nodes) == (True, 9, 1268)
+    assert _is_witness(list(g.adjacency), res.witness, adjacent=True)
+
+
+def test_the_greedy_start_is_the_clique_that_seeds_chi_of_81_4():
+    """omega's incumbent, the 48-seed greedy start, is its witness unless the
+    search finds a larger clique: on (81, 4) it is (5, 38, 80) at the cap 3
+    with no search, and after the search without the cap.  chi's k-tests are
+    seeded with it, and so the 6-test is unsat after 3,122,536 nodes; seeded
+    with (0, 1, 2) it is open after 6,000,000."""
+    g = residue_graph(81, 4)
+    assert clique_number(g, upper_hint=3) == SearchResult(True, 3, 3, (5, 38, 80), 0)
+    assert clique_number(g).witness == (5, 38, 80)
 
 
 def test_only_difference_graphs_take_the_cayley_cut():
@@ -673,7 +682,7 @@ def test_timeout_certificate_carries_the_coloring_behind_chis_upper_bound():
         verify_certificate(g, wider)
 
 
-@pytest.mark.parametrize("budget", [1, 10, 100])
+@pytest.mark.parametrize("budget", [1, 10, 91])  # the clique search is exact at 92 nodes
 def test_chromatic_number_stops_when_its_clique_search_spends_the_budget(budget):
     g = union_graph(orbital_family(build_field(11, 2), 5), {2, 3, 4})
     res = chromatic_number(g, budget=budget)

@@ -123,6 +123,16 @@ omega, clique or bound widened:
   [7, 11]; (101, 25) became exact, and (109, 3) too, with chi = 13 where
   chi was in [7, 15].
 
+The search-only digest was re-recorded when the clique search of a graph
+with a multiplier came to branch once per H-orbit of N(0), as the
+independence search does, where it branched once per vertex of N(0).  It
+spends fewer nodes, so 10 of its 102 records differ, every one an Unknown
+at b = 5, and no decided verdict changed:
+- (29, 2), (29, 4), (37, 2), (37, 4), (41, 2) and (49, 3) became
+  Synchronizing, their one pair searched within the budget;
+- (37, 6) and (37, 12) reach a fourth of their 7 pairs, and (41, 4) and
+  (41, 8) the last of their 3, before the budget is spent.
+
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the Redei rule, the factorization witness, the theta sweep and its
 budget reason, the exhaustive texts of the sweep and of the reference walk,
@@ -151,7 +161,7 @@ from conftest import field_for, valid_graph_ms, without_witness
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "11dbf59e1311bacece004880ec16540ddf835e25967c3be166840f0c48c218c7",
-    "search-only": "cc9c27e3ea61f16d3cefa4e132c3d74109c815b5d3e8fa3e0fe252e063d3cf00",
+    "search-only": "12f57870ea41a3828fc00ead50172835e70888422b51bab986a45a49e72f9def",
     "gf81-8": "f771112afe93bd9eb6646fff3d5a4f58e1002663830205fe6cbe81e59082ee0b",
     "default": "eadfa649b0a5b4a1eacdae1e845897611367ec517c93d9e173ee2d3225b2168a",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
