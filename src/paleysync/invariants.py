@@ -1,32 +1,31 @@
 """Exact clique, independence, and chromatic numbers with verified witnesses.
 
 The clique solver is a bitset branch-and-bound with greedy-coloring upper
-bounds at every node (vertices pre-ordered by degeneracy).  Its incumbent
-is a greedy clique grown from up to 48 seeds, which stop once the best
-reaches the search's cap (a later seed replaces the best only when strictly
-longer, so the start does not change) and drop a seed once its clique and
-candidates cannot beat the best.  The chromatic solver tests
-k-colorability for k = lower, lower+1, ... with MRV branching, canonical
-introduction of new colors, and clique-seeded pre-coloring.  Its domains
-are kept transposed, as one allow-mask per color (the vertices that may
-still take it), so coloring v with c is allow[c] &= ~adj[v].  Beside them
-lie threshold masks, lost[j] holding the vertices that have lost at least
-j colors, which only the neighbors that just lost c move up: forcing is
+bounds at every node (vertices pre-ordered by degeneracy), whose incumbent
+on a graph with no multiplier is the 48-seed greedy start, a greedy clique
+from each of the last 48 vertices of that order (`_greedy_start`).  The
+chromatic solver tests k-colorability for k = lower, lower+1, ... with MRV
+branching, canonical introduction of new colors, and pre-coloring seeded
+with a clique, that start unless the caller passes one.  Its domains are
+kept transposed, as one allow-mask per color (the vertices that may still
+take it), so coloring v with c is allow[c] &= ~adj[v].  Beside them lie
+threshold masks, lost[j] holding the vertices that have lost at least j
+colors, which only the neighbors that just lost c move up: forcing is
 lost[used] (lost[k - 1] once all k colors are used), wipe-out a neighbor
 reaching lost[k], and the MRV choice the top level the uncolored vertices
-meet, so a step walks the levels of the vertices it changed rather than
-all k allow-masks, and no step walks the neighbors.  The DSATUR coloring
-behind chi's upper bound keeps its saturation the same way, and picks its
-vertex off the top level.  Both depth-first searches run off
-explicit stacks (the clique search's frames hold a candidate set and its
-color order, the coloring's branches k-long lists of masks), so their depth
-is bounded by memory, not by the interpreter's recursion limit.  All searches
-of one public call share one node meter, whose step returns False once the
-budget is spent; the search that meets it returns its own timeout, with
-explicit bounds.  One builder, `_certificate`, turns the clique,
-independent-set and coloring results into an `InvariantCertificate`, for
-the searched certificates and the no-search ones (brute force, omega = chi)
-alike, and verifies it whenever all three are exact.
+meet, so a step walks the levels of the vertices it changed rather than all
+k allow-masks, and no step walks the neighbors.  The DSATUR coloring behind
+chi's upper bound keeps its saturation the same way, and picks its vertex
+off the top level.  Both depth-first searches run off explicit stacks (the
+clique search's frames hold a candidate set and its color order, the
+coloring's branches k-long lists of masks), so their depth is bounded by
+memory, not by the interpreter's recursion limit.  All searches of one
+public call share one node meter, whose step returns False once the budget
+is spent; the search that meets it returns its own timeout, with explicit
+bounds.  One builder, `_certificate`, turns the clique, independent-set and
+coloring results into an `InvariantCertificate`, for the searched
+certificates and the no-search ones (brute force, omega = chi) alike, and
+verifies it whenever all three are exact.
 
 Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
 opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
@@ -68,17 +67,16 @@ the subtree of the cliques through 0 and v, and then the orbit leaves the
 candidates.  A clique through 0 and h*v, h in H, maps by x -> x/h onto one
 through 0 and v that misses the orbits dropped before, as their union is
 H-invariant, so no maximum clique is lost.  A timeout keeps the cap as its
-upper bound.  Each caller brings its own incumbent, which only a larger
-clique replaces.  omega's is the 48-seed greedy start, and the greedy
-coloring of G may close its search before it opens, so wherever that start
-is maximum it is the witness whatever the search's order.  That witness
-seeds every k-test of chi, which is why omega does not take a clique
-through 0 as its incumbent: seeded with (0, 1, 2) for the start's
-(5, 38, 80), the 6-test of (81, 4) is open after 6,000,000 nodes, where it
-is unsat after 3,122,536.  The independence search's incumbent is one
-greedy dive per orbit, from 0 and gamma^i, which may meet the cap, else the
-greedy coloring of N(0) may close the search; a timeout's lower bound also
-takes the 48-seed greedy start.
+upper bound.  One incumbent rule serves every such search, omega's and
+alpha's alike, alpha being omega of the complement, which keeps the
+multiplier: one greedy dive per orbit, from 0 and gamma^i, which may meet
+the cap, else the greedy coloring of N(0) may close the search, and a
+timeout's lower bound also takes the 48-seed greedy start.  So an exact
+witness contains 0.  chi seeds its k-tests with the 48-seed greedy start,
+not with that witness, so no clique search's incumbent moves them: on
+(81, 4), seeded with omega's witness (0, 1, 2) for the start's
+(5, 38, 80), the 6-test is open after 6,000,000 nodes, where it is unsat
+after 3,122,536.
 
 The factorization certificate (omega = chi = p^t on an orbital union)
 takes no clique or coloring search and no digit-wise field addition: its
@@ -435,6 +433,12 @@ def _orbit_search(g: Graph, order: list[int], rank: list[int], radj, best: list[
     return best, exact
 
 
+def _greedy_start(adj: list[int], order: list[int], cap: int) -> list[int]:
+    """The 48-seed greedy start: the greedy clique grown from each of the
+    last 48 vertices of the degeneracy order (see _greedy_clique)."""
+    return _greedy_clique(adj, list(reversed(order))[:48], cap)
+
+
 def clique_number(
     g: Graph,
     upper_hint: int | None = None,
@@ -443,57 +447,46 @@ def clique_number(
     """Exact maximum clique with witness.
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
-    early exit once matched).  The incumbent is a greedy clique grown from
-    up to 48 seeds.  On a graph with a multiplier, unless the greedy
-    coloring of G closes the search, the search is the orbit search inside
-    N(0) from that incumbent (see the module docstring), so wherever the
-    incumbent is maximum, the witness does not depend on the search.
+    early exit once matched).  A graph with a multiplier is searched inside
+    N(0) from one greedy dive per orbit, so an exact witness contains 0; any
+    other over all vertices from the 48-seed greedy start (see the module
+    docstring).
     """
     n = g.n_vertices
     adj = list(g.adjacency)
     if n == 0:
         return SearchResult(True, 0, 0, (), 0)
-    order, degeneracy = _degeneracy_order(adj, n)
-    cap = min(upper_hint if upper_hint is not None else n, degeneracy + 1, n)
-    best = _greedy_clique(adj, list(reversed(order))[: min(n, 48)], cap)
+    cap = n if upper_hint is None else upper_hint
+    if g.multiplier is None:
+        order, degeneracy = _degeneracy_order(adj, n)
+        cap = min(cap, degeneracy + 1)
+        best = _greedy_start(adj, order, cap)
+    else:  # one greedy dive per orbit, from 0 and gamma^i
+        field, d = g.multiplier
+        cap = min(cap, adj[0].bit_count() + 1)
+        best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, 0) or [0]
     if len(best) >= cap:
         return SearchResult(True, len(best), len(best), tuple(best), 0)
-    rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
     meter = _Budget.of(budget)
     before = meter.spent
     if g.multiplier is None:
+        rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
         found, exact = _max_clique(radj, (1 << n) - 1, len(best), cap, meter)
         best = sorted(order[i] for i in found) if found else best
-    elif _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
-        exact = True  # G's coloring can bound omega tighter than that of N(0)
     else:
-        best, exact = _orbit_search(g, order, rank, radj, best, cap, meter)
+        order, _ = _degeneracy_order(adj, n)
+        best, exact = _orbit_search(g, order, *_ranked(g, order), best, cap, meter)
+        if not exact:
+            best = max(best, _greedy_start(adj, order, cap), key=len)
     return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
                         meter.spent - before)
 
 
 def independence_number(g: Graph, budget: int | _Budget | None = None,
                         upper_hint: int | None = None) -> SearchResult:
-    """Exact independence number: maximum clique of the complement.  When g
-    has a multiplier, the incumbent is one greedy dive per orbit, and a
-    timeout's lower bound also takes the 48-seed greedy start (see the
-    module docstring)."""
-    h = complement(g)
-    if h.multiplier is None:
-        return clique_number(h, upper_hint=upper_hint, budget=budget)
-    (field, d), n, adj = h.multiplier, h.n_vertices, list(h.adjacency)
-    cap = min(n if upper_hint is None else upper_hint, adj[0].bit_count() + 1)
-    best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, base=0) or [0]
-    if len(best) >= cap:
-        return SearchResult(True, len(best), len(best), tuple(best), 0)
-    order, _ = _degeneracy_order(adj, n)
-    meter = _Budget.of(budget)
-    before = meter.spent
-    best, exact = _orbit_search(h, order, *_ranked(h, order), best, cap, meter)
-    if not exact:
-        best = max(best, _greedy_clique(adj, list(reversed(order))[:48], cap), key=len)
-    return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
-                        meter.spent - before)
+    """Exact independence number: the clique number of the complement,
+    which carries g's multiplier."""
+    return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
 
 
 def _assign(adj: list[int], k: int, allow: list[int], cls: list[int], lost: list[int],
@@ -860,11 +853,12 @@ def chromatic_number(
     """Exact chromatic number with a proper coloring witness.
 
     k-colorability is tested upward from the lower bound, so the first
-    satisfiable k is exact.  `lower` must be sound if supplied; the clique
-    witness (computed here when not passed in) seeds every k-test.  The
-    search's upper bound comes from a greedy coloring it can exhibit.  Each
-    k-test is a probe, a tabu search and the probe's search run on (see the
-    module docstring), all on the call's meter.
+    satisfiable k is exact.  `lower` must be sound if supplied; with
+    neither it nor clique_hint, omega's search gives it.  clique_hint, else
+    the 48-seed greedy start, taken only when a k-test runs, seeds every
+    k-test.  The search's upper bound comes from a greedy coloring it can
+    exhibit.  Each k-test is a probe, a tabu search and the probe's search
+    run on (see the module docstring), all on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -873,18 +867,21 @@ def chromatic_number(
     meter = _Budget.of(budget)
     before = meter.spent
 
-    clique = sorted(clique_hint) if clique_hint else None
-    if clique is not None and not _is_witness(adj, clique, adjacent=True):
+    clique = sorted(clique_hint or ())
+    if clique and not _is_witness(adj, clique, adjacent=True):
         raise InvalidWitnessError("clique_hint is not a clique")
-    if clique is None:
-        clique = list(clique_number(g, budget=meter).witness)
+    if lower is None and not clique:
+        lower = clique_number(g, budget=meter).lower
 
     greedy = _dsatur_coloring(adj, n)
     ub = max(greedy) + 1
     ub_witness = _normalize_coloring(greedy)
-    lo = max(lower if lower is not None else 1, len(clique), 1)
+    lo = max(lower or 1, len(clique))
     if lo > ub:
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
+    if not clique and lo < ub:
+        order, degeneracy = _degeneracy_order(adj, n)
+        clique = _greedy_start(adj, order, degeneracy + 1)
 
     for k in range(lo, ub):
         # Every k below is excluded, so a k-coloring found here is exact.
@@ -1191,5 +1188,5 @@ def paley_certificate(field: FieldTables, m: int, budget: int | None = None) -> 
     alpha_res = independence_number(g, budget=meter, upper_hint=alpha_ub)
     # chi >= q / alpha >= theta of the complement, as alpha's bound is <= theta
     chi_lo = max(omega_res.lower, ceil(q / alpha_res.upper))
-    chi_res = chromatic_number(g, lower=chi_lo, budget=meter, clique_hint=omega_res.witness)
+    chi_res = chromatic_number(g, lower=chi_lo, budget=meter)
     return _certificate(g, omega_res, alpha_res, chi_res)

@@ -38,8 +38,9 @@ from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync import invariants
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
-                                  _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable, _Rng,
-                                  _tabu_coloring, _tabu_moves, factorization_certificate)
+                                  _dsatur_coloring, _greedy_clique, _greedy_start, _is_witness,
+                                  _k_colorable, _Rng, _tabu_coloring, _tabu_moves,
+                                  factorization_certificate)
 from paleysync._child import Child
 from paleysync.paley import _difference_graph, iter_bits
 from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
@@ -50,6 +51,14 @@ FIVE_CYCLE = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 def complete_graph(n):
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def chi_seed(g):
+    """The clique chromatic_number seeds its k-tests with when it is given
+    none: the 48-seed greedy start."""
+    adj = list(g.adjacency)
+    order, degeneracy = _degeneracy_order(adj, g.n_vertices)
+    return tuple(_greedy_start(adj, order, degeneracy + 1))
 
 
 def test_clique_number_examples():
@@ -199,7 +208,7 @@ def test_k_colorable_search_order_is_pinned(q, m, k, budget, status, nodes):
     (49, 4, 7) and (81, 5, 9) branch on vertices with up to 6 and 8 colors
     left, so the MRV threshold table is pinned well past its first levels."""
     g = residue_graph(q, m)
-    got, coloring, spent = k_colorable(g, k, budget=budget, clique_hint=clique_number(g).witness)
+    got, coloring, spent = k_colorable(g, k, budget=budget, clique_hint=chi_seed(g))
     assert (got, spent) == (status, nodes)
     if status == "sat":
         assert all(coloring[u] != coloring[v] for u, v in g.edges())
@@ -299,15 +308,13 @@ def _cayley_graphs(q_max):
 
 def test_cayley_clique_search_agrees_with_the_generic_search():
     """The search inside N(0) finds the omega of the search over all
-    vertices, and a witness that beats the greedy start (the lower bound of
-    a budget-0 call) contains vertex 0."""
+    vertices, with a witness that contains vertex 0."""
     for g, key in _cayley_graphs(81).items():
         assert g.multiplier is not None, key
         res = clique_number(g)
         assert res.value == clique_number(Graph(g.n_vertices, g.adjacency)).value, key
         assert _is_witness(list(g.adjacency), res.witness, adjacent=True), key
-        if res.nodes and res.value > clique_number(g, budget=0).lower:
-            assert 0 in res.witness, key
+        assert 0 in res.witness, key
 
 
 def test_cayley_clique_search_branches_once_per_orbit():
@@ -320,15 +327,53 @@ def test_cayley_clique_search_branches_once_per_orbit():
     assert _is_witness(list(g.adjacency), res.witness, adjacent=True)
 
 
-def test_the_greedy_start_is_the_clique_that_seeds_chi_of_81_4():
-    """omega's incumbent, the 48-seed greedy start, is its witness unless the
-    search finds a larger clique: on (81, 4) it is (5, 38, 80) at the cap 3
-    with no search, and after the search without the cap.  chi's k-tests are
-    seeded with it, and so the 6-test is unsat after 3,122,536 nodes; seeded
-    with (0, 1, 2) it is open after 6,000,000."""
+def _k_test_seeds(monkeypatch):
+    """The clique_hint of every k_colorable call chromatic_number makes, as
+    they are made."""
+    seeds = []
+
+    def traced(g, k, budget=None, clique_hint=()):
+        seeds.append(tuple(clique_hint))
+        return k_colorable(g, k, budget=budget, clique_hint=clique_hint)
+
+    monkeypatch.setattr(invariants, "k_colorable", traced)
+    return seeds
+
+
+def test_the_greedy_start_is_the_clique_that_seeds_chi_of_81_4(monkeypatch):
+    """chi seeds its k-tests with the 48-seed greedy start, (5, 38, 80) on
+    (81, 4), while omega's witness is (0, 1, 2), a dive from 0 that meets
+    the cap 3 with no search.  Seeded with the start, the 6-test is unsat
+    after 3,122,536 nodes; seeded with (0, 1, 2) it is open after
+    6,000,000."""
     g = residue_graph(81, 4)
-    assert clique_number(g, upper_hint=3) == SearchResult(True, 3, 3, (5, 38, 80), 0)
-    assert clique_number(g).witness == (5, 38, 80)
+    assert clique_number(g, upper_hint=3) == SearchResult(True, 3, 3, (0, 1, 2), 0)
+    assert clique_number(g).witness == (0, 1, 2)
+    assert chi_seed(g) == (5, 38, 80)
+    seeds = _k_test_seeds(monkeypatch)
+    assert not chromatic_number(g, budget=5000).exact
+    assert seeds and set(seeds) == {(5, 38, 80)}
+
+
+def test_omega_witnesses_contain_0_and_chi_seeds_its_own_k_tests(monkeypatch):
+    """On every residue graph with q <= 125, the exact omega witness contains
+    0, and chi's k-tests are seeded with the greedy start whatever omega's
+    witness is: at budget 0, 117 of the 134 graphs reach a k-test, and on
+    each of them the start differs from omega's witness."""
+    seeds = _k_test_seeds(monkeypatch)
+    seeded = []
+    for q in odd_prime_powers(125):
+        field = field_for(q)
+        for m in valid_graph_ms(q):
+            g = build_paley(field, m)
+            omega = clique_number(g)
+            assert omega.exact and 0 in omega.witness, (q, m)
+            seeds.clear()
+            chromatic_number(g, budget=0)
+            if seeds:
+                assert set(seeds) == {chi_seed(g)}, (q, m)
+                seeded.append(chi_seed(g) != omega.witness)
+    assert seeded == [True] * 117
 
 
 def test_only_difference_graphs_take_the_cayley_cut():
@@ -520,14 +565,14 @@ def test_k_colorable_answers_match_a_pinned_digest():
     """(status, coloring, nodes) of k_colorable at budget 2000 on every
     residue graph with q <= 81, for each k that chromatic_number would test
     (the clique size up to one below the DSATUR bound), seeded with the
-    clique and unseeded.  The unseeded root has no color in use, so its MRV
-    scan runs down to level 0."""
+    greedy start that chi seeds them with and unseeded.  The unseeded root
+    has no color in use, so its MRV scan runs down to level 0."""
     records = []
     for q in odd_prime_powers(81):
         field = field_for(q)
         for m in valid_graph_ms(q):
             g = build_paley(field, m)
-            clique = clique_number(g).witness
+            clique = chi_seed(g)
             upper = chromatic_number(g, budget=0, clique_hint=clique).upper
             for hint in (clique, ()):
                 for k in range(len(clique), upper):
