@@ -1,31 +1,30 @@
 """Exact clique, independence, and chromatic numbers with verified witnesses.
 
 The clique solver is a bitset branch-and-bound with greedy-coloring upper
-bounds at every node (vertices pre-ordered by degeneracy), whose incumbent
-on a graph with no multiplier is the 48-seed greedy start, a greedy clique
-from each of the last 48 vertices of that order (`_greedy_start`).  The
-chromatic solver tests k-colorability for k = lower, lower+1, ... with MRV
-branching, canonical introduction of new colors, and pre-coloring seeded
-with a clique, that start unless the caller passes one.  Its domains are
-kept transposed, as one allow-mask per color (the vertices that may still
-take it), so coloring v with c is allow[c] &= ~adj[v].  Beside them lie
-threshold masks, lost[j] holding the vertices that have lost at least j
-colors, which only the neighbors that just lost c move up: forcing is
+bounds at every node (vertices pre-ordered by degeneracy).  With no
+multiplier its incumbent is the 48-seed greedy start, `_greedy_start`,
+which chi also takes as its seed.  The chromatic solver tests
+k-colorability for k = lower, lower+1, ... with MRV branching, canonical
+introduction of new colors, and clique-seeded pre-coloring.  Its domains
+are kept transposed, as one allow-mask per color (the vertices that may
+still take it), so coloring v with c is allow[c] &= ~adj[v].  Beside them
+lie threshold masks, lost[j] holding the vertices that have lost at least
+j colors, which only the neighbors that just lost c move up: forcing is
 lost[used] (lost[k - 1] once all k colors are used), wipe-out a neighbor
 reaching lost[k], and the MRV choice the top level the uncolored vertices
-meet, so a step walks the levels of the vertices it changed rather than all
-k allow-masks, and no step walks the neighbors.  The DSATUR coloring behind
-chi's upper bound keeps its saturation the same way, and picks its vertex
-off the top level.  Both depth-first searches run off explicit stacks (the
-clique search's frames hold a candidate set and its color order, the
-coloring's branches k-long lists of masks), so their depth is bounded by
-memory, not by the interpreter's recursion limit.  All searches of one
-public call share one node meter, whose step returns False once the budget
-is spent; the search that meets it returns its own timeout, with explicit
-bounds.  One builder, `_certificate`, turns the clique, independent-set and
-coloring results into an `InvariantCertificate`, for the searched
-certificates and the no-search ones (brute force, omega = chi) alike, and
-verifies it whenever all three are exact.
+meet, so a step walks the levels of the vertices it changed rather than
+all k allow-masks, and no step walks the neighbors.  The DSATUR coloring
+behind chi's upper bound keeps its saturation the same way, and picks its
+vertex off the top level.  Both depth-first searches run off
+explicit stacks (the clique search's frames hold a candidate set and its
+color order, the coloring's branches k-long lists of masks), so their depth
+is bounded by memory, not by the interpreter's recursion limit.  All searches
+of one public call share one node meter, whose step returns False once the
+budget is spent; the search that meets it returns its own timeout, with
+explicit bounds.  One builder, `_certificate`, turns the clique,
+independent-set and coloring results into an `InvariantCertificate`, for
+the searched certificates and the no-search ones (brute force, omega = chi)
+alike, and verifies it whenever all three are exact.
 
 Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
 opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
@@ -68,15 +67,14 @@ candidates.  A clique through 0 and h*v, h in H, maps by x -> x/h onto one
 through 0 and v that misses the orbits dropped before, as their union is
 H-invariant, so no maximum clique is lost.  A timeout keeps the cap as its
 upper bound.  One incumbent rule serves every such search, omega's and
-alpha's alike, alpha being omega of the complement, which keeps the
-multiplier: one greedy dive per orbit, from 0 and gamma^i, which may meet
-the cap, else the greedy coloring of N(0) may close the search, and a
-timeout's lower bound also takes the 48-seed greedy start.  So an exact
-witness contains 0.  chi seeds its k-tests with the 48-seed greedy start,
-not with that witness, so no clique search's incumbent moves them: on
-(81, 4), seeded with omega's witness (0, 1, 2) for the start's
-(5, 38, 80), the 6-test is open after 6,000,000 nodes, where it is unsat
-after 3,122,536.
+alpha's alike (alpha is omega of the complement, which keeps the
+multiplier): one greedy dive per orbit, from 0 and gamma^i, which may meet
+the cap, else the greedy coloring of G, then that of N(0), may close the
+search; a timeout's lower bound also takes the 48-seed greedy start.  So an
+exact witness contains 0.  chi seeds its k-tests with that start
+(`_chi_seed`), not with omega's witness: on (81, 4), seeded with (0, 1, 2)
+for the start's (5, 38, 80), the 6-test is open after 6,000,000 nodes,
+where it is unsat after 3,122,536.
 
 The factorization certificate (omega = chi = p^t on an orbital union)
 takes no clique or coloring search and no digit-wise field addition: its
@@ -439,6 +437,12 @@ def _greedy_start(adj: list[int], order: list[int], cap: int) -> list[int]:
     return _greedy_clique(adj, list(reversed(order))[:48], cap)
 
 
+def _chi_seed(adj: list[int], n: int) -> list[int]:
+    """The clique chi seeds its k-tests with when given none."""
+    order, degeneracy = _degeneracy_order(adj, n)
+    return _greedy_start(adj, order, degeneracy + 1)
+
+
 def clique_number(
     g: Graph,
     upper_hint: int | None = None,
@@ -447,10 +451,8 @@ def clique_number(
     """Exact maximum clique with witness.
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
-    early exit once matched).  A graph with a multiplier is searched inside
-    N(0) from one greedy dive per orbit, so an exact witness contains 0; any
-    other over all vertices from the 48-seed greedy start (see the module
-    docstring).
+    early exit once matched).  On a graph with a multiplier the incumbent
+    is one greedy dive per orbit from 0 (see the module docstring).
     """
     n = g.n_vertices
     adj = list(g.adjacency)
@@ -467,15 +469,18 @@ def clique_number(
         best = _greedy_clique(adj, [v for v in field.exp[:d] if adj[0] >> v & 1], cap, 0) or [0]
     if len(best) >= cap:
         return SearchResult(True, len(best), len(best), tuple(best), 0)
+    if g.multiplier is not None:
+        order, _ = _degeneracy_order(adj, n)
+    rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
     meter = _Budget.of(budget)
     before = meter.spent
     if g.multiplier is None:
-        rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
         found, exact = _max_clique(radj, (1 << n) - 1, len(best), cap, meter)
         best = sorted(order[i] for i in found) if found else best
+    elif _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
+        exact = True  # G's coloring can bound omega tighter than that of N(0)
     else:
-        order, _ = _degeneracy_order(adj, n)
-        best, exact = _orbit_search(g, order, *_ranked(g, order), best, cap, meter)
+        best, exact = _orbit_search(g, order, rank, radj, best, cap, meter)
         if not exact:
             best = max(best, _greedy_start(adj, order, cap), key=len)
     return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),
@@ -484,8 +489,7 @@ def clique_number(
 
 def independence_number(g: Graph, budget: int | _Budget | None = None,
                         upper_hint: int | None = None) -> SearchResult:
-    """Exact independence number: the clique number of the complement,
-    which carries g's multiplier."""
+    """Exact independence number: the clique number of the complement."""
     return clique_number(complement(g), upper_hint=upper_hint, budget=budget)
 
 
@@ -853,12 +857,11 @@ def chromatic_number(
     """Exact chromatic number with a proper coloring witness.
 
     k-colorability is tested upward from the lower bound, so the first
-    satisfiable k is exact.  `lower` must be sound if supplied; with
-    neither it nor clique_hint, omega's search gives it.  clique_hint, else
-    the 48-seed greedy start, taken only when a k-test runs, seeds every
-    k-test.  The search's upper bound comes from a greedy coloring it can
-    exhibit.  Each k-test is a probe, a tabu search and the probe's search
-    run on (see the module docstring), all on the call's meter.
+    satisfiable k is exact.  `lower` must be sound if supplied; with neither
+    it nor clique_hint, omega's search gives it.  clique_hint, else
+    `_chi_seed`, seeds every k-test.  The upper bound comes from a greedy
+    coloring it can exhibit.  Each k-test is a probe, a tabu search and the
+    probe's search run on (see the module docstring), all on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -880,8 +883,7 @@ def chromatic_number(
     if lo > ub:
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
     if not clique and lo < ub:
-        order, degeneracy = _degeneracy_order(adj, n)
-        clique = _greedy_start(adj, order, degeneracy + 1)
+        clique = _chi_seed(adj, n)
 
     for k in range(lo, ub):
         # Every k below is excluded, so a k-coloring found here is exact.

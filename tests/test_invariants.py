@@ -37,8 +37,8 @@ from paleysync import (
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync import invariants
-from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _degeneracy_order,
-                                  _dsatur_coloring, _greedy_clique, _greedy_start, _is_witness,
+from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _chi_seed,
+                                  _degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
                                   _k_colorable, _Rng, _tabu_coloring, _tabu_moves,
                                   factorization_certificate)
 from paleysync._child import Child
@@ -55,10 +55,8 @@ def complete_graph(n):
 
 def chi_seed(g):
     """The clique chromatic_number seeds its k-tests with when it is given
-    none: the 48-seed greedy start."""
-    adj = list(g.adjacency)
-    order, degeneracy = _degeneracy_order(adj, g.n_vertices)
-    return tuple(_greedy_start(adj, order, degeneracy + 1))
+    none."""
+    return tuple(_chi_seed(list(g.adjacency), g.n_vertices))
 
 
 def test_clique_number_examples():

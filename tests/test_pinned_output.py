@@ -135,21 +135,19 @@ at b = 5, and no decided verdict changed:
 
 The paley-certificate, gf81-8 and search-only digests were re-recorded
 when the clique search of a graph with a multiplier took the incumbent of
-the independence search, one greedy dive per orbit from 0, and lost the
-greedy coloring of the whole graph that could close it with no node, while
-chi came to seed its k-tests with the 48-seed greedy start instead of
-omega's witness.  So an exact omega witness now contains 0, and no omega,
-alpha, chi, bound or status of a certificate changed:
+the independence search, one greedy dive per orbit from 0, while chi came
+to seed its k-tests with the 48-seed greedy start instead of omega's
+witness.  So an exact omega witness now contains 0, and no omega, alpha,
+chi, bound or status of a certificate changed:
 - paley-certificate, 31 of 37, in `clique` alone;
 - gf81-8, 2 of 3, the b = 12 and b = 57 witnesses: their clique, and the
   coloring and independent set that the k-test seeded with it finds;
-- search-only, 7 of 102, all at q <= 49 and m = 2, 4 or 8.  Four differ in
-  their witnesses alone, each at b = 5: (9, 2), (9, 4), (9, 8) and
-  (25, 2).  At b = 1 the clique search of the single orbital now
-  spends a node where the coloring of the whole graph closed it: (9, 2)
-  became Unknown, "3-colorability undecided", where it was
-  NonSynchronizing, and (25, 2) and (49, 2) stay Unknown with "clique
-  bounds [5, 13]" and "[7, 25]" for "5-" and "7-colorability undecided".
+- search-only, 7 of 102, all at q <= 25.  Five differ in their witnesses
+  alone: (9, 2) at b = 1 and 5, (9, 4), (9, 8) and (25, 2) at b = 5.
+  (25, 4) and (25, 8) at b = 5 became NonSynchronizing, "Delta-subset
+  [0, 2] has omega=chi=5", where they were Unknown: seeded with omega's
+  witness (0, 1, 2, 3, 4), the subfield GF(5), the 5-test is sat in 2
+  nodes, where it took 4 with (1, 8, 10, 17, 24), within the budget left.
 
 The corpus reaches every reason kind the classifier emits: each fast-path
 rule, the Redei rule, the factorization witness, the theta sweep and its
@@ -179,7 +177,7 @@ from conftest import field_for, valid_graph_ms, without_witness
 PINNED = {
     "classify": "a208ea5c9a7907d282a418dcf1e4fd9cff892ab59f598bec7251064d19d89649",
     "classify-large": "11dbf59e1311bacece004880ec16540ddf835e25967c3be166840f0c48c218c7",
-    "search-only": "dcc89e42799cdd1e5a8ab6d4cbfc7cd3de829cf90f74de75e284a66e8d5fdb9c",
+    "search-only": "855a31537f8c22332a10ffe737a1d86f486f1db286f4e737660a53b3b585feb2",
     "gf81-8": "3a9b243470457d98e0843a740d37e63401b13fab8509023e0f05309b2f50f18a",
     "default": "eadfa649b0a5b4a1eacdae1e845897611367ec517c93d9e173ee2d3225b2168a",
     "scan": "bd986e1cfd58a95a558f5b38226ae8559d70cb62b844dc2b8bd04e8d98dcd3c4",
