@@ -30,7 +30,8 @@ import os
 import sys
 
 from ._child import Child
-from .classify import NON_SYNCHRONIZING, UNKNOWN, classify, primitivity
+from .classify import (NON_SYNCHRONIZING, UNKNOWN, classify, exhaustive_decision, fast_paths,
+                       primitivity)
 from .errors import InvalidWitnessError, OracleMismatchError
 from .gf import SIZE_LIMIT, build_field, divisors, odd_prime_power, odd_prime_powers
 from .invariants import BRUTE_FORCE_CAP, DEFAULT_BUDGET, brute_force_invariants, paley_certificate
@@ -178,18 +179,24 @@ def _cmd_classify(args) -> int:
 
 def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
     """The scan's rows of these q's: in the order of qs, each q's in m order.
-    The `rule` cell is the first reason, the rule that decided the row."""
+    The `rule` cell is the first reason, the rule that decided the row.
+    Past the fast paths a row depends on m only through m_bar, so each
+    (q, m_bar) is decided once.  The field cache is emptied before each q,
+    so one field is alive at a time."""
     rows = []
     for q in qs:
+        build_field.cache_clear()
         field = _field_for(q)
         p, n = field.p, field.n
         ms = divisors(q - 1)
         if m_set is not None:
             ms = [m for m in ms if m in m_set]
-        reports = {}  # m_bar -> SpectralReport: every m with the same m_bar shares one
+        reports, decisions = {}, {}  # by m_bar: every m with the same m_bar shares both
         for m in ms:
             params = normalize_params(q, m)
-            result = classify(q, m, budget=budget)
+            result = fast_paths(q, m) or decisions.get(params.m_bar)
+            if result is None:
+                result = decisions[params.m_bar] = exhaustive_decision(field, m, budget)
             prim = primitivity(q, m)
             omega = chi = theta = lam = ""
             if params.m_bar >= 2:

@@ -60,12 +60,13 @@ Smriglio 2011).  A Cayley graph is vertex-transitive, so a translation
 carries any maximum clique onto one through 0, whose other vertices lie in
 N(0).  A multiplier (field, d) makes x -> a*x, a in the d-th powers H, an
 automorphism fixing 0, so N(0) is a union of H-orbits gamma^i * H.  The
-root loop runs over N(0) in the color order of the search over all
-vertices, in its degeneracy labels; the first vertex v of each orbit opens
-the subtree of the cliques through 0 and v, and then the orbit leaves the
-candidates.  A clique through 0 and h*v, h in H, maps by x -> x/h onto one
-through 0 and v that misses the orbits dropped before, as their union is
-H-invariant, so no maximum clique is lost.  A timeout keeps the cap as its
+one branch-and-bound, `_max_clique`, searches N(0) in the degeneracy
+labels of the whole graph, and at its root alone the first vertex v of
+each orbit opens the subtree of the cliques through 0 and v, and then the
+whole orbit leaves the candidates; every other node drops its vertices
+one at a time.  A clique through 0 and h*v, h in H, maps by x -> x/h onto
+one through 0 and v that misses the orbits dropped before, as their union
+is H-invariant, so no maximum clique is lost.  A timeout keeps the cap as its
 upper bound.  One incumbent rule serves every such search, omega's and
 alpha's alike (alpha is omega of the complement, which keeps the
 multiplier): one greedy dive per orbit, from 0 and gamma^i, which may meet
@@ -89,6 +90,7 @@ every independent-set witness passes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, gcd
 
@@ -350,8 +352,8 @@ def _greedy_classes(adj: list[int], cand: int) -> tuple[list[int], list[int]]:
     return order, bound
 
 
-def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
-                budget: _Budget) -> tuple[list[int] | None, bool]:
+def _max_clique(adj: list[int], cand: int, floor: int, cap: int, budget: _Budget,
+                orbit: Callable[[int], int] | None = None) -> tuple[list[int] | None, bool]:
     """Branch-and-bound for a clique inside the candidate set `cand` with
     more than `floor` vertices; returns (the largest one found, or None when
     none beats `floor`, and exact), exact False when the budget ran out first.
@@ -361,7 +363,9 @@ def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
     down until a bound cannot beat the incumbent.  The open node's (order,
     bound, i, cand) live in locals: going down pushes them with the chosen
     vertex, and closing a node pops them.  Each node opened spends one
-    budget step; reaching `cap` ends the search.
+    budget step; reaching `cap` ends the search.  A tried vertex v leaves
+    the candidates, but at the root with `orbit` given its whole orbit(v),
+    a mask holding v, leaves, and a root vertex already gone is skipped.
     """
     best = None
     best_len = floor
@@ -383,8 +387,13 @@ def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
                 r_len -= 1
                 continue
             v = order[i]
-            cand &= ~(1 << v)
             sub = cand & adj[v]
+            if frames or orbit is None:
+                cand &= ~(1 << v)
+            elif cand >> v & 1:
+                cand &= ~orbit(v)
+            else:
+                continue
             if sub:
                 frames.append((order, bound, i, cand))
                 clique.append(v)
@@ -395,40 +404,6 @@ def _max_clique(adj: list[int], cand: int, floor: int, cap: int,
                 best_len = r_len + 1
                 if best_len >= cap:
                     return best, True
-
-
-def _ranked(g: Graph, order: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    """rank[v], the index of v in `order`, and g's rows in those labels."""
-    rank = [0] * len(order)
-    for i, v in enumerate(order):
-        rank[v] = i
-    return rank, relabel(g, rank).adjacency
-
-
-def _orbit_search(g: Graph, order: list[int], rank: list[int], radj, best: list[int], cap: int,
-                  meter: _Budget) -> tuple[list[int], bool]:
-    """The clique search of a graph with a multiplier: vertex 0 and a clique
-    of N(0), one H-orbit at a time, in the labels `rank` gives (see the
-    module docstring).  `best` is the caller's incumbent, sorted, which a
-    clique found replaces only when larger, up to `cap`; returns (the best
-    clique, sorted, and exact)."""
-    field, d = g.multiplier
-    cand = radj[rank[0]]
-    vertices, bound = _greedy_classes(radj, cand)
-    exact = meter.step()
-    for v, b in zip(reversed(vertices), reversed(bound)):
-        if not exact or len(best) >= min(cap, 1 + b):
-            break
-        if not cand >> v & 1:  # its orbit is searched
-            continue
-        within = cand & radj[v]
-        if within:
-            found, exact = _max_clique(radj, within, len(best) - 2, cap - 2, meter)
-            if found:
-                best = sorted([0] + [order[u] for u in [v] + found])
-        # v's subtree holds a copy of every clique through 0 and v's orbit
-        cand &= ~sum(1 << rank[x] for x in field.exp[field.log[order[v]] % d::d])
-    return best, exact
 
 
 def _greedy_start(adj: list[int], order: list[int], cap: int) -> list[int]:
@@ -451,8 +426,12 @@ def clique_number(
     """Exact maximum clique with witness.
 
     upper_hint must be a sound upper bound (it prunes; it is also used for
-    early exit once matched).  On a graph with a multiplier the incumbent
-    is one greedy dive per orbit from 0 (see the module docstring).
+    early exit once matched).  The incumbent is the 48-seed greedy start,
+    or on a graph with a multiplier one greedy dive per orbit from 0 (see
+    the module docstring).  Past it, the greedy coloring of the whole graph
+    may close the search with no node; else one `_max_clique` call searches
+    all vertices, or N(0) with 0 fixed and one branch per orbit at its
+    root, and a timeout's lower bound also takes the 48-seed start.
     """
     n = g.n_vertices
     adj = list(g.adjacency)
@@ -471,16 +450,26 @@ def clique_number(
         return SearchResult(True, len(best), len(best), tuple(best), 0)
     if g.multiplier is not None:
         order, _ = _degeneracy_order(adj, n)
-    rank, radj = _ranked(g, order)  # search in degeneracy-ranked labels
+    rank = [0] * n  # search in degeneracy-ranked labels
+    for i, v in enumerate(order):
+        rank[v] = i
+    radj = relabel(g, rank).adjacency
+    if g.multiplier is None:
+        root, fixed, orbit = (1 << n) - 1, [], None
+    else:  # vertex 0 and a clique of N(0), one H-orbit at a time at the root
+        root, fixed = radj[rank[0]], [0]
+
+        def orbit(v: int) -> int:
+            return sum(1 << rank[x] for x in field.exp[field.log[order[v]] % d::d])
     meter = _Budget.of(budget)
     before = meter.spent
-    if g.multiplier is None:
-        found, exact = _max_clique(radj, (1 << n) - 1, len(best), cap, meter)
-        best = sorted(order[i] for i in found) if found else best
-    elif _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
-        exact = True  # G's coloring can bound omega tighter than that of N(0)
+    if _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
+        exact = True  # G's coloring can bound omega tighter than that of the root
     else:
-        best, exact = _orbit_search(g, order, rank, radj, best, cap, meter)
+        found, exact = _max_clique(radj, root, len(best) - len(fixed), cap - len(fixed), meter,
+                                   orbit)
+        if found:
+            best = sorted(fixed + [order[i] for i in found])
         if not exact:
             best = max(best, _greedy_start(adj, order, cap), key=len)
     return SearchResult(exact, len(best), len(best) if exact else cap, tuple(best),

@@ -236,26 +236,56 @@ def test_scan_computes_one_spectral_report_per_m_bar(capsys, monkeypatch):
     assert sorted(calls) == sorted(pairs)
 
 
-def _scan_81_8_by_search(monkeypatch, omega=None):
-    """Route (81, 8) through the single-orbital search, its factorization
-    witness skipped: NonSynchronizing with subset [0] and omega = chi = 3,
-    so the scan fills its omega/chi columns (every other NonSynchronizing
-    row with q <= 81 comes from a fast path).  `omega` replaces the
-    certificate's clique number."""
-    classify = cli.classify
+def test_scan_decides_each_q_m_bar_once(monkeypatch):
+    """(343, 3) and (343, 6) share m_bar = 3 and both pass the fast paths:
+    one exhaustive decision serves both rows."""
+    calls = []
+    decide = cli.exhaustive_decision
 
-    def by_search(q, m, **kwargs):
-        if (q, m) != (81, 8):
-            return classify(q, m, **kwargs)
+    def counting(field, m, budget):
+        calls.append((field.q, m))
+        return decide(field, m, budget)
+
+    monkeypatch.setattr(cli, "exhaustive_decision", counting)
+    rows = cli._q_rows([343], {3, 6}, 10**4, False)
+    assert calls == [(343, 3)]
+    assert [row["m"] for row in rows] == [3, 6]
+    assert [row["m_bar"] for row in rows] == [3, 3]
+    assert rows[0]["verdict"] == rows[1]["verdict"] and rows[0]["rule"] == rows[1]["rule"]
+
+
+def test_a_scan_keeps_one_field_alive(monkeypatch):
+    """The field cache is emptied before each q, so a scan ends holding at
+    most the field of its last q."""
+    monkeypatch.delattr(os, "fork")
+    cli._scan_rows(125, None, 10**4, False)
+    assert build_field.cache_info().currsize <= 1
+
+
+def _scan_81_8_by_search(monkeypatch, omega=None):
+    """Route (81, 8) past its fast path to the single-orbital search, its
+    factorization witness skipped: NonSynchronizing with subset [0] and
+    omega = chi = 3, so the scan fills its omega/chi columns (every other
+    NonSynchronizing row with q <= 81 comes from a fast path).  `omega`
+    replaces the certificate's clique number."""
+    fast_paths, decide = cli.fast_paths, cli.exhaustive_decision
+
+    def no_fast_path(q, m):
+        return None if (q, m) == (81, 8) else fast_paths(q, m)
+
+    def by_search(field, m, budget):
+        if (field.q, m) != (81, 8):
+            return decide(field, m, budget)
         with without_witness():
-            result = exhaustive_decision(build_field(3, 4), 8, budget=50)
+            result = exhaustive_decision(field, 8, budget=50)
         if omega is not None:
             result = dataclasses.replace(
                 result, certificate=dataclasses.replace(result.certificate, omega=omega)
             )
         return result
 
-    monkeypatch.setattr(cli, "classify", by_search)
+    monkeypatch.setattr(cli, "fast_paths", no_fast_path)
+    monkeypatch.setattr(cli, "exhaustive_decision", by_search)
     return run(["scan", "--q-max", "81", "--m-set", "8"])
 
 
@@ -346,21 +376,21 @@ def test_forked_scan_matches_the_scan_in_one_process(capsys, monkeypatch, tmp_pa
             forks.append(pid)
         return pid
 
-    log, classify = tmp_path / "taken", cli.classify
+    log, fast_paths = tmp_path / "taken", cli.fast_paths
 
-    def logged(q, m, **kwargs):
+    def logged(q, m):
         if m == 1:
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {q}\n")
-        return classify(q, m, **kwargs)
+        return fast_paths(q, m)
 
     monkeypatch.setattr(os, "fork", traced_fork)
-    monkeypatch.setattr(cli, "classify", logged)
+    monkeypatch.setattr(cli, "fast_paths", logged)
     forked = _forked_scan(capsys, monkeypatch, workers, "--q-max", "125")
     assert len(forks) == workers - 1
     taken = [line.split()[1] for line in log.read_text().splitlines()]
     assert len(set(taken)) == len(cli.odd_prime_powers(125)) >= len(taken) - 2
-    monkeypatch.setattr(cli, "classify", classify)
+    monkeypatch.setattr(cli, "fast_paths", fast_paths)
     assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
     assert forked[0] == 0 and forked[2] == ""
 
@@ -389,9 +419,9 @@ def test_a_scan_child_killed_mid_share_has_its_qs_run_here(capsys, monkeypatch, 
     monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
         q for i, q in enumerate(qs) if i % 2 == (os.getpid() == parent)))
     note = tmp_path / "victim"
-    classify, taken, here = cli.classify, [], []
+    fast_paths, taken, here = cli.fast_paths, [], []
 
-    def dying(q, m, **kwargs):
+    def dying(q, m):
         if os.getpid() != parent:
             if q not in taken:
                 taken.append(q)
@@ -400,9 +430,9 @@ def test_a_scan_child_killed_mid_share_has_its_qs_run_here(capsys, monkeypatch, 
                 os.kill(os.getpid(), signal.SIGKILL)
         elif m == 1:
             here.append(q)
-        return classify(q, m, **kwargs)
+        return fast_paths(q, m)
 
-    monkeypatch.setattr(cli, "classify", dying)
+    monkeypatch.setattr(cli, "fast_paths", dying)
     forked = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
     assert int(note.read_text()) in here  # the parent ran the victim's q
     assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
@@ -434,14 +464,14 @@ def test_a_scan_error_is_the_one_the_scan_in_one_process_raises(capsys, monkeypa
     fails = {"child": [121], "parent": [125], "both": [61, 125]}[failing]
     monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
         q for q in reversed(qs) if (q == 125) == (os.getpid() == parent)))
-    classify = cli.classify
+    fast_paths = cli.fast_paths
 
-    def failing_classify(q, m, **kwargs):
+    def failing_fast_paths(q, m):
         if q in fails:
             raise exc(f"failed at q = {q}")
-        return classify(q, m, **kwargs)
+        return fast_paths(q, m)
 
-    monkeypatch.setattr(cli, "classify", failing_classify)
+    monkeypatch.setattr(cli, "fast_paths", failing_fast_paths)
     forked = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
     assert forked == _scan_in_one_process(capsys, monkeypatch, "--q-max", "125")
     assert f"failed at q = {fails[0]}" in forked[2]
@@ -456,11 +486,11 @@ def test_an_error_in_the_parent_kills_the_childs_process_group(capsys, monkeypat
         pytest.skip("needs /proc")
     parent = os.getpid()
     note = tmp_path / "grandchild"
-    classify = cli.classify
+    fast_paths = cli.fast_paths
     monkeypatch.setattr(cli, "_claim", lambda flags, qs: (
         q for q in reversed(qs) if (q == 125) == (os.getpid() == parent)))
 
-    def forking_classify(q, m, **kwargs):
+    def forking_fast_paths(q, m):
         if os.getpid() != parent and not note.exists():
             pid = os.fork()
             if pid == 0:
@@ -472,9 +502,9 @@ def test_an_error_in_the_parent_kills_the_childs_process_group(capsys, monkeypat
             while not note.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise RuntimeError("the parent's q fails")
-        return classify(q, m, **kwargs)
+        return fast_paths(q, m)
 
-    monkeypatch.setattr(cli, "classify", forking_classify)
+    monkeypatch.setattr(cli, "fast_paths", forking_fast_paths)
     code, _, err = _forked_scan(capsys, monkeypatch, 2, "--q-max", "125")
     assert code == 4 and "the parent's q fails" in err
     grandchild = int(note.read_text())

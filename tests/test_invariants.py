@@ -454,6 +454,18 @@ def test_a_timed_out_independence_search_keeps_the_greedy_start():
     assert {(49, 6), (71, 5)} <= timed_out
 
 
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_the_whole_graph_coloring_closes_a_search_with_no_multiplier(q):
+    """A copy of the Paley graph (q, 2) that carries no multiplier: its
+    greedy coloring has as many classes as the 48-seed start has vertices,
+    sqrt(q), so the search is exact at budget 0 and spends no node, as on
+    the Cayley graph itself."""
+    g = relabel(residue_graph(q, 2), range(q))
+    assert g.multiplier is None
+    res = clique_number(g, budget=0)
+    assert (res.exact, res.value, res.nodes) == (True, math.isqrt(q), 0)
+
+
 @pytest.mark.parametrize(
     "n, seed, p_edge, omega, nodes, witness",
     [
