@@ -26,32 +26,43 @@ independent-set and coloring results into an `InvariantCertificate`, for
 the searched certificates and the no-search ones (brute force, omega = chi)
 alike, and verifies it whenever all three are exact.
 
+Before any k-test, chi closes its bound from above.  While lo < ub and
+more than PROBE nodes are left, a Tabucol search (`_tabu_coloring`) looks
+for a (ub - 1)-coloring, starting from the best coloring so far with its
+top class squeezed (`_squeeze`: each vertex of color ub - 1 takes the
+color the fewest of its neighbors hold), on at most min(PROBE, left -
+PROBE) moves of the call's meter.  A coloring lowers ub and becomes the
+timeout's witness; the first failure ends the phase.  So the first k-test
+keeps a full probe, and with at most PROBE nodes left the phase does not
+run.  On the q <= 81 sweep at budget 50,000 it closes 28 of the 31 graphs
+that reach it, with no k-test and no `_chi_seed`.
+
 Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
 opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
 what the meter has left when that is less, so with at most PROBE nodes
-left the probe is the whole k-test.  The probe decides all but six
-k-tests of the q <= 81 sweep.  Past it, a Tabucol search (`_tabu_coloring`)
-gets half the nodes left, at most TABU_MOVES moves, on the meter the
-probe's timeout leaves, and a coloring it finds is exact, since every
-smaller k is already excluded.  It runs in a forked child
-(`_child.Child`) started at PROBE // 4 steps when it gets a move, else,
-or when the child dies or the fork fails, here on the same meter values.
-A tabu coloring ends the k-test.  Else, since an exhaustive search
-restarted from the root would first repeat the probe's PROBE nodes, the
-meter charges them and the tabu moves at the probe's end and lets the
-probe's search run on as that restart, taking the report once written
-(polled every PROBE // 4 steps).  A tabu coloring still wins, with the
-tabu search's count; an unsat result stands at once, since no coloring
-exists.  So every result and count is that of the stages run in turn,
-whichever process ran the tabu search, and every exit closes the child.
-The cap keeps an unsatisfiable k-test on a large budget from spending
-half of it on colorings that do not exist.  At budget 50,000 the schedule
-decides chi(61, 3) = 8, chi(73, 3) = 10 and chi(79, 3) = 9, which the
-exhaustive search leaves open at 300,000 nodes; chi(81, 4) stays in
-[6, 9] there.  It is 7: the exhaustive 6-test is unsat after 3,122,536
-nodes, and a 7-coloring takes the exhaustive search 142 nodes and the
-tabu search 145 moves, so paley_certificate decides it at budget
-3,300,000 (about 90 s on a 2-vCPU Xeon).
+left the probe is the whole k-test.  Of the three k-tests left on the
+q <= 81 sweep, the probe decides (41, 5)'s.  Past it, a Tabucol search
+from a random coloring gets half the nodes left, at most TABU_MOVES
+moves, on the meter the probe's timeout leaves, and a coloring it finds
+is exact, since every smaller k is already excluded.  It runs in a forked
+child (`_child.Child`) started at PROBE // 4 steps when it gets a move,
+else, or when the child dies or the fork fails, here on the same meter
+values.  A tabu coloring ends the k-test.  Else, since an exhaustive
+search restarted from the root would first repeat the probe's PROBE
+nodes, the meter charges them and the tabu moves at the probe's end and
+lets the probe's search run on as that restart, taking the report once
+written (polled every PROBE // 4 steps).  A tabu coloring still wins,
+with the tabu search's count; an unsat result stands at once, since no
+coloring exists.  So every result and count is that of the stages run in
+turn, whichever process ran the tabu search, and every exit closes the
+child.  The cap keeps an unsatisfiable k-test on a large budget from
+spending half of it on colorings that do not exist.  At budget 50,000 the
+phase decides chi(73, 3) = 10 and chi(79, 3) = 9, and the k-test's tabu
+search chi(61, 3) = 8, all of which the exhaustive search leaves open at
+300,000 nodes; chi(81, 4) stays in [6, 7] there, as the phase finds a
+7-coloring and fails at 6.  It is 7: the exhaustive 6-test is unsat
+after 3,122,536 nodes, so paley_certificate decides it at budget
+3,300,000 (about 47 s on a 2-vCPU Xeon).
 
 On a graph with a multiplier (`Graph.multiplier`: every residue graph,
 complement and orbital union on GF(q)) the clique search fixes vertex 0 and
@@ -643,13 +654,14 @@ class _Rng:
         return x % n
 
 
-def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
+def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int,
+                   start: list[int] | None = None):
     """Tabucol (Hertz & de Werra 1987): a proper k-coloring, or None once
     `moves` moves or the meter are spent.
 
-    From a random k-coloring, each move recolors one vertex that shares its
-    color with a neighbor, to the color that lowers the count of conflicting
-    edges most (ties drawn at random).  Taking v off color a makes (v, a)
+    From `start`, else a random k-coloring, each move recolors one vertex
+    that shares its color with a neighbor, to the color that lowers the
+    count of conflicting edges most (ties drawn at random).  Taking v off color a makes (v, a)
     tabu for 0.6 * conflicts + r moves, r drawn from 0 .. 9, unless it would
     beat the fewest conflicts seen so far.  gamma[v][c] counts the
     neighbors of v colored c, and `bad` holds the conflicting vertices, so a
@@ -659,7 +671,7 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
     """
     rng = _Rng(TABU_SEED)
     below = rng.below
-    col = [below(k) for _ in range(n)]
+    col = list(start) if start is not None else [below(k) for _ in range(n)]
     cls = [0] * k
     for v, c in enumerate(col):
         cls[c] |= 1 << v
@@ -729,6 +741,23 @@ def _tabu_coloring(adj: list[int], n: int, k: int, meter: _Budget, moves: int):
         if conflicts < best:
             best = conflicts
     return tuple(col)
+
+
+def _squeeze(adj: list[int], coloring, k: int) -> list[int]:
+    """`coloring` with its color k taken out: each vertex of color k, in
+    vertex order, takes the lowest color that the fewest of its neighbors
+    hold (the tabu search's start at k colors)."""
+    col = list(coloring)
+    cls = [0] * k
+    for v, c in enumerate(col):
+        if c < k:
+            cls[c] |= 1 << v
+    for v, c in enumerate(col):
+        if c == k:
+            counts = [(adj[v] & members).bit_count() for members in cls]
+            c = col[v] = counts.index(min(counts))
+            cls[c] |= 1 << v
+    return col
 
 
 def _tabu_moves(limit: int, spent: int) -> int:
@@ -848,9 +877,12 @@ def chromatic_number(
     k-colorability is tested upward from the lower bound, so the first
     satisfiable k is exact.  `lower` must be sound if supplied; with neither
     it nor clique_hint, omega's search gives it.  clique_hint, else
-    `_chi_seed`, seeds every k-test.  The upper bound comes from a greedy
-    coloring it can exhibit.  Each k-test is a probe, a tabu search and the
-    probe's search run on (see the module docstring), all on the call's meter.
+    `_chi_seed`, seeds every k-test.  The upper bound comes from the DSATUR
+    coloring, which tabu searches at one color fewer lower while they find
+    colorings, before any k-test and with a full probe's nodes kept for the
+    first; the bound is exact when it meets the lower one.  Each k-test is
+    a probe, a tabu search and the probe's search run on (see the module
+    docstring), all on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -865,12 +897,18 @@ def chromatic_number(
     if lower is None and not clique:
         lower = clique_number(g, budget=meter).lower
 
-    greedy = _dsatur_coloring(adj, n)
-    ub = max(greedy) + 1
-    ub_witness = _normalize_coloring(greedy)
+    best = _dsatur_coloring(adj, n)
+    ub = max(best) + 1
     lo = max(lower or 1, len(clique))
     if lo > ub:
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
+    # Close from above, leaving the first k-test a full probe.
+    while lo < ub and meter.limit - meter.spent > PROBE:
+        moves = min(PROBE, meter.limit - meter.spent - PROBE)
+        coloring = _tabu_coloring(adj, n, ub - 1, meter, moves, _squeeze(adj, best, ub - 1))
+        if coloring is None:
+            break
+        best, ub = coloring, ub - 1
     if not clique and lo < ub:
         clique = _chi_seed(adj, n)
 
@@ -885,8 +923,8 @@ def chromatic_number(
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":
-            return SearchResult(False, k, ub, ub_witness, meter.spent - before)
-    return SearchResult(True, ub, ub, ub_witness, meter.spent - before)
+            return SearchResult(False, k, ub, _normalize_coloring(best), meter.spent - before)
+    return SearchResult(True, ub, ub, _normalize_coloring(best), meter.spent - before)
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,10 @@ def square_field_sweep():
 @pytest.fixture(scope="session")
 def sweep_q81():
     """Budgeted invariants plus spectral report for every valid (q, m),
-    q <= 81.  At this budget the tabu search behind chi's k-tests decides
-    (61,3), (73,3) and (79,3); (81,4) alone times out, with chi in [6, 9],
-    and is excluded wherever exactness is required (the checks say so)."""
+    q <= 81.  At this budget chi's upper-bound phase decides (73,3) and
+    (79,3) and the tabu search behind its k-tests (61,3); (81,4) alone
+    times out, with chi in [6, 7], and is excluded wherever exactness is
+    required (the checks say so)."""
     from paleysync import theta_pair
 
     results = {}

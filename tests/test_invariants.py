@@ -39,8 +39,8 @@ from paleysync.gf import odd_prime_powers
 from paleysync import invariants
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _chi_seed,
                                   _degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
-                                  _k_colorable, _Rng, _tabu_coloring, _tabu_moves,
-                                  factorization_certificate)
+                                  _k_colorable, _KTest, _Rng, _squeeze, _tabu_coloring,
+                                  _tabu_moves, factorization_certificate)
 from paleysync._child import Child
 from paleysync.paley import _difference_graph, iter_bits
 from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
@@ -775,11 +775,11 @@ def test_tabu_coloring_repeats_and_every_coloring_it_returns_is_proper():
     assert found >= 3
 
 
-def _reference_tabu_coloring(adj, n, k, meter, moves):
+def _reference_tabu_coloring(adj, n, k, meter, moves, start=None):
     """_tabu_coloring as first written: every color of every conflicting
     vertex tested in one condition, gamma updated through bit loops."""
     rng = _Rng(TABU_SEED)
-    col = [rng.below(k) for _ in range(n)]
+    col = list(start) if start is not None else [rng.below(k) for _ in range(n)]
     cls = [0] * k
     for v, c in enumerate(col):
         cls[c] |= 1 << v
@@ -849,9 +849,9 @@ def _reference_tabu_coloring(adj, n, k, meter, moves):
 PAST_PROBE_K_TESTS = [(61, 3, 8), (73, 3, 10), (73, 4, 7), (73, 6, 5), (79, 3, 9), (81, 4, 6)]
 
 
-def _tabu_run(tabu, g, k, limit, moves):
+def _tabu_run(tabu, g, k, limit, moves, start=None):
     meter = _Budget(limit)
-    return tabu(list(g.adjacency), g.n_vertices, k, meter, moves), meter.spent
+    return tabu(list(g.adjacency), g.n_vertices, k, meter, moves, start), meter.spent
 
 
 @pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS)
@@ -881,24 +881,77 @@ def test_tabu_coloring_makes_the_reference_moves_on_random_graphs():
     assert outcomes == {"sat", "cap", "meter"}
 
 
+def _reference_squeeze(adj, coloring, k):
+    """coloring with each vertex of color k, in vertex order, moved to the
+    lowest color its neighbors hold least, counted neighbor by neighbor."""
+    col = list(coloring)
+    for v in range(len(col)):
+        if col[v] == k:
+            held = [sum(col[u] == c for u in iter_bits(adj[v])) for c in range(k)]
+            col[v] = held.index(min(held))
+    return col
+
+
+def test_tabu_coloring_from_a_start_makes_the_reference_moves():
+    """The upper-bound phase's descent, run in lockstep on both: from the
+    DSATUR coloring, each search at one color fewer starts from the last
+    coloring squeezed, on PROBE moves, until one fails.  On the six
+    past-probe graphs and seeded random graphs, every start equals the
+    reference squeeze, and every search returns the reference's coloring,
+    or None, after as many moves."""
+    graphs = [residue_graph(q, m) for q, m, _ in PAST_PROBE_K_TESTS]
+    graphs += [random_graph(n, seed, p_edge) for seed in range(3)
+               for n, p_edge in ((40, 0.5), (60, 0.3), (90, 0.1))]
+    found = failed = 0
+    for g in graphs:
+        adj, n = list(g.adjacency), g.n_vertices
+        best = _dsatur_coloring(adj, n)
+        k = max(best)
+        while k > 0:
+            start = _squeeze(adj, best, k)
+            assert start == _reference_squeeze(adj, best, k)
+            run = _tabu_run(_tabu_coloring, g, k, 50_000, PROBE, start)
+            assert run == _tabu_run(_reference_tabu_coloring, g, k, 50_000, PROBE, start)
+            if run[0] is None:
+                failed += 1
+                break
+            found += 1
+            best, k = run[0], k - 1
+    assert found >= len(graphs) and failed >= len(PAST_PROBE_K_TESTS)
+
+
 def _chi_by(k_test, g, lo, budget):
     """chi as k_test(k, meter) -> (status, coloring) decides k = lo, lo + 1,
-    ... on one meter, up to the DSATUR coloring's count, whose coloring a
-    timeout carries."""
+    ... on one meter, up to the upper bound, whose coloring a timeout
+    carries.  The bound opens at the DSATUR coloring's count; while it is
+    above lo and more than PROBE nodes are left, the module's tabu search
+    at one color fewer, from the last coloring squeezed, on min(PROBE,
+    left - PROBE) moves, lowers it by one, until a search fails."""
+    invariants = sys.modules["paleysync.invariants"]
+    probe = invariants.PROBE
+
     def first_seen(coloring):
         seen = {}
         return tuple(seen.setdefault(c, len(seen)) for c in coloring)
 
-    greedy = _dsatur_coloring(list(g.adjacency), g.n_vertices)
-    ub = max(greedy) + 1
+    adj, n = list(g.adjacency), g.n_vertices
+    best = _dsatur_coloring(adj, n)
+    ub = max(best) + 1
     meter = _Budget(budget)
+    while lo < ub and meter.limit - meter.spent > probe:
+        moves = min(probe, meter.limit - meter.spent - probe)
+        start = _reference_squeeze(adj, best, ub - 1)
+        coloring = invariants._tabu_coloring(adj, n, ub - 1, meter, moves, start)
+        if coloring is None:
+            break
+        best, ub = coloring, ub - 1
     for k in range(lo, ub):
         status, coloring = k_test(k, meter)
         if status == "sat":
             return SearchResult(True, k, k, first_seen(coloring), meter.spent)
         if status == "timeout":
-            return SearchResult(False, k, ub, first_seen(greedy), meter.spent)
-    return SearchResult(True, ub, ub, first_seen(greedy), meter.spent)
+            return SearchResult(False, k, ub, first_seen(best), meter.spent)
+    return SearchResult(True, ub, ub, first_seen(best), meter.spent)
 
 
 def _exhaustive_alone(g, lo, budget, clique):
@@ -934,15 +987,28 @@ def _stages_in_turn(g, lo, budget, clique, outcomes=None):
     return _chi_by(k_test, g, lo, budget)
 
 
+def _cut_phase(monkeypatch, tabu=_tabu_coloring):
+    """Cut chi's upper-bound phase out: a tabu search given a start fails
+    with no move, so chi's k-tests run from the DSATUR bound, each as it
+    would with no phase before it; `tabu` runs the k-tests' searches.  The
+    phase closes (73, 3), (73, 4), (73, 6) and (79, 3) above any k-test at
+    every budget where a k-test could outlast its probe."""
+    def k_test_tabu(adj, n, k, meter, moves, start=None):
+        return None if start is not None else tabu(adj, n, k, meter, moves)
+
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", k_test_tabu)
+
+
 @pytest.mark.parametrize("budget", [PROBE + 1, 10_000, 50_000])
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
     """nodes is every k-test node plus every tabu move, as the stages in
     turn count them.  At PROBE + 1 the probe spends the whole meter, so the
     tabu search gets no move.  The tabu search runs in this process with
-    os.fork gone, where the wrapper sees its moves."""
-    invariants = sys.modules["paleysync.invariants"]
+    os.fork gone, where the wrapper sees its moves.  The upper-bound phase
+    is cut out, as it would close chi(79, 3) at 10,000 and 50,000."""
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
+    _cut_phase(monkeypatch)
     forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     assert_no_child()
     moves = []
@@ -954,7 +1020,7 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
         return coloring
 
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
+    _cut_phase(monkeypatch, traced_tabu)
     res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
     assert res == forked == _stages_in_turn(g, 9, budget, clique)
     assert res.nodes <= budget + 1
@@ -971,7 +1037,9 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
 
     moves = []
 
-    def traced_tabu(adj, n, k, meter, cap):
+    def traced_tabu(adj, n, k, meter, cap, start=None):
+        if start is not None:  # the upper-bound phase: 8 and 7 colors, then a failure at 6
+            return _tabu_coloring(adj, n, k, meter, cap, start)
         moves.append(cap)
         raise Stop  # the exhaustive rerun would run for minutes
 
@@ -993,10 +1061,13 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
                                      (79, 3, 9), (81, 4, 6)])
 def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypatch, q, m, k):
     """The six k-tests of the q <= 81 sweep at budget 50,000 that outlast
-    the probe: with a fork and with os.fork gone, chi returns what the
-    stages in turn return, node count included, and leaves no child."""
+    the probe with the upper-bound phase cut out (with it, the phase closes
+    all but (61, 3) and (81, 4) above them): with a fork and with os.fork
+    gone, chi returns what the stages in turn return, node count included,
+    and leaves no child."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
+    _cut_phase(monkeypatch)
     forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
     assert_no_child()
     assert forked == _stages_in_turn(g, k, 50_000, clique)
@@ -1027,7 +1098,8 @@ def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
 
 
 def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
-    """(79, 3) at budget 10,000: the tabu search fails and the rerun times
+    """(61, 3) at budget 10,000: the upper-bound phase finds a 9-coloring and
+    fails at 8, then the k-test's tabu search fails and the rerun times
     out.  The exhaustive search, the rerun included, runs in the caller and
     the child runs the tabu search alone, so an exhaustive search that would
     raise in any other process never does, and the result is that of the
@@ -1040,22 +1112,23 @@ def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
             raise RuntimeError("the child's search fails")
         return _k_colorable(*args)
 
-    g = residue_graph(79, 3)
+    g = residue_graph(61, 3)
     clique = clique_number(g).witness
     monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
-    res = chromatic_number(g, lower=9, budget=10_000, clique_hint=clique)
+    res = chromatic_number(g, lower=8, budget=10_000, clique_hint=clique)
     assert_no_child()
-    assert res == _stages_in_turn(g, 9, 10_000, clique)
+    assert res == _stages_in_turn(g, 8, 10_000, clique)
     monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=9, budget=10_000, clique_hint=clique) == res
+    assert chromatic_number(g, lower=8, budget=10_000, clique_hint=clique) == res
     assert (res.exact, res.nodes) == (False, 10_001)
 
 
 @pytest.mark.parametrize("budget, late", [(10_000, False), (50_000, True)])
 def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_turn(monkeypatch,
                                                                                   budget, late):
-    """(79, 3) at k = 9: a tabu child whose search raises exits with nothing
-    written.  At budget 10,000 the charge leaves the rerun no node past the
+    """(61, 3) at k = 8, past the upper-bound phase, which finds a
+    9-coloring and fails at 8: a tabu child whose search raises exits with
+    nothing written.  At budget 10,000 the charge leaves the rerun no node past the
     probe's, so the caller finds the dead child when it takes the report.
     At 50,000 (late) the child dies only once the caller's search has run
     on past the probe, and the caller finds it at a poll.  Either way the
@@ -1067,13 +1140,15 @@ def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_tur
     here, nodes = [], []
     read_end, write_end = os.pipe()
 
-    def dies_in_child(*args):
+    def dies_in_child(adj, n, k, meter, moves, start=None):
+        if start is not None:  # the upper-bound phase, run here before the k-test
+            return _tabu_coloring(adj, n, k, meter, moves, start)
         if os.getpid() != caller:
             if late:
                 os.read(read_end, 1)  # wait for the caller's search to pass the probe
             raise RuntimeError("the child's tabu search fails")
-        here.append(args[2])
-        return _tabu_coloring(*args)
+        here.append(k)
+        return _tabu_coloring(adj, n, k, meter, moves)
 
     def past_the_probe(*args):
         nodes.append(1)
@@ -1082,21 +1157,21 @@ def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_tur
             time.sleep(0.2)  # the child dies before the next poll
         return most_constrained(*args)
 
-    g = residue_graph(79, 3)
+    g = residue_graph(61, 3)
     clique = clique_number(g).witness
     monkeypatch.setattr(invariants, "_tabu_coloring", dies_in_child)
     monkeypatch.setattr(invariants, "_most_constrained", past_the_probe)
     fds = open_fds()
     try:
-        res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+        res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
     finally:
         os.close(read_end)
         os.close(write_end)
     assert_no_child()
     assert open_fds() == fds - 2
-    assert here == [9]  # the dead child's search ran here, once
+    assert here == [8]  # the dead child's search ran here, once
     monkeypatch.undo()
-    assert res == _stages_in_turn(g, 9, budget, clique)
+    assert res == _stages_in_turn(g, 8, budget, clique)
     assert res.exact == (budget == 50_000)
 
 
@@ -1165,8 +1240,8 @@ def test_an_unsat_rerun_does_not_wait_for_the_tabu_child(monkeypatch):
 
 
 def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch):
-    """An error in the probe's search after the fork point, here on (79, 3) at
-    k = 9, leaves chromatic_number with its tabu child killed and reaped and
+    """An error in the probe's search after the fork point, here on (61, 3) at
+    k = 8 past the upper-bound phase, leaves chromatic_number with its tabu child killed and reaped and
     both ends of the pipe closed."""
     class Stop(Exception):
         pass
@@ -1181,7 +1256,7 @@ def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch
             raise Stop
         return most_constrained(*args)
 
-    g = residue_graph(79, 3)
+    g = residue_graph(61, 3)
     clique = clique_number(g).witness
     fork = os.fork
     forked = []
@@ -1196,7 +1271,7 @@ def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch
     monkeypatch.setattr(invariants, "_most_constrained", raises_late)
     fds = open_fds()
     with pytest.raises(Stop):
-        chromatic_number(g, lower=9, budget=50_000, clique_hint=clique)
+        chromatic_number(g, lower=8, budget=50_000, clique_hint=clique)
     assert len(forked) == 1
     assert open_fds() == fds
     assert_no_child()
@@ -1209,9 +1284,11 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
     one; at 3 * PROBE the rerun's allotment crosses PROBE, so the probe's
     search runs on past its end or times out there.  With a fork and with
     os.fork gone, chi returns what the stages in turn return, node count
-    included."""
+    included.  The upper-bound phase is cut out, as it would leave the
+    k-test a count of nodes that is no longer the budget."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
+    _cut_phase(monkeypatch)
     budgets = [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]
     forked = []
     for budget in budgets:
@@ -1225,15 +1302,16 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
 
 @pytest.mark.parametrize("budget", [10_000, 50_000])
 def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
-    """(79, 3) at k = 9: at budget 10,000 the tabu search fails and the rerun
-    times out, at 50,000 the tabu search finds a 9-coloring.  When os.fork
+    """(61, 3) at k = 8, past the upper-bound phase, which finds a 9-coloring
+    and fails at 8: at budget 10,000 the k-test's tabu search fails and the
+    rerun times out, at 50,000 the tabu search finds an 8-coloring.  When os.fork
     raises OSError, the caller runs the tabu search itself, to the result of
     the stages in turn, of the forked run and of the run without os.fork,
     node count included, and leaves no child and neither end of the pipe
     open."""
-    g = residue_graph(79, 3)
+    g = residue_graph(61, 3)
     clique = clique_number(g).witness
-    forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    forked = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
     assert_no_child()
     forks = []
 
@@ -1243,13 +1321,13 @@ def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
 
     monkeypatch.setattr(os, "fork", fork_fails)
     fds = open_fds()
-    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
     assert forks == [1]
     assert open_fds() == fds
     assert_no_child()
     monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=9, budget=budget, clique_hint=clique) == res == forked
-    assert res == _stages_in_turn(g, 9, budget, clique)
+    assert chromatic_number(g, lower=8, budget=budget, clique_hint=clique) == res == forked
+    assert res == _stages_in_turn(g, 8, budget, clique)
     assert res.exact == (budget == 50_000)
     if not res.exact:
         assert res.nodes == 10_001
@@ -1290,6 +1368,56 @@ def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
         verify_certificate(residue_graph(q, m), cert)
 
 
+def test_the_upper_bound_phase_closes_chi_with_no_k_test(monkeypatch):
+    """At budget 50,000 the tabu descent from the DSATUR coloring lowers
+    chi's upper bound to chi on (73, 3), (73, 4), (73, 6) and (79, 3), so no
+    k_colorable call runs; on (61, 3) it stops at 9 colors and one k-test,
+    at 8, decides it."""
+    calls = []
+
+    def traced_k_colorable(g, k, *args, **kwargs):
+        calls.append(k)
+        return k_colorable(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "k_colorable", traced_k_colorable)
+    for (q, m), (chi, k_tests) in {(73, 3): (10, []), (73, 4): (7, []), (73, 6): (5, []),
+                                   (79, 3): (9, []), (61, 3): (8, [8])}.items():
+        calls.clear()
+        cert = paley_certificate(field_for(q), m, budget=50_000)
+        assert (cert.status, cert.chi, calls) == ("exact", chi, k_tests), (q, m)
+        verify_certificate(residue_graph(q, m), cert)
+
+
+def test_the_first_k_test_opens_with_at_least_probe_nodes_left(monkeypatch):
+    """The upper-bound phase's searches get at most min(PROBE, left - PROBE)
+    moves, so the first k-test opens with PROBE nodes left or more, and
+    with exactly PROBE when the phase had at most 2 * PROBE nodes and
+    failed; below PROBE + 1 nodes the phase does not run."""
+    opened = []
+    init = _KTest.__init__
+
+    def traced_init(self, adj, n, k, meter):
+        opened.append(meter.limit - meter.spent)
+        init(self, adj, n, k, meter)
+
+    monkeypatch.setattr(_KTest, "__init__", traced_init)
+    monkeypatch.delattr(os, "fork")
+    budgets = [PROBE, PROBE + 1, PROBE + 60, 2 * PROBE, 2 * PROBE + 1, 3 * PROBE, 10_000]
+    for q, m, k in [(61, 3, 8), (81, 4, 6), (41, 5, 4)]:
+        g = residue_graph(q, m)
+        clique = clique_number(g).witness
+        for budget in budgets:
+            opened.clear()
+            chromatic_number(g, lower=k, budget=budget, clique_hint=clique)
+            assert opened, (q, m, budget)
+            if budget <= PROBE:
+                assert opened[0] == budget
+            elif budget <= 2 * PROBE:
+                assert opened[0] == PROBE, (q, m, budget)
+            else:
+                assert PROBE <= opened[0] < budget, (q, m, budget)
+
+
 def test_tabu_search_finds_a_7_coloring_of_81_4():
     """chi(81, 4) = 7: the exhaustive 6-test is unsat (3,122,536 nodes at
     budget 10**8, about 90 s; CI checks it through the installed entry
@@ -1303,7 +1431,9 @@ def test_tabu_search_finds_a_7_coloring_of_81_4():
 
 
 def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring(sweep_q81):
+    """The upper-bound phase lowers DSATUR's 9 colors to 7 and fails at 6,
+    and the exhaustive 6-test times out."""
     cert = sweep_q81[(81, 4)][0]
-    assert (cert.status, cert.chi, cert.bounds["chi"]) == ("timeout", None, (6, 9))
-    # checks that the coloring is proper and uses at most 9 colors
+    assert (cert.status, cert.chi, cert.bounds["chi"]) == ("timeout", None, (6, 7))
+    # checks that the coloring is proper and uses at most 7 colors
     verify_certificate(residue_graph(81, 4), cert)
