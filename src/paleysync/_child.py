@@ -1,5 +1,5 @@
 """One forked child process that computes a JSON value for its parent:
-a worker of `paleysync scan`, one per further CPU.
+the chromatic k-test's tabu search, and each scan worker.
 
 The child leads its own process group (one started inside a child stays
 in that child's group, so killing the outer group ends both), writes
@@ -62,6 +62,13 @@ class Child:
             except OSError:  # the child has already set it and exited
                 pass
         return cls(pid, read_end)
+
+    def ready(self) -> bool:
+        """True once the report can be read without waiting: the child has
+        written it, or has died."""
+        import select
+
+        return bool(select.select([self.read_end], [], [], 0)[0])
 
     def result(self):
         """The child's value, read up to its newline or the end of the pipe

@@ -41,19 +41,24 @@ Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
 opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
 what the meter has left when that is less, so with at most PROBE nodes
 left the probe is the whole k-test.  Of the three k-tests left on the
-q <= 81 sweep, the probe decides (41, 5)'s.  At the probe's end a Tabucol
-search from a random coloring runs on the meter the probe's timeout
-leaves, with half the nodes left, at most TABU_MOVES moves, and a
-coloring it finds is exact, since every smaller k is already excluded:
-it ends the k-test, with the tabu search's count.  Else, since an
-exhaustive search restarted from the root would first repeat the probe's
-PROBE nodes, the meter charges them after the tabu moves and lets the
-probe's search run on as that restart.  So every result and count is
-that of the stages run in turn, all in the calling process.  The cap
-keeps an unsatisfiable k-test on a large budget from spending half of it
-on colorings that do not exist.  At budget 50,000 the phase decides
-chi(73, 3) = 10 and chi(79, 3) = 9, and the k-test's tabu search
-chi(61, 3) = 8, all of which the exhaustive search leaves open at
+q <= 81 sweep, the probe decides (41, 5)'s.  Past it, a Tabucol search
+from a random coloring gets half the nodes left, at most TABU_MOVES
+moves, on the meter the probe's timeout leaves, and a coloring it finds
+is exact, since every smaller k is already excluded.  It runs in a forked
+child (`_child.Child`) started at PROBE // 4 steps when it gets a move,
+else, or when the child dies or the fork fails, here on the same meter
+values.  A tabu coloring ends the k-test.  Else, since an exhaustive
+search restarted from the root would first repeat the probe's PROBE
+nodes, the meter charges them and the tabu moves at the probe's end and
+lets the probe's search run on as that restart, taking the report once
+written (polled every PROBE // 4 steps).  A tabu coloring still wins,
+with the tabu search's count; an unsat result stands at once, since no
+coloring exists.  So every result and count is that of the stages run in
+turn, whichever process ran the tabu search, and every exit closes the
+child.  The cap keeps an unsatisfiable k-test on a large budget from
+spending half of it on colorings that do not exist.  At budget 50,000 the
+phase decides chi(73, 3) = 10 and chi(79, 3) = 9, and the k-test's tabu
+search chi(61, 3) = 8, all of which the exhaustive search leaves open at
 300,000 nodes; chi(81, 4) stays in [6, 7] there, as the phase finds a
 7-coloring and fails at 6.  It is 7: the exhaustive 6-test is unsat
 after 3,122,536 nodes, so paley_certificate decides it at budget
@@ -100,6 +105,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, gcd
 
+from ._child import Child
 from .errors import (
     BadInputError,
     InvalidWitnessError,
@@ -762,12 +768,13 @@ def _tabu_moves(limit: int, spent: int) -> int:
 
 class _KTest(_Budget):
     """The meter of one k-test of chi (see the module docstring): up to the
-    probe's end it counts like _Budget(PROBE) on the caller's count.  There,
-    unless the probe was the whole k-test, the tabu search runs; a coloring
-    becomes `tabu` and stops the search with the tabu search's count, else
-    the meter counts on to the call's limit."""
+    probe's end it counts like _Budget(PROBE) on the caller's count, then,
+    unless the tabu report is a coloring, on to the call's limit as the
+    rerun.  `tabu` is that report, (spent, coloring), the coloring None
+    when the search failed."""
 
-    __slots__ = ("adj", "n", "k", "start", "call_limit", "tabu")
+    __slots__ = ("adj", "n", "k", "start", "call_limit", "moves", "mark", "past", "child",
+                 "tabu")
 
     def __init__(self, adj: list[int], n: int, k: int, meter: _Budget):
         self.start = meter.spent
@@ -775,27 +782,82 @@ class _KTest(_Budget):
         self.spent = self.start
         self.adj, self.n, self.k = adj, n, k
         self.call_limit = meter.limit
-        self.tabu = None
+        self.moves = _tabu_moves(meter.limit, self.start + PROBE + 1)
+        # the next step that is not a plain count: the fork point, else the probe's end
+        self.mark = self.start + PROBE // 4 if self.moves > 0 else self.limit
+        self.past = False  # past the probe's end, where the tabu report counts
+        self.child = self.tabu = None
 
     def step(self) -> bool:
-        if self.spent < self.limit:
+        if self.spent < self.mark:
             self.spent += 1
             return True
-        if self.limit == self.call_limit:  # the probe was the whole k-test, or the rerun is spent
+        return self._event()
+
+    def _event(self) -> bool:
+        if not self.past:
+            if self.spent < self.limit:  # the fork point
+                self.child = Child.start(self._tabu)
+                self.mark = self.limit
+                return self.step()
+            if self.start + PROBE + 1 > self.call_limit:  # the probe was the whole k-test
+                self.spent = self.limit + 1
+                return False
+            self.past = True
+            if self.child is None or self.child.ready():
+                self._take()
+            if self.tabu and self.tabu[1] is not None:
+                self.spent = self.limit + 1  # the probe's timeout
+                return False
+            # The rerun would restart from the root, and its first PROBE
+            # nodes are the probe's: charge them and run on.
+            self.spent = self.start + PROBE + 1 + self.moves + PROBE
+            self.limit = self.call_limit
+        elif self.tabu is None and self.spent < self.limit and self.child.ready():
+            self._take()
+            if self.tabu[1] is not None:
+                return False
+        if self.spent >= self.limit:
             self.spent = self.limit + 1
             return False
-        tabu = _Budget(self.call_limit)
-        tabu.spent = self.start + PROBE + 1
-        self.tabu = _tabu_coloring(self.adj, self.n, self.k, tabu,
-                                   _tabu_moves(self.call_limit, tabu.spent))
-        if self.tabu is not None:
-            self.spent = tabu.spent
-            return False
-        # The rerun would restart from the root, and its first PROBE nodes
-        # are the probe's: charge them and run on.
-        self.spent = tabu.spent + PROBE
-        self.limit = self.call_limit
-        return self.step()
+        self.mark = self.limit
+        if self.tabu is None:
+            self.mark = min(self.spent + max(PROBE // 4, 1), self.limit)
+        self.spent += 1
+        return True
+
+    def _tabu(self) -> tuple[int, tuple[int, ...] | None]:
+        """The tabu search on the meter the probe's timeout leaves:
+        (spent, coloring)."""
+        meter = _Budget(self.call_limit)
+        meter.spent = self.start + PROBE + 1
+        coloring = _tabu_coloring(self.adj, self.n, self.k, meter, self.moves)
+        return meter.spent, coloring
+
+    def _take(self) -> None:
+        """Take the tabu report: the child's, waiting for it, else (no
+        child, or a dead one) the search run here."""
+        self.tabu = (self.child and self.child.result()) or self._tabu()
+
+    def settle(self, status: str, coloring, meter: _Budget):
+        """The k-test's (status, coloring), its count spent on the caller's
+        meter.  Past the probe's end a tabu coloring wins, with the tabu
+        search's count; an unsat result stands without the report, since no
+        coloring exists."""
+        if self.past and status != "unsat":
+            if self.tabu is None:
+                self._take()
+            spent, tabu_coloring = self.tabu
+            if tabu_coloring is not None:
+                meter.spent = spent
+                return "sat", tabu_coloring
+        meter.spent = self.spent
+        return status, coloring
+
+    def close(self) -> None:
+        """Kill and reap the child, if any, and close its pipe."""
+        if self.child is not None:
+            self.child.close()
 
 
 def _normalize_coloring(coloring) -> tuple[int, ...]:
@@ -820,7 +882,7 @@ def chromatic_number(
     colorings, before any k-test and with a full probe's nodes kept for the
     first; the bound is exact when it meets the lower one.  Each k-test is
     a probe, a tabu search and the probe's search run on (see the module
-    docstring), in turn on the call's meter.
+    docstring), all on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -853,10 +915,11 @@ def chromatic_number(
     for k in range(lo, ub):
         # Every k below is excluded, so a k-coloring found here is exact.
         test = _KTest(adj, n, k, meter)
-        status, coloring, _ = k_colorable(g, k, budget=test, clique_hint=clique)
-        meter.spent = test.spent
-        if test.tabu is not None:
-            status, coloring = "sat", test.tabu
+        try:
+            status, coloring, _ = k_colorable(g, k, budget=test, clique_hint=clique)
+            status, coloring = test.settle(status, coloring, meter)
+        finally:
+            test.close()
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

@@ -31,13 +31,11 @@ def _closed(child):
 def test_a_child_reports_the_json_value_of_its_work():
     fds = open_fds()
     child = Child.start(lambda: [7, [0, 1, 2], None, "x" * 100_000])
-    assert child.result() == [7, [0, 1, 2], None, "x" * 100_000]
-    # once its report is read, the child leaves by os._exit(0)
     deadline = time.monotonic() + 10
-    while (exited := os.waitpid(child.pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+    while not child.ready() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert exited == (child.pid, 0)
-    child.pid = None  # reaped here
+    assert child.ready()
+    assert child.result() == [7, [0, 1, 2], None, "x" * 100_000]
     _closed(child)
     assert open_fds() == fds
 
@@ -99,7 +97,7 @@ def test_close_kills_a_grandchild_in_the_childs_group(how):
 
 def test_close_kills_a_running_child():
     child = Child.start(lambda: time.sleep(60))
-    assert os.waitpid(child.pid, os.WNOHANG) == (0, 0)
+    assert not child.ready()
     start = time.monotonic()
     _closed(child)
     assert time.monotonic() - start < 10

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -38,10 +39,12 @@ from paleysync.gf import odd_prime_powers
 from paleysync import invariants
 from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _chi_seed,
                                   _degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
-                                  _KTest, _Rng, _squeeze, _tabu_coloring, _tabu_moves,
-                                  factorization_certificate)
+                                  _k_colorable, _KTest, _Rng, _squeeze, _tabu_coloring,
+                                  _tabu_moves, factorization_certificate)
+from paleysync._child import Child
 from paleysync.paley import _difference_graph, iter_bits
-from conftest import field_for, random_graph, residue_graph, valid_graph_ms
+from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
+                      valid_graph_ms)
 
 FIVE_CYCLE = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -1000,10 +1003,14 @@ def _cut_phase(monkeypatch, tabu=_tabu_coloring):
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
     """nodes is every k-test node plus every tabu move, as the stages in
     turn count them.  At PROBE + 1 the probe spends the whole meter, so the
-    tabu search gets no move.  The upper-bound phase is cut out, as it
-    would close chi(79, 3) at 10,000 and 50,000."""
+    tabu search gets no move.  The tabu search runs in this process with
+    os.fork gone, where the wrapper sees its moves.  The upper-bound phase
+    is cut out, as it would close chi(79, 3) at 10,000 and 50,000."""
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
+    _cut_phase(monkeypatch)
+    forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    assert_no_child()
     moves = []
 
     def traced_tabu(adj, n, k, meter, cap):
@@ -1012,9 +1019,10 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
         moves.append(meter.spent - before)
         return coloring
 
+    monkeypatch.delattr(os, "fork")
     _cut_phase(monkeypatch, traced_tabu)
     res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    assert res == _stages_in_turn(g, 9, budget, clique)
+    assert res == forked == _stages_in_turn(g, 9, budget, clique)
     assert res.nodes <= budget + 1
     assert res.exact == (budget == 50_000)
     if budget == PROBE + 1:
@@ -1042,8 +1050,10 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
     with pytest.raises(Stop):
         chromatic_number(g, lower=6, budget=10**8, clique_hint=clique)
     assert moves == [TABU_MOVES]
-    # the k-test's tabu search raises, so the call ends at once, not after
-    # a 10**8-node rerun
+    # The tabu child's search raises, so the child dies and the search is
+    # run here, where it raises too: the call ends with the child reaped,
+    # not after a 10**8-node rerun.
+    assert_no_child()
     assert time.perf_counter() - start < 30
 
 
@@ -1052,49 +1062,219 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
 def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypatch, q, m, k):
     """The six k-tests of the q <= 81 sweep at budget 50,000 that outlast
     the probe with the upper-bound phase cut out (with it, the phase closes
-    all but (61, 3) and (81, 4) above them): chi returns what the stages
-    in turn return, node count included."""
+    all but (61, 3) and (81, 4) above them): with a fork and with os.fork
+    gone, chi returns what the stages in turn return, node count included,
+    and leaves no child."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     _cut_phase(monkeypatch)
-    res = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
-    assert res == _stages_in_turn(g, k, 50_000, clique)
+    forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
+    assert_no_child()
+    assert forked == _stages_in_turn(g, k, 50_000, clique)
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == forked
 
 
 def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
     """With PROBE cut to 8, random graphs reach every outcome of the stages
     after the probe: a tabu coloring, or a failed tabu search followed by a
-    sat, unsat or timeout rerun.  chi returns what the stages in turn
-    return, node count included."""
+    sat, unsat or timeout rerun.  With a fork and with os.fork gone, chi
+    returns what the stages in turn return, node count included, and
+    leaves no child."""
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 8)
     cases = [(random_graph(40, seed, 0.5), budget)
              for seed in range(4) for budget in (50, 200, 1000, 5000)]
     outcomes = set()
+    expected = []
     for g, budget in cases:
         clique = clique_number(g).witness
-        expected = _stages_in_turn(g, len(clique), budget, clique, outcomes)
-        assert chromatic_number(g, budget=budget, clique_hint=clique) == expected, budget
+        expected.append(_stages_in_turn(g, len(clique), budget, clique, outcomes))
+        assert chromatic_number(g, budget=budget, clique_hint=clique) == expected[-1], budget
+        assert_no_child()
     assert outcomes == {"tabu sat", "rerun sat", "rerun unsat", "rerun timeout"}
+    monkeypatch.delattr(os, "fork")
+    for (g, budget), res in zip(cases, expected):
+        assert chromatic_number(g, budget=budget, clique_hint=clique_number(g).witness) == res
 
 
-def test_chromatic_number_runs_its_k_tests_in_the_calling_process(monkeypatch):
-    """(61, 3) at k = 8, where the k-test's tabu search finds the
-    8-coloring, and (81, 4) at k = 6, where it fails and the probe's search
-    runs on to a timeout, both at budget 50,000: chi forks no process and
-    returns what the stages in turn return, node count included."""
-    forks = []
+def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
+    """(61, 3) at budget 10,000: the upper-bound phase finds a 9-coloring and
+    fails at 8, then the k-test's tabu search fails and the rerun times
+    out.  The exhaustive search, the rerun included, runs in the caller and
+    the child runs the tabu search alone, so an exhaustive search that would
+    raise in any other process never does, and the result is that of the
+    stages in turn.  A child that dies is the next test's case."""
+    invariants = sys.modules["paleysync.invariants"]
+    caller = os.getpid()
 
-    def no_fork():
-        forks.append(1)
-        raise OSError("chromatic_number forked")
+    def dies_in_child(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("the child's search fails")
+        return _k_colorable(*args)
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    for q, m, k in [(61, 3, 8), (81, 4, 6)]:
-        g = residue_graph(q, m)
-        clique = clique_number(g).witness
-        res = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
-        assert res == _stages_in_turn(g, k, 50_000, clique), (q, m)
-    assert forks == []
+    g = residue_graph(61, 3)
+    clique = clique_number(g).witness
+    monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
+    res = chromatic_number(g, lower=8, budget=10_000, clique_hint=clique)
+    assert_no_child()
+    assert res == _stages_in_turn(g, 8, 10_000, clique)
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=8, budget=10_000, clique_hint=clique) == res
+    assert (res.exact, res.nodes) == (False, 10_001)
+
+
+@pytest.mark.parametrize("budget, late", [(10_000, False), (50_000, True)])
+def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_turn(monkeypatch,
+                                                                                  budget, late):
+    """(61, 3) at k = 8, past the upper-bound phase, which finds a
+    9-coloring and fails at 8: a tabu child whose search raises exits with
+    nothing written.  At budget 10,000 the charge leaves the rerun no node past the
+    probe's, so the caller finds the dead child when it takes the report.
+    At 50,000 (late) the child dies only once the caller's search has run
+    on past the probe, and the caller finds it at a poll.  Either way the
+    caller runs the tabu search itself, once, and returns what the stages
+    in turn return, node count included."""
+    invariants = sys.modules["paleysync.invariants"]
+    most_constrained = invariants._most_constrained
+    caller = os.getpid()
+    here, nodes = [], []
+    read_end, write_end = os.pipe()
+
+    def dies_in_child(adj, n, k, meter, moves, start=None):
+        if start is not None:  # the upper-bound phase, run here before the k-test
+            return _tabu_coloring(adj, n, k, meter, moves, start)
+        if os.getpid() != caller:
+            if late:
+                os.read(read_end, 1)  # wait for the caller's search to pass the probe
+            raise RuntimeError("the child's tabu search fails")
+        here.append(k)
+        return _tabu_coloring(adj, n, k, meter, moves)
+
+    def past_the_probe(*args):
+        nodes.append(1)
+        if late and len(nodes) == PROBE + 100:
+            os.write(write_end, b"x")
+            time.sleep(0.2)  # the child dies before the next poll
+        return most_constrained(*args)
+
+    g = residue_graph(61, 3)
+    clique = clique_number(g).witness
+    monkeypatch.setattr(invariants, "_tabu_coloring", dies_in_child)
+    monkeypatch.setattr(invariants, "_most_constrained", past_the_probe)
+    fds = open_fds()
+    try:
+        res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert_no_child()
+    assert open_fds() == fds - 2
+    assert here == [8]  # the dead child's search ran here, once
+    monkeypatch.undo()
+    assert res == _stages_in_turn(g, 8, budget, clique)
+    assert res.exact == (budget == 50_000)
+
+
+def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
+    """(41, 5) at k = 4 is unsat after 2,330 nodes, past the fork point at
+    PROBE // 4: the probe's result stands and its tabu child, whose search
+    for a 4-coloring that does not exist would run 22,951 moves, is killed
+    and reaped."""
+    assert PROBE // 4 < 2_330 <= PROBE
+    g = residue_graph(41, 5)
+    clique = clique_number(g).witness
+    fork, waitpid = os.fork, os.waitpid
+    forked, reaped = [], {}
+
+    def traced_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def traced_waitpid(pid, options):
+        got, status = waitpid(pid, options)
+        reaped[got] = status
+        return got, status
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(os, "waitpid", traced_waitpid)
+    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
+    monkeypatch.undo()
+    assert_no_child()
+    assert len(forked) == 1
+    status = reaped[forked[0]]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert (res.exact, res.lower) == (True, 5)
+    assert res == _stages_in_turn(g, 4, 50_000, clique)
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
+    status, _, nodes = k_colorable(g, 4, clique_hint=clique)
+    assert (status, nodes) == ("unsat", 2_330)
+
+
+def test_an_unsat_rerun_does_not_wait_for_the_tabu_child(monkeypatch):
+    """With PROBE cut to 1,024, the 4-test of (41, 5), unsat after 2,330
+    nodes, outlasts the probe and the search running on as the rerun proves
+    it unsat while the tabu child still searches for a 4-coloring.  No
+    coloring exists, so the result stands at once: no read of the child's
+    report that would wait for it, the result of the stages in turn, and no
+    child left."""
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 1024)
+    result, waits = Child.result, []
+
+    def traced_result(self):
+        waits.append(not self.ready())
+        return result(self)
+
+    monkeypatch.setattr(Child, "result", traced_result)
+    g = residue_graph(41, 5)
+    clique = clique_number(g).witness
+    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
+    assert_no_child()
+    assert True not in waits
+    assert res == _stages_in_turn(g, 4, 50_000, clique)
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
+    assert (res.exact, res.lower) == (True, 5)
+
+
+def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch):
+    """An error in the probe's search after the fork point, here on (61, 3) at
+    k = 8 past the upper-bound phase, leaves chromatic_number with its tabu child killed and reaped and
+    both ends of the pipe closed."""
+    class Stop(Exception):
+        pass
+
+    invariants = sys.modules["paleysync.invariants"]
+    most_constrained = invariants._most_constrained
+    calls = []
+
+    def raises_late(*args):
+        calls.append(1)
+        if len(calls) > PROBE // 2:
+            raise Stop
+        return most_constrained(*args)
+
+    g = residue_graph(61, 3)
+    clique = clique_number(g).witness
+    fork = os.fork
+    forked = []
+
+    def traced_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", traced_fork)
+    monkeypatch.setattr(invariants, "_most_constrained", raises_late)
+    fds = open_fds()
+    with pytest.raises(Stop):
+        chromatic_number(g, lower=8, budget=50_000, clique_hint=clique)
+    assert len(forked) == 1
+    assert open_fds() == fds
+    assert_no_child()
 
 
 @pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS + [(41, 5, 4)])
@@ -1102,16 +1282,55 @@ def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(m
                                                                                q, m, k):
     """At PROBE + 1 and PROBE + 2 the tabu search gets no move, at PROBE + 3
     one; at 3 * PROBE the rerun's allotment crosses PROBE, so the probe's
-    search runs on past its end or times out there.  chi returns what the
-    stages in turn return, node count included.  The upper-bound phase is
-    cut out, as it would leave the k-test a count of nodes that is no
-    longer the budget."""
+    search runs on past its end or times out there.  With a fork and with
+    os.fork gone, chi returns what the stages in turn return, node count
+    included.  The upper-bound phase is cut out, as it would leave the
+    k-test a count of nodes that is no longer the budget."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     _cut_phase(monkeypatch)
-    for budget in [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]:
-        res = chromatic_number(g, lower=k, budget=budget, clique_hint=clique)
-        assert res == _stages_in_turn(g, k, budget, clique), budget
+    budgets = [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]
+    forked = []
+    for budget in budgets:
+        forked.append(chromatic_number(g, lower=k, budget=budget, clique_hint=clique))
+        assert_no_child()
+        assert forked[-1] == _stages_in_turn(g, k, budget, clique), budget
+    monkeypatch.delattr(os, "fork")
+    for budget, res in zip(budgets, forked):
+        assert chromatic_number(g, lower=k, budget=budget, clique_hint=clique) == res, budget
+
+
+@pytest.mark.parametrize("budget", [10_000, 50_000])
+def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
+    """(61, 3) at k = 8, past the upper-bound phase, which finds a 9-coloring
+    and fails at 8: at budget 10,000 the k-test's tabu search fails and the
+    rerun times out, at 50,000 the tabu search finds an 8-coloring.  When os.fork
+    raises OSError, the caller runs the tabu search itself, to the result of
+    the stages in turn, of the forked run and of the run without os.fork,
+    node count included, and leaves no child and neither end of the pipe
+    open."""
+    g = residue_graph(61, 3)
+    clique = clique_number(g).witness
+    forked = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
+    assert_no_child()
+    forks = []
+
+    def fork_fails():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    fds = open_fds()
+    res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
+    assert forks == [1]
+    assert open_fds() == fds
+    assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert chromatic_number(g, lower=8, budget=budget, clique_hint=clique) == res == forked
+    assert res == _stages_in_turn(g, 8, budget, clique)
+    assert res.exact == (budget == 50_000)
+    if not res.exact:
+        assert res.nodes == 10_001
 
 
 def _probe_cases():
@@ -1127,11 +1346,12 @@ def _probe_cases():
 def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(monkeypatch):
     """With at most PROBE nodes left, the probe is the whole k-test: chi
     returns what k_colorable returns on one meter, node count included, and
-    the tabu search does not run."""
+    the tabu search runs neither here nor in a child."""
     def no_stages(*args):
         raise AssertionError("a stage past the probe ran")
 
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", no_stages)
+    monkeypatch.setattr(Child, "start", no_stages)
     for key, g, lo in _probe_cases():
         clique = clique_number(g).witness
         for budget in (0, 1, 100, PROBE - 1, PROBE):
@@ -1181,6 +1401,7 @@ def test_the_first_k_test_opens_with_at_least_probe_nodes_left(monkeypatch):
         init(self, adj, n, k, meter)
 
     monkeypatch.setattr(_KTest, "__init__", traced_init)
+    monkeypatch.delattr(os, "fork")
     budgets = [PROBE, PROBE + 1, PROBE + 60, 2 * PROBE, 2 * PROBE + 1, 3 * PROBE, 10_000]
     for q, m, k in [(61, 3, 8), (81, 4, 6), (41, 5, 4)]:
         g = residue_graph(q, m)
