@@ -1,21 +1,18 @@
 """One forked child process that computes a JSON value for its parent:
-the chromatic k-test's tabu search, and each scan worker.
+each scan worker.
 
-The child leads its own process group (one started inside a child stays
-in that child's group, so killing the outer group ends both), writes
-json.dumps(work()) and a newline to a pipe, and leaves by os._exit, so
-nothing of the caller's (atexit hooks, buffered files, a test runner)
-runs twice and no lock another thread could hold is taken.  An error in
-work exits 1 with nothing written; a report without its newline is
-incomplete.  close() kills the group, reaps the child and closes the
-pipe in any state, so a caller that closes its children leaves none.
+The child leads its own process group, writes json.dumps(work()) and a
+newline to a pipe, and leaves by os._exit, so nothing of the caller's
+(atexit hooks, buffered files, a test runner) runs twice and no lock
+another thread could hold is taken.  An error in work exits 1 with
+nothing written; a report without its newline is incomplete.  close()
+kills the group, reaps the child and closes the pipe in any state, so a
+caller that closes its children leaves none.
 """
 
 from __future__ import annotations
 
 import os
-
-_in_child = False  # True in a forked child: its own children join its group
 
 
 class Child:
@@ -32,7 +29,6 @@ class Child:
         os.fork is missing or fails."""
         import json
 
-        global _in_child
         if not hasattr(os, "fork"):
             return None
         read_end, write_end = os.pipe()
@@ -45,9 +41,7 @@ class Child:
         if pid == 0:
             code = 1
             try:
-                if not _in_child:
-                    os.setpgid(0, 0)
-                    _in_child = True
+                os.setpgid(0, 0)
                 os.close(read_end)
                 out = (json.dumps(work(), separators=(",", ":")) + "\n").encode()
                 while out:
@@ -56,19 +50,11 @@ class Child:
             finally:
                 os._exit(code)
         os.close(write_end)
-        if not _in_child:
-            try:
-                os.setpgid(pid, pid)  # as the child does: the group exists once either has run
-            except OSError:  # the child has already set it and exited
-                pass
+        try:
+            os.setpgid(pid, pid)  # as the child does: the group exists once either has run
+        except OSError:  # the child has already set it and exited
+            pass
         return cls(pid, read_end)
-
-    def ready(self) -> bool:
-        """True once the report can be read without waiting: the child has
-        written it, or has died."""
-        import select
-
-        return bool(select.select([self.read_end], [], [], 0)[0])
 
     def result(self):
         """The child's value, read up to its newline or the end of the pipe

@@ -37,32 +37,40 @@ keeps a full probe, and with at most PROBE nodes left the phase does not
 run.  On the q <= 81 sweep at budget 50,000 it closes 28 of the 31 graphs
 that reach it, with no k-test and no `_chi_seed`.
 
-Each k-test of chi is one k_colorable call on one meter (`_KTest`).  It
-opens with a probe: the exhaustive search on PROBE (4,096) nodes, or on
-what the meter has left when that is less, so with at most PROBE nodes
-left the probe is the whole k-test.  Of the three k-tests left on the
-q <= 81 sweep, the probe decides (41, 5)'s.  Past it, a Tabucol search
-from a random coloring gets half the nodes left, at most TABU_MOVES
-moves, on the meter the probe's timeout leaves, and a coloring it finds
-is exact, since every smaller k is already excluded.  It runs in a forked
-child (`_child.Child`) started at PROBE // 4 steps when it gets a move,
-else, or when the child dies or the fork fails, here on the same meter
-values.  A tabu coloring ends the k-test.  Else, since an exhaustive
-search restarted from the root would first repeat the probe's PROBE
-nodes, the meter charges them and the tabu moves at the probe's end and
-lets the probe's search run on as that restart, taking the report once
-written (polled every PROBE // 4 steps).  A tabu coloring still wins,
-with the tabu search's count; an unsat result stands at once, since no
-coloring exists.  So every result and count is that of the stages run in
-turn, whichever process ran the tabu search, and every exit closes the
-child.  The cap keeps an unsatisfiable k-test on a large budget from
-spending half of it on colorings that do not exist.  At budget 50,000 the
-phase decides chi(73, 3) = 10 and chi(79, 3) = 9, and the k-test's tabu
-search chi(61, 3) = 8, all of which the exhaustive search leaves open at
-300,000 nodes; chi(81, 4) stays in [6, 7] there, as the phase finds a
-7-coloring and fails at 6.  It is 7: the exhaustive 6-test is unsat
-after 3,122,536 nodes, so paley_certificate decides it at budget
-3,300,000 (about 47 s on a 2-vCPU Xeon).
+Each k-test of chi runs three stages in turn, in the calling process and
+on the call's meter.  The probe is the exhaustive search, one k_colorable
+call, on PROBE (4,096) nodes, or on what the meter has left when that is
+less, so with at most PROBE nodes left the probe is the whole k-test; it
+decides (41, 5)'s 4-test.  Past it, a Tabucol search from a random coloring
+gets min(PROBE, left) moves (it finds chi(113, 2) = 17 in 1,648), and a
+coloring it finds is exact, since every smaller k is already excluded.
+Last, on a graph with a multiplier, the root-class test decides k; on a
+graph with none (only the tests build one), the exhaustive search from
+the root does.
+
+The root-class test rests on a lemma.  If a Cayley graph of GF(q)+ with
+multiplier group H is k-colorable, it has a k-coloring with a class I that
+is a maximal independent set, holds 0, has at least ceil(q/k) vertices,
+and is, as a bitmask, the least of its images a*(I - t), t in I, a in H.
+Take a largest class and grow it greedily to a maximal independent set, the
+other classes only losing vertices; then map the coloring by the
+automorphism x -> a*(x - t) that carries that class to the least of its
+images through 0, which has the same images.  So k is excluded once G - I
+is not (k - 1)-colorable for every such I.  An iterative Bron-Kerbosch with
+Tomita's pivot enumerates the maximal independent sets through 0 over the
+non-neighbors of 0, one meter step a node, and drops a node whose set plus
+a greedy clique cover of its candidates (`_greedy_classes` on the
+complement rows) falls below ceil(q/k).  Each set left that is least among
+its images gets `_k_colorable` on G - I with k - 1 colors, seeded with that
+graph's `_chi_seed`, on the same meter; a coloring, with I as color k - 1,
+is the k-test's.  A mask is translated by -t with one shift pair per digit
+of t, split by a mask, as the rows of paley._difference_graph are.  At
+budget 50,000 the phase decides chi(73, 3) = 10 and chi(79, 3) = 9, and the
+root-class test chi(61, 3) = 8 (one class I, 16,745 coloring nodes) and
+chi(81, 4) = 7: the phase finds a 7-coloring and fails at 6, and the
+6-test is unsat after 12,584 root-class steps (5,796 enumeration steps and
+6,788 coloring nodes, one class I), where the exhaustive search needs
+3,122,536 nodes.
 
 On a graph with a multiplier (`Graph.multiplier`: every residue graph,
 complement and orbital union on GF(q)) the clique search fixes vertex 0 and
@@ -105,7 +113,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, gcd
 
-from ._child import Child
 from .errors import (
     BadInputError,
     InvalidWitnessError,
@@ -118,10 +125,7 @@ from .spectral import theta_pair
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_CAP = 16
-PROBE = 4096  # nodes an exhaustive k-test gets before the tabu search is tried
-# most moves of one tabu search: under a second on the q <= 81 graphs, but
-# 29 s on (729, 13) at k = 9 against 8 s for 10^5 exhaustive nodes (2-vCPU Xeon)
-TABU_MOVES = 50_000
+PROBE = 4096  # nodes of a k-test's probe, and most moves of each tabu search
 TABU_SEED = 4
 
 
@@ -760,104 +764,77 @@ def _squeeze(adj: list[int], coloring, k: int) -> list[int]:
     return col
 
 
-def _tabu_moves(limit: int, spent: int) -> int:
-    """The moves of a k-test's tabu search on a meter at `spent` of `limit`:
-    half of what is left, at most TABU_MOVES."""
-    return min((limit - spent) // 2, TABU_MOVES)
+def _translated(mask: int, t: int, p: int, n: int) -> int:
+    """The vertex set `mask` of a Cayley graph of GF(p^n)+ translated by -t:
+    for each nonzero digit t_i of t, the codes whose digit i lies below t_i
+    move up by (p - t_i) * p**i and the others down by t_i * p**i."""
+    q = p**n
+    for i in range(n):
+        step = p**i
+        shift = t // step % p * step
+        if shift:
+            low = ((1 << shift) - 1) * (((1 << q) - 1) // ((1 << step * p) - 1))
+            mask = (mask & ~low) >> shift | (mask & low) << (p * step - shift)
+    return mask
 
 
-class _KTest(_Budget):
-    """The meter of one k-test of chi (see the module docstring): up to the
-    probe's end it counts like _Budget(PROBE) on the caller's count, then,
-    unless the tabu report is a coloring, on to the call's limit as the
-    rerun.  `tabu` is that report, (spent, coloring), the coloring None
-    when the search failed."""
+def _root_class_test(g: Graph, k: int, meter: _Budget):
+    """The k-test of a graph with a multiplier by its root color class (see
+    the module docstring): ("sat", coloring), ("unsat", None), or ("timeout",
+    None) once the meter is spent."""
+    n = g.n_vertices
+    field, d = g.multiplier
+    full = (1 << n) - 1
+    cadj = list(complement(g).adjacency)
+    need = ceil(n / k)
+    units = n - 1
+    bits = [1 << field.exp[e % units] for e in range(2 * units)]  # a * x as log(a) + log(x)
 
-    __slots__ = ("adj", "n", "k", "start", "call_limit", "moves", "mark", "past", "child",
-                 "tabu")
-
-    def __init__(self, adj: list[int], n: int, k: int, meter: _Budget):
-        self.start = meter.spent
-        super().__init__(self.start + min(PROBE, meter.limit - self.start))
-        self.spent = self.start
-        self.adj, self.n, self.k = adj, n, k
-        self.call_limit = meter.limit
-        self.moves = _tabu_moves(meter.limit, self.start + PROBE + 1)
-        # the next step that is not a plain count: the fork point, else the probe's end
-        self.mark = self.start + PROBE // 4 if self.moves > 0 else self.limit
-        self.past = False  # past the probe's end, where the tabu report counts
-        self.child = self.tabu = None
-
-    def step(self) -> bool:
-        if self.spent < self.mark:
-            self.spent += 1
-            return True
-        return self._event()
-
-    def _event(self) -> bool:
-        if not self.past:
-            if self.spent < self.limit:  # the fork point
-                self.child = Child.start(self._tabu)
-                self.mark = self.limit
-                return self.step()
-            if self.start + PROBE + 1 > self.call_limit:  # the probe was the whole k-test
-                self.spent = self.limit + 1
-                return False
-            self.past = True
-            if self.child is None or self.child.ready():
-                self._take()
-            if self.tabu and self.tabu[1] is not None:
-                self.spent = self.limit + 1  # the probe's timeout
-                return False
-            # The rerun would restart from the root, and its first PROBE
-            # nodes are the probe's: charge them and run on.
-            self.spent = self.start + PROBE + 1 + self.moves + PROBE
-            self.limit = self.call_limit
-        elif self.tabu is None and self.spent < self.limit and self.child.ready():
-            self._take()
-            if self.tabu[1] is not None:
-                return False
-        if self.spent >= self.limit:
-            self.spent = self.limit + 1
-            return False
-        self.mark = self.limit
-        if self.tabu is None:
-            self.mark = min(self.spent + max(PROBE // 4, 1), self.limit)
-        self.spent += 1
+    def least(mask: int) -> bool:
+        """True when no image a * (mask - t), t in mask, a in H, is a lower mask."""
+        for t in iter_bits(mask):
+            logs = [field.log[x] for x in iter_bits(_translated(mask, t, field.p, field.n) & ~1)]
+            for j in range(0 if t else d, units, d):
+                image = 1
+                for e in logs:
+                    image |= bits[e + j]
+                if image < mask:
+                    return False
         return True
 
-    def _tabu(self) -> tuple[int, tuple[int, ...] | None]:
-        """The tabu search on the meter the probe's timeout leaves:
-        (spent, coloring)."""
-        meter = _Budget(self.call_limit)
-        meter.spent = self.start + PROBE + 1
-        coloring = _tabu_coloring(self.adj, self.n, self.k, meter, self.moves)
-        return meter.spent, coloring
-
-    def _take(self) -> None:
-        """Take the tabu report: the child's, waiting for it, else (no
-        child, or a dead one) the search run here."""
-        self.tabu = (self.child and self.child.result()) or self._tabu()
-
-    def settle(self, status: str, coloring, meter: _Budget):
-        """The k-test's (status, coloring), its count spent on the caller's
-        meter.  Past the probe's end a tabu coloring wins, with the tabu
-        search's count; an unsat result stands without the report, since no
-        coloring exists."""
-        if self.past and status != "unsat":
-            if self.tabu is None:
-                self._take()
-            spent, tabu_coloring = self.tabu
-            if tabu_coloring is not None:
-                meter.spent = spent
-                return "sat", tabu_coloring
-        meter.spent = self.spent
-        return status, coloring
-
-    def close(self) -> None:
-        """Kill and reap the child, if any, and close its pipe."""
-        if self.child is not None:
-            self.child.close()
+    stack = [(1, cadj[0], 0)]  # (the set, its candidates, the vertices already tried)
+    while stack:
+        members, cand, tried = stack.pop()
+        if not meter.step():
+            return "timeout", None
+        if members.bit_count() + (cand and _greedy_classes(cadj, cand)[1][-1]) < need:
+            continue
+        if not cand:
+            if tried or not least(members):
+                continue
+            rest = list(iter_bits(full & ~members))
+            perm = [0] * n
+            for i, v in enumerate(rest + list(iter_bits(members))):
+                perm[v] = i
+            m = len(rest)
+            sub = [row & ((1 << m) - 1) for row in relabel(g, perm).adjacency[:m]]
+            status, coloring = _k_colorable(sub, m, k - 1, _chi_seed(sub, m), meter)
+            if status == "sat":
+                out = [k - 1] * n
+                for v, c in zip(rest, coloring):
+                    out[v] = c
+                return "sat", tuple(out)
+            if status == "timeout":
+                return status, None
+            continue
+        pivot = max(iter_bits(cand | tried), key=lambda u: (cand & cadj[u]).bit_count())
+        children = []
+        for v in iter_bits(cand & ~cadj[pivot]):
+            children.append((members | 1 << v, cand & cadj[v], tried & cadj[v]))
+            cand ^= 1 << v
+            tried |= 1 << v
+        stack.extend(reversed(children))
+    return "unsat", None
 
 
 def _normalize_coloring(coloring) -> tuple[int, ...]:
@@ -881,8 +858,8 @@ def chromatic_number(
     coloring, which tabu searches at one color fewer lower while they find
     colorings, before any k-test and with a full probe's nodes kept for the
     first; the bound is exact when it meets the lower one.  Each k-test is
-    a probe, a tabu search and the probe's search run on (see the module
-    docstring), all on the call's meter.
+    a probe, a tabu search and the root-class test (see the module
+    docstring), all in this process and on the call's meter.
     """
     n = g.n_vertices
     if n == 0:
@@ -914,12 +891,17 @@ def chromatic_number(
 
     for k in range(lo, ub):
         # Every k below is excluded, so a k-coloring found here is exact.
-        test = _KTest(adj, n, k, meter)
-        try:
-            status, coloring, _ = k_colorable(g, k, budget=test, clique_hint=clique)
-            status, coloring = test.settle(status, coloring, meter)
-        finally:
-            test.close()
+        probe = _Budget(min(PROBE, meter.limit - meter.spent))
+        status, coloring, nodes = k_colorable(g, k, budget=probe, clique_hint=clique)
+        meter.spent += nodes
+        if status == "timeout" and meter.spent <= meter.limit:
+            coloring = _tabu_coloring(adj, n, k, meter, min(PROBE, meter.limit - meter.spent))
+            if coloring is not None:
+                status = "sat"
+            elif g.multiplier is None:
+                status, coloring = _k_colorable(adj, n, k, clique, meter)
+            else:
+                status, coloring = _root_class_test(g, k, meter)
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

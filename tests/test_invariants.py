@@ -1,10 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 import os
-import signal
 import sys
-import time
 import tracemalloc
 
 import pytest
@@ -37,14 +36,12 @@ from paleysync import (
 from paleysync.classify import _canonical_pair_masks
 from paleysync.gf import odd_prime_powers
 from paleysync import invariants
-from paleysync.invariants import (PROBE, TABU_MOVES, TABU_SEED, _Budget, _chi_seed,
-                                  _degeneracy_order, _dsatur_coloring, _greedy_clique, _is_witness,
-                                  _k_colorable, _KTest, _Rng, _squeeze, _tabu_coloring,
-                                  _tabu_moves, factorization_certificate)
-from paleysync._child import Child
+from paleysync.invariants import (PROBE, TABU_SEED, _Budget, _chi_seed, _degeneracy_order,
+                                  _dsatur_coloring, _greedy_clique, _is_witness, _k_colorable,
+                                  _root_class_test, _Rng, _squeeze, _tabu_coloring,
+                                  factorization_certificate)
 from paleysync.paley import _difference_graph, iter_bits
-from conftest import (assert_no_child, field_for, open_fds, random_graph, residue_graph,
-                      valid_graph_ms)
+from conftest import field_for, random_graph, residue_graph, valid_graph_ms
 
 FIVE_CYCLE = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -856,9 +853,8 @@ def _tabu_run(tabu, g, k, limit, moves, start=None):
 
 @pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS)
 def test_tabu_coloring_makes_the_reference_moves_on_past_probe_k_tests(q, m, k):
-    """With the moves each gets at budget 50,000 (the probe spent PROBE + 1
-    nodes), the tabu search returns the reference's coloring, or None, after
-    as many moves."""
+    """On 22,951 moves, more than the PROBE each search gets, the tabu
+    search returns the reference's coloring, or None, after as many moves."""
     g = residue_graph(q, m)
     moves = (50_000 - PROBE - 1) // 2
     run = _tabu_run(_tabu_coloring, g, k, 50_000, moves)
@@ -960,12 +956,74 @@ def _exhaustive_alone(g, lo, budget, clique):
                    g, lo, budget)
 
 
+def _reference_root_class(g, k, meter):
+    """The root-class k-test written from its lemma, on sets and field
+    arithmetic: a recursive Bron-Kerbosch over the non-neighbors of 0, with
+    the pivot of the most candidates among its non-neighbors (the lowest on
+    a tie) and its branches in vertex order, one meter step a node; a node
+    whose set plus a greedy clique cover of its candidates, each clique
+    grown lowest vertex first, is below ceil(q/k) is dropped.  Each maximal
+    set I whose mask no image a * (I - t), t in I, a in H, undercuts gets
+    k_colorable on G - I, relabelled in vertex order, with k - 1 colors,
+    seeded with chi's seed of that graph."""
+    field, d = g.multiplier
+    n = g.n_vertices
+    non = [set(range(n)) - {v} - set(iter_bits(row)) for v, row in enumerate(g.adjacency)]
+    need = math.ceil(n / k)
+    multipliers = [field.exp[j] for j in range(0, n - 1, d)]
+
+    def least(members):
+        mask = sum(1 << v for v in members)
+        return all(sum(1 << field.mul(a, field.add(x, field.neg(t))) for x in members) >= mask
+                   for t in members for a in multipliers)
+
+    def cover(cand):
+        count, left = 0, sorted(cand)
+        while left:
+            count += 1
+            clique = []
+            for v in left:
+                if not any(v in non[u] for u in clique):
+                    clique.append(v)
+            left = [v for v in left if v not in clique]
+        return count
+
+    def expand(members, cand, tried):
+        if not meter.step():
+            return "timeout", None
+        if len(members) + cover(cand) < need:
+            return None
+        if not cand:
+            if tried or not least(members):
+                return None
+            rest = [v for v in range(n) if v not in members]
+            index = {v: i for i, v in enumerate(rest)}
+            sub = graph_from_edges(len(rest), [(index[u], index[v]) for u, v in g.edges()
+                                               if u in index and v in index])
+            status, coloring, _ = k_colorable(sub, k - 1, budget=meter, clique_hint=chi_seed(sub))
+            if status == "unsat":
+                return None
+            if status == "sat":
+                coloring = tuple(coloring[index[v]] if v in index else k - 1 for v in range(n))
+            return status, coloring
+        pivot = max(sorted(cand | tried), key=lambda u: len(cand & non[u]))
+        for v in sorted(cand - non[pivot]):
+            found = expand(members | {v}, cand & non[v], tried & non[v])
+            if found:
+                return found
+            cand, tried = cand - {v}, tried | {v}
+        return None
+
+    return expand({0}, non[0], set()) or ("unsat", None)
+
+
 def _stages_in_turn(g, lo, budget, clique, outcomes=None):
-    """chi with each k-test's stages run in turn, in this process: the
-    exhaustive probe on _Budget(PROBE), or on what is left when that is
-    less; if it times out with nodes left, the tabu search with _tabu_moves
-    moves; if that fails, k_colorable from the root on the rest of the
-    meter.  `outcomes` collects what each k-test past its probe came to."""
+    """chi with each k-test's stages run in turn: the exhaustive probe on
+    _Budget(PROBE), or on what is left when that is less; if it times out
+    with nodes left, the tabu search on min(PROBE, left) moves; if that
+    fails, the reference root-class test on a graph with a multiplier, else
+    k_colorable from the root, on the rest of the meter.  `outcomes`
+    collects what each k-test past its probe came to."""
     adj, n = list(g.adjacency), g.n_vertices
     probe_nodes = sys.modules["paleysync.invariants"].PROBE
 
@@ -975,13 +1033,15 @@ def _stages_in_turn(g, lo, budget, clique, outcomes=None):
         meter.spent += probe.spent
         if status != "timeout" or meter.spent > meter.limit:
             return status, coloring
-        coloring = _tabu_coloring(adj, n, k, meter, _tabu_moves(meter.limit, meter.spent))
+        coloring = _tabu_coloring(adj, n, k, meter, min(probe_nodes, meter.limit - meter.spent))
         if coloring is not None:
-            outcome = "sat", coloring
+            stage, outcome = "tabu", ("sat", coloring)
+        elif g.multiplier is None:
+            stage, outcome = "exhaustive", k_colorable(g, k, budget=meter, clique_hint=clique)[:2]
         else:
-            outcome = k_colorable(g, k, budget=meter, clique_hint=clique)[:2]
+            stage, outcome = "root class", _reference_root_class(g, k, meter)
         if outcomes is not None:
-            outcomes.add(("tabu " if coloring is not None else "rerun ") + outcome[0])
+            outcomes.add(f"{stage} {outcome[0]}")
         return outcome
 
     return _chi_by(k_test, g, lo, budget)
@@ -1003,14 +1063,10 @@ def _cut_phase(monkeypatch, tabu=_tabu_coloring):
 def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budget):
     """nodes is every k-test node plus every tabu move, as the stages in
     turn count them.  At PROBE + 1 the probe spends the whole meter, so the
-    tabu search gets no move.  The tabu search runs in this process with
-    os.fork gone, where the wrapper sees its moves.  The upper-bound phase
+    tabu search gets no move; past it, PROBE moves.  The upper-bound phase
     is cut out, as it would close chi(79, 3) at 10,000 and 50,000."""
     g = residue_graph(79, 3)
     clique = clique_number(g).witness
-    _cut_phase(monkeypatch)
-    forked = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    assert_no_child()
     moves = []
 
     def traced_tabu(adj, n, k, meter, cap):
@@ -1019,16 +1075,13 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
         moves.append(meter.spent - before)
         return coloring
 
-    monkeypatch.delattr(os, "fork")
     _cut_phase(monkeypatch, traced_tabu)
     res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
-    assert res == forked == _stages_in_turn(g, 9, budget, clique)
+    assert res == _stages_in_turn(g, 9, budget, clique)
     assert res.nodes <= budget + 1
-    assert res.exact == (budget == 50_000)
+    assert moves == ([0] if budget == PROBE + 1 else [PROBE])
     if budget == PROBE + 1:
-        assert (moves, res.nodes) == ([0], budget + 1)
-    else:
-        assert len(moves) == 1 and moves[0] > 0
+        assert res.nodes == budget + 1
 
 
 def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
@@ -1041,296 +1094,127 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
         if start is not None:  # the upper-bound phase: 8 and 7 colors, then a failure at 6
             return _tabu_coloring(adj, n, k, meter, cap, start)
         moves.append(cap)
-        raise Stop  # the exhaustive rerun would run for minutes
+        raise Stop
 
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", traced_tabu)
     g = residue_graph(81, 4)
     clique = clique_number(g).witness
-    start = time.perf_counter()
     with pytest.raises(Stop):
         chromatic_number(g, lower=6, budget=10**8, clique_hint=clique)
-    assert moves == [TABU_MOVES]
-    # The tabu child's search raises, so the child dies and the search is
-    # run here, where it raises too: the call ends with the child reaped,
-    # not after a 10**8-node rerun.
-    assert_no_child()
-    assert time.perf_counter() - start < 30
+    assert moves == [PROBE]
 
 
-@pytest.mark.parametrize("q, m, k", [(61, 3, 8), (73, 3, 10), (73, 4, 7), (73, 6, 5),
-                                     (79, 3, 9), (81, 4, 6)])
+@pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS)
 def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypatch, q, m, k):
     """The six k-tests of the q <= 81 sweep at budget 50,000 that outlast
     the probe with the upper-bound phase cut out (with it, the phase closes
-    all but (61, 3) and (81, 4) above them): with a fork and with os.fork
-    gone, chi returns what the stages in turn return, node count included,
-    and leaves no child."""
+    all but (61, 3) and (81, 4) above them): chi returns what the stages in
+    turn return, node count included.  The "forked rerun" of the name is
+    the k-test past its probe, which once ran in a forked child and now
+    runs in the calling process."""
     g = residue_graph(q, m)
     clique = clique_number(g).witness
     _cut_phase(monkeypatch)
-    forked = chromatic_number(g, lower=k, budget=50_000, clique_hint=clique)
-    assert_no_child()
-    assert forked == _stages_in_turn(g, k, 50_000, clique)
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == forked
+    assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == _stages_in_turn(
+        g, k, 50_000, clique)
 
 
 def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
-    """With PROBE cut to 8, random graphs reach every outcome of the stages
-    after the probe: a tabu coloring, or a failed tabu search followed by a
-    sat, unsat or timeout rerun.  With a fork and with os.fork gone, chi
-    returns what the stages in turn return, node count included, and
-    leaves no child."""
+    """With PROBE cut to 8, random graphs and orbital unions reach every
+    outcome of the search after a failed tabu search: sat, unsat or
+    timeout, the exhaustive search on a graph with no multiplier and the
+    root-class test on a graph with one.  With PROBE as it is, the tabu
+    search finds chi(113, 2) = 17.  chi returns what the stages in turn
+    return, node count included."""
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 8)
-    cases = [(random_graph(40, seed, 0.5), budget)
-             for seed in range(4) for budget in (50, 200, 1000, 5000)]
+    graphs = [random_graph(40, seed, 0.5) for seed in range(4)]
+    graphs += [union_graph(orbital_family(field_for(q), m), subset)
+               for q, m, subset in ((41, 5, [0, 1]), (61, 6, [0, 2]), (49, 4, [0]), (73, 4, [1]))]
     outcomes = set()
-    expected = []
-    for g, budget in cases:
+    for g in graphs:
         clique = clique_number(g).witness
-        expected.append(_stages_in_turn(g, len(clique), budget, clique, outcomes))
-        assert chromatic_number(g, budget=budget, clique_hint=clique) == expected[-1], budget
-        assert_no_child()
-    assert outcomes == {"tabu sat", "rerun sat", "rerun unsat", "rerun timeout"}
-    monkeypatch.delattr(os, "fork")
-    for (g, budget), res in zip(cases, expected):
-        assert chromatic_number(g, budget=budget, clique_hint=clique_number(g).witness) == res
-
-
-def test_a_rerun_child_that_dies_without_a_result_is_rerun_here(monkeypatch):
-    """(61, 3) at budget 10,000: the upper-bound phase finds a 9-coloring and
-    fails at 8, then the k-test's tabu search fails and the rerun times
-    out.  The exhaustive search, the rerun included, runs in the caller and
-    the child runs the tabu search alone, so an exhaustive search that would
-    raise in any other process never does, and the result is that of the
-    stages in turn.  A child that dies is the next test's case."""
-    invariants = sys.modules["paleysync.invariants"]
-    caller = os.getpid()
-
-    def dies_in_child(*args):
-        if os.getpid() != caller:
-            raise RuntimeError("the child's search fails")
-        return _k_colorable(*args)
-
-    g = residue_graph(61, 3)
-    clique = clique_number(g).witness
-    monkeypatch.setattr(invariants, "_k_colorable", dies_in_child)
-    res = chromatic_number(g, lower=8, budget=10_000, clique_hint=clique)
-    assert_no_child()
-    assert res == _stages_in_turn(g, 8, 10_000, clique)
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=8, budget=10_000, clique_hint=clique) == res
-    assert (res.exact, res.nodes) == (False, 10_001)
-
-
-@pytest.mark.parametrize("budget, late", [(10_000, False), (50_000, True)])
-def test_a_tabu_child_that_dies_without_a_result_falls_back_to_the_stages_in_turn(monkeypatch,
-                                                                                  budget, late):
-    """(61, 3) at k = 8, past the upper-bound phase, which finds a
-    9-coloring and fails at 8: a tabu child whose search raises exits with
-    nothing written.  At budget 10,000 the charge leaves the rerun no node past the
-    probe's, so the caller finds the dead child when it takes the report.
-    At 50,000 (late) the child dies only once the caller's search has run
-    on past the probe, and the caller finds it at a poll.  Either way the
-    caller runs the tabu search itself, once, and returns what the stages
-    in turn return, node count included."""
-    invariants = sys.modules["paleysync.invariants"]
-    most_constrained = invariants._most_constrained
-    caller = os.getpid()
-    here, nodes = [], []
-    read_end, write_end = os.pipe()
-
-    def dies_in_child(adj, n, k, meter, moves, start=None):
-        if start is not None:  # the upper-bound phase, run here before the k-test
-            return _tabu_coloring(adj, n, k, meter, moves, start)
-        if os.getpid() != caller:
-            if late:
-                os.read(read_end, 1)  # wait for the caller's search to pass the probe
-            raise RuntimeError("the child's tabu search fails")
-        here.append(k)
-        return _tabu_coloring(adj, n, k, meter, moves)
-
-    def past_the_probe(*args):
-        nodes.append(1)
-        if late and len(nodes) == PROBE + 100:
-            os.write(write_end, b"x")
-            time.sleep(0.2)  # the child dies before the next poll
-        return most_constrained(*args)
-
-    g = residue_graph(61, 3)
-    clique = clique_number(g).witness
-    monkeypatch.setattr(invariants, "_tabu_coloring", dies_in_child)
-    monkeypatch.setattr(invariants, "_most_constrained", past_the_probe)
-    fds = open_fds()
-    try:
-        res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
-    finally:
-        os.close(read_end)
-        os.close(write_end)
-    assert_no_child()
-    assert open_fds() == fds - 2
-    assert here == [8]  # the dead child's search ran here, once
+        for budget in (50, 200, 1000, 5000):
+            expected = _stages_in_turn(g, len(clique), budget, clique, outcomes)
+            assert chromatic_number(g, budget=budget, clique_hint=clique) == expected, budget
+    assert outcomes == {f"{stage} {status}" for stage in ("exhaustive", "root class")
+                        for status in ("sat", "unsat", "timeout")}
     monkeypatch.undo()
-    assert res == _stages_in_turn(g, 8, budget, clique)
-    assert res.exact == (budget == 50_000)
-
-
-def test_a_probe_that_decides_after_the_fork_kills_its_child(monkeypatch):
-    """(41, 5) at k = 4 is unsat after 2,330 nodes, past the fork point at
-    PROBE // 4: the probe's result stands and its tabu child, whose search
-    for a 4-coloring that does not exist would run 22,951 moves, is killed
-    and reaped."""
-    assert PROBE // 4 < 2_330 <= PROBE
-    g = residue_graph(41, 5)
+    outcomes.clear()
+    g = residue_graph(113, 2)
     clique = clique_number(g).witness
-    fork, waitpid = os.fork, os.waitpid
-    forked, reaped = [], {}
-
-    def traced_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def traced_waitpid(pid, options):
-        got, status = waitpid(pid, options)
-        reaped[got] = status
-        return got, status
-
-    monkeypatch.setattr(os, "fork", traced_fork)
-    monkeypatch.setattr(os, "waitpid", traced_waitpid)
-    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
-    monkeypatch.undo()
-    assert_no_child()
-    assert len(forked) == 1
-    status = reaped[forked[0]]
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-    assert (res.exact, res.lower) == (True, 5)
-    assert res == _stages_in_turn(g, 4, 50_000, clique)
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
-    status, _, nodes = k_colorable(g, 4, clique_hint=clique)
-    assert (status, nodes) == ("unsat", 2_330)
+    expected = _stages_in_turn(g, 17, 50_000, clique, outcomes)
+    assert chromatic_number(g, lower=17, budget=50_000, clique_hint=clique) == expected
+    assert outcomes == {"tabu sat"} and expected.value == 17
 
 
-def test_an_unsat_rerun_does_not_wait_for_the_tabu_child(monkeypatch):
-    """With PROBE cut to 1,024, the 4-test of (41, 5), unsat after 2,330
-    nodes, outlasts the probe and the search running on as the rerun proves
-    it unsat while the tabu child still searches for a 4-coloring.  No
-    coloring exists, so the result stands at once: no read of the child's
-    report that would wait for it, the result of the stages in turn, and no
-    child left."""
-    monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 1024)
-    result, waits = Child.result, []
-
-    def traced_result(self):
-        waits.append(not self.ready())
-        return result(self)
-
-    monkeypatch.setattr(Child, "result", traced_result)
-    g = residue_graph(41, 5)
-    clique = clique_number(g).witness
-    res = chromatic_number(g, lower=4, budget=50_000, clique_hint=clique)
-    assert_no_child()
-    assert True not in waits
-    assert res == _stages_in_turn(g, 4, 50_000, clique)
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=4, budget=50_000, clique_hint=clique) == res
-    assert (res.exact, res.lower) == (True, 5)
+def _orbital_unions(q_max, most):
+    """Every union of 1 to `most` orbitals on GF(q), q <= q_max, for every
+    m_bar >= 2, each distinct graph once."""
+    graphs = {}
+    for q in odd_prime_powers(q_max):
+        for m in range(1, q):
+            if (q - 1) % m or normalize_params(q, m).m_bar < 2:
+                continue
+            family = orbital_family(field_for(q), m)
+            for size in range(1, most + 1):
+                for subset in itertools.combinations(range(family.m_bar), size):
+                    graphs.setdefault(union_graph(family, subset), (q, m, subset))
+    return graphs
 
 
-def test_a_search_that_raises_after_the_fork_leaves_no_child_or_pipe(monkeypatch):
-    """An error in the probe's search after the fork point, here on (61, 3) at
-    k = 8 past the upper-bound phase, leaves chromatic_number with its tabu child killed and reaped and
-    both ends of the pipe closed."""
-    class Stop(Exception):
-        pass
-
-    invariants = sys.modules["paleysync.invariants"]
-    most_constrained = invariants._most_constrained
-    calls = []
-
-    def raises_late(*args):
-        calls.append(1)
-        if len(calls) > PROBE // 2:
-            raise Stop
-        return most_constrained(*args)
-
-    g = residue_graph(61, 3)
-    clique = clique_number(g).witness
-    fork = os.fork
-    forked = []
-
-    def traced_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", traced_fork)
-    monkeypatch.setattr(invariants, "_most_constrained", raises_late)
-    fds = open_fds()
-    with pytest.raises(Stop):
-        chromatic_number(g, lower=8, budget=50_000, clique_hint=clique)
-    assert len(forked) == 1
-    assert open_fds() == fds
-    assert_no_child()
+def test_the_root_class_test_agrees_with_the_exhaustive_search():
+    """On every union of 1 to 3 orbitals with q <= 29, at k = 1..8, the
+    root-class test and _k_colorable agree wherever both decide within
+    20,000 steps, and every coloring is proper with at most k colors; with
+    q <= 13 both agree with the brute-force chromatic number, and with
+    q <= 17 the root-class test returns what the reference returns, step
+    count included."""
+    decided = {"sat": 0, "unsat": 0}
+    for g, key in _orbital_unions(29, 3).items():
+        adj, n = list(g.adjacency), g.n_vertices
+        chi = brute_force_invariants(g).chi if n <= 13 else None
+        for k in range(1, 9):
+            meter = _Budget(20_000)
+            got = _root_class_test(g, k, meter)
+            want = _k_colorable(adj, n, k, chi_seed(g), _Budget(20_000))
+            for status, coloring in (got, want):
+                if status == "sat":
+                    assert max(coloring) < k, (key, k)
+                    assert all(coloring[u] != coloring[v] for u, v in g.edges()), (key, k)
+                if chi is not None and status != "timeout":
+                    assert (status == "sat") == (k >= chi), (key, k)
+            if "timeout" not in (got[0], want[0]):
+                assert got[0] == want[0], (key, k)
+                decided[got[0]] += 1
+            if n <= 17:
+                reference = _Budget(20_000)
+                assert _reference_root_class(g, k, reference) == got, (key, k)
+                assert reference.spent == meter.spent, (key, k)
+    assert decided["sat"] > 9_000 and decided["unsat"] > 4_000
 
 
-@pytest.mark.parametrize("q, m, k", PAST_PROBE_K_TESTS + [(41, 5, 4)])
-def test_the_charged_continuation_matches_the_stages_in_turn_at_its_boundaries(monkeypatch,
-                                                                               q, m, k):
-    """At PROBE + 1 and PROBE + 2 the tabu search gets no move, at PROBE + 3
-    one; at 3 * PROBE the rerun's allotment crosses PROBE, so the probe's
-    search runs on past its end or times out there.  With a fork and with
-    os.fork gone, chi returns what the stages in turn return, node count
-    included.  The upper-bound phase is cut out, as it would leave the
-    k-test a count of nodes that is no longer the budget."""
-    g = residue_graph(q, m)
-    clique = clique_number(g).witness
-    _cut_phase(monkeypatch)
-    budgets = [PROBE + 1, PROBE + 2, PROBE + 3, *range(3 * PROBE - 1, 3 * PROBE + 4), 10_000]
-    forked = []
-    for budget in budgets:
-        forked.append(chromatic_number(g, lower=k, budget=budget, clique_hint=clique))
-        assert_no_child()
-        assert forked[-1] == _stages_in_turn(g, k, budget, clique), budget
-    monkeypatch.delattr(os, "fork")
-    for budget, res in zip(budgets, forked):
-        assert chromatic_number(g, lower=k, budget=budget, clique_hint=clique) == res, budget
+@pytest.mark.parametrize("q, m, chi", [(61, 3, 8), (81, 4, 7), (113, 2, 17)])
+def test_chi_is_exact_at_budget_50_000(q, m, chi):
+    """(61, 3) by the root-class test at k = 8, (81, 4) by the root-class
+    test's unsat 6-test, and (113, 2) by the k-test's tabu search at 17."""
+    cert = paley_certificate(field_for(q), m, budget=50_000)
+    assert (cert.status, cert.chi, len(set(cert.coloring))) == ("exact", chi, chi)
+    verify_certificate(residue_graph(q, m), cert)
 
 
-@pytest.mark.parametrize("budget", [10_000, 50_000])
-def test_a_failed_fork_runs_the_rerun_here(monkeypatch, budget):
-    """(61, 3) at k = 8, past the upper-bound phase, which finds a 9-coloring
-    and fails at 8: at budget 10,000 the k-test's tabu search fails and the
-    rerun times out, at 50,000 the tabu search finds an 8-coloring.  When os.fork
-    raises OSError, the caller runs the tabu search itself, to the result of
-    the stages in turn, of the forked run and of the run without os.fork,
-    node count included, and leaves no child and neither end of the pipe
-    open."""
-    g = residue_graph(61, 3)
-    clique = clique_number(g).witness
-    forked = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
-    assert_no_child()
+def test_chromatic_number_forks_no_process(monkeypatch):
+    """Every stage of every k-test runs in the calling process."""
     forks = []
+    fork = os.fork
 
-    def fork_fails():
+    def traced_fork():
         forks.append(1)
-        raise OSError("no process to spare")
+        return fork()
 
-    monkeypatch.setattr(os, "fork", fork_fails)
-    fds = open_fds()
-    res = chromatic_number(g, lower=8, budget=budget, clique_hint=clique)
-    assert forks == [1]
-    assert open_fds() == fds
-    assert_no_child()
-    monkeypatch.delattr(os, "fork")
-    assert chromatic_number(g, lower=8, budget=budget, clique_hint=clique) == res == forked
-    assert res == _stages_in_turn(g, 8, budget, clique)
-    assert res.exact == (budget == 50_000)
-    if not res.exact:
-        assert res.nodes == 10_001
+    monkeypatch.setattr(os, "fork", traced_fork)
+    for q, m in ((41, 5), (61, 3), (81, 4)):
+        assert paley_certificate(field_for(q), m, budget=50_000).status == "exact"
+    assert forks == []
 
 
 def _probe_cases():
@@ -1346,12 +1230,12 @@ def _probe_cases():
 def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(monkeypatch):
     """With at most PROBE nodes left, the probe is the whole k-test: chi
     returns what k_colorable returns on one meter, node count included, and
-    the tabu search runs neither here nor in a child."""
+    neither the tabu search nor the root-class test runs."""
     def no_stages(*args):
         raise AssertionError("a stage past the probe ran")
 
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", no_stages)
-    monkeypatch.setattr(Child, "start", no_stages)
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "_root_class_test", no_stages)
     for key, g, lo in _probe_cases():
         clique = clique_number(g).witness
         for budget in (0, 1, 100, PROBE - 1, PROBE):
@@ -1361,7 +1245,9 @@ def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(m
 
 def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
     """At budget 50,000 the exhaustive k-test at chi's lower bound times out
-    on these, and the tabu search finds a coloring with that many colors."""
+    on these.  The upper-bound phase, a tabu descent, finds a coloring with
+    that many colors on (73, 3) and (79, 3), and the root-class test, past
+    the k-test's failed tabu search, on (61, 3)."""
     for (q, m), chi in {(61, 3): 8, (73, 3): 10, (79, 3): 9}.items():
         cert = sweep_q81[(q, m)][0]
         assert (cert.status, cert.chi, cert.bounds["chi"]) == ("exact", chi, (chi, chi)), (q, m)
@@ -1394,21 +1280,20 @@ def test_the_first_k_test_opens_with_at_least_probe_nodes_left(monkeypatch):
     with exactly PROBE when the phase had at most 2 * PROBE nodes and
     failed; below PROBE + 1 nodes the phase does not run."""
     opened = []
-    init = _KTest.__init__
 
-    def traced_init(self, adj, n, k, meter):
+    def traced_k_colorable(g, k, budget=None, clique_hint=()):
         opened.append(meter.limit - meter.spent)
-        init(self, adj, n, k, meter)
+        return k_colorable(g, k, budget=budget, clique_hint=clique_hint)
 
-    monkeypatch.setattr(_KTest, "__init__", traced_init)
-    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(sys.modules["paleysync.invariants"], "k_colorable", traced_k_colorable)
     budgets = [PROBE, PROBE + 1, PROBE + 60, 2 * PROBE, 2 * PROBE + 1, 3 * PROBE, 10_000]
     for q, m, k in [(61, 3, 8), (81, 4, 6), (41, 5, 4)]:
         g = residue_graph(q, m)
         clique = clique_number(g).witness
         for budget in budgets:
             opened.clear()
-            chromatic_number(g, lower=k, budget=budget, clique_hint=clique)
+            meter = _Budget(budget)
+            chromatic_number(g, lower=k, budget=meter, clique_hint=clique)
             assert opened, (q, m, budget)
             if budget <= PROBE:
                 assert opened[0] == budget
@@ -1419,9 +1304,9 @@ def test_the_first_k_test_opens_with_at_least_probe_nodes_left(monkeypatch):
 
 
 def test_tabu_search_finds_a_7_coloring_of_81_4():
-    """chi(81, 4) = 7: the exhaustive 6-test is unsat (3,122,536 nodes at
-    budget 10**8, about 90 s; CI checks it through the installed entry
-    point), and the tabu search finds a 7-coloring in under 1,000 moves."""
+    """chi(81, 4) = 7: the 6-test is unsat (3,122,536 exhaustive nodes, or
+    12,584 root-class steps), and the tabu search finds a 7-coloring in
+    under 1,000 moves."""
     g = residue_graph(81, 4)
     meter = _Budget(1000)
     coloring = _tabu_coloring(list(g.adjacency), g.n_vertices, 7, meter, 1000)
@@ -1430,10 +1315,20 @@ def test_tabu_search_finds_a_7_coloring_of_81_4():
     assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
-def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring(sweep_q81):
-    """The upper-bound phase lowers DSATUR's 9 colors to 7 and fails at 6,
-    and the exhaustive 6-test times out."""
+def test_chi_of_81_4_is_exact_with_a_verified_coloring(sweep_q81):
+    """The upper-bound phase lowers DSATUR's 9 colors to 7 and fails at 6;
+    the 6-test's probe and tabu search fail, and its root-class test is
+    unsat, so the 7-coloring is exact."""
     cert = sweep_q81[(81, 4)][0]
+    assert (cert.status, cert.chi, cert.bounds["chi"]) == ("exact", 7, (7, 7))
+    verify_certificate(residue_graph(81, 4), cert)
+
+
+def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring():
+    """At budget 20,000 the phase, the 6-test's probe and its tabu search
+    leave the root-class test too few steps to finish (it needs 12,584),
+    so chi stays a timeout in [6, 7] whose 7-coloring is proper."""
+    cert = paley_certificate(field_for(81), 4, budget=20_000)
     assert (cert.status, cert.chi, cert.bounds["chi"]) == ("timeout", None, (6, 7))
     # checks that the coloring is proper and uses at most 7 colors
     verify_certificate(residue_graph(81, 4), cert)
