@@ -37,16 +37,16 @@ keeps a full probe, and with at most PROBE nodes left the phase does not
 run.  On the q <= 81 sweep at budget 50,000 it closes 28 of the 31 graphs
 that reach it, with no k-test and no `_chi_seed`.
 
-Each k-test of chi runs three stages in turn, in the calling process and
-on the call's meter.  The probe is the exhaustive search, one k_colorable
-call, on PROBE (4,096) nodes, or on what the meter has left when that is
-less, so with at most PROBE nodes left the probe is the whole k-test; it
-decides (41, 5)'s 4-test.  Past it, a Tabucol search from a random coloring
-gets min(PROBE, left) moves (it finds chi(113, 2) = 17 in 1,648), and a
-coloring it finds is exact, since every smaller k is already excluded.
-Last, on a graph with a multiplier, the root-class test decides k; on a
-graph with none (only the tests build one), the exhaustive search from
-the root does.
+Each k-test of chi runs in the calling process and on the call's meter.  On
+a graph with no multiplier (graph_from_edges or relabel builds one) it is
+one exhaustive search.  On a graph with one it runs three stages in turn.
+The probe is the exhaustive search, one k_colorable call, on PROBE (4,096)
+nodes, or on what the meter has left when that is less, so with at most
+PROBE nodes left the probe is the whole k-test; it decides (41, 5)'s
+4-test.  Past it, a Tabucol search from a random coloring gets min(PROBE,
+left) moves (it finds chi(113, 2) = 17 in 1,648), and a coloring it finds
+is exact, since every smaller k is already excluded.  Last, the root-class
+test decides k.
 
 The root-class test rests on a lemma.  If a Cayley graph of GF(q)+ with
 multiplier group H is k-colorable, it has a k-coloring with a class I that
@@ -141,9 +141,12 @@ class _Budget:
 
     @classmethod
     def of(cls, budget: _Budget | int | None) -> _Budget:
-        """An enclosing call's meter itself, else a new one (None: DEFAULT_BUDGET)."""
+        """An enclosing call's meter itself, else a new one (None: DEFAULT_BUDGET);
+        a budget below 0 is refused."""
         if isinstance(budget, _Budget):
             return budget
+        if budget is not None and budget < 0:
+            raise BadInputError(f"budget {budget} is negative")
         return cls(DEFAULT_BUDGET if budget is None else budget)
 
     def step(self) -> bool:
@@ -450,8 +453,12 @@ def clique_number(
     """
     n = g.n_vertices
     adj = list(g.adjacency)
+    meter = _Budget.of(budget)
+    before = meter.spent
     if n == 0:
         return SearchResult(True, 0, 0, (), 0)
+    if upper_hint is not None and upper_hint < 1:
+        raise BadInputError(f"clique upper bound {upper_hint} is below 1 on a graph with vertices")
     cap = n if upper_hint is None else upper_hint
     if g.multiplier is None:
         order, degeneracy = _degeneracy_order(adj, n)
@@ -476,8 +483,6 @@ def clique_number(
 
         def orbit(v: int) -> int:
             return sum(1 << rank[x] for x in field.exp[field.log[order[v]] % d::d])
-    meter = _Budget.of(budget)
-    before = meter.spent
     if _greedy_classes(radj, (1 << n) - 1)[1][-1] <= len(best):
         exact = True  # G's coloring can bound omega tighter than that of the root
     else:
@@ -847,36 +852,31 @@ def chromatic_number(
     g: Graph,
     lower: int | None = None,
     budget: int | _Budget | None = None,
-    clique_hint=None,
 ) -> SearchResult:
     """Exact chromatic number with a proper coloring witness.
 
     k-colorability is tested upward from the lower bound, so the first
-    satisfiable k is exact.  `lower` must be sound if supplied; with neither
-    it nor clique_hint, omega's search gives it.  clique_hint, else
-    `_chi_seed`, seeds every k-test.  The upper bound comes from the DSATUR
-    coloring, which tabu searches at one color fewer lower while they find
-    colorings, before any k-test and with a full probe's nodes kept for the
-    first; the bound is exact when it meets the lower one.  Each k-test is
-    a probe, a tabu search and the root-class test (see the module
-    docstring), all in this process and on the call's meter.
+    satisfiable k is exact.  `lower` must be sound if supplied; without it,
+    omega's search gives it.  `_chi_seed` seeds every k-test.  The upper
+    bound comes from the DSATUR coloring, which tabu searches at one color
+    fewer lower while they find colorings, before any k-test and with a
+    full probe's nodes kept for the first; the bound is exact when it meets
+    the lower one.  A k-test is one exhaustive search on a graph with no
+    multiplier, else a probe, a tabu search and the root-class test (see
+    the module docstring), all in this process and on the call's meter.
     """
     n = g.n_vertices
+    meter = _Budget.of(budget)
+    before = meter.spent
     if n == 0:
         return SearchResult(True, 0, 0, (), 0)
     adj = list(g.adjacency)
-    meter = _Budget.of(budget)
-    before = meter.spent
-
-    clique = sorted(clique_hint or ())
-    if clique and not _is_witness(adj, clique, adjacent=True):
-        raise InvalidWitnessError("clique_hint is not a clique")
-    if lower is None and not clique:
+    if lower is None:
         lower = clique_number(g, budget=meter).lower
 
     best = _dsatur_coloring(adj, n)
     ub = max(best) + 1
-    lo = max(lower or 1, len(clique))
+    lo = max(lower, 1)
     if lo > ub:
         raise BadInputError(f"chromatic lower bound {lo} exceeds the verified upper bound {ub}")
     # Close from above, leaving the first k-test a full probe.
@@ -886,22 +886,22 @@ def chromatic_number(
         if coloring is None:
             break
         best, ub = coloring, ub - 1
-    if not clique and lo < ub:
-        clique = _chi_seed(adj, n)
+    clique = _chi_seed(adj, n) if lo < ub else []
 
     for k in range(lo, ub):
         # Every k below is excluded, so a k-coloring found here is exact.
-        probe = _Budget(min(PROBE, meter.limit - meter.spent))
-        status, coloring, nodes = k_colorable(g, k, budget=probe, clique_hint=clique)
-        meter.spent += nodes
-        if status == "timeout" and meter.spent <= meter.limit:
-            coloring = _tabu_coloring(adj, n, k, meter, min(PROBE, meter.limit - meter.spent))
-            if coloring is not None:
-                status = "sat"
-            elif g.multiplier is None:
-                status, coloring = _k_colorable(adj, n, k, clique, meter)
-            else:
-                status, coloring = _root_class_test(g, k, meter)
+        if g.multiplier is None:
+            status, coloring = _k_colorable(adj, n, k, clique, meter)
+        else:
+            probe = _Budget(min(PROBE, meter.limit - meter.spent))
+            status, coloring, nodes = k_colorable(g, k, budget=probe, clique_hint=clique)
+            meter.spent += nodes
+            if status == "timeout" and meter.spent <= meter.limit:
+                coloring = _tabu_coloring(adj, n, k, meter, min(PROBE, meter.limit - meter.spent))
+                if coloring is not None:
+                    status = "sat"
+                else:
+                    status, coloring = _root_class_test(g, k, meter)
         if status == "sat":
             return SearchResult(True, k, k, _normalize_coloring(coloring), meter.spent - before)
         if status == "timeout":

@@ -15,11 +15,15 @@ import pytest
 
 from paleysync import (
     UNKNOWN,
+    BadInputError,
     Reason,
     build_field,
     build_paley,
     chromatic_number,
+    clique_number,
     exhaustive_decision,
+    independence_number,
+    k_colorable,
     paley_certificate,
 )
 from conftest import without_witness
@@ -139,3 +143,23 @@ def test_a_spent_budget_ends_the_frobenius_reduced_walk_before_a_graph(searches)
                                                " 1 sets visited, before Delta-subset [0, 1]"),)
     assert searches["unions"] == searches["searches"] == []
     assert searches["lps"] == [35]
+
+
+METERED = {
+    "clique_number": lambda b: clique_number(build_paley(build_field(13), 2), budget=b),
+    "independence_number": lambda b: independence_number(build_paley(build_field(13), 2), budget=b),
+    "k_colorable": lambda b: k_colorable(build_paley(build_field(13), 2), 4, budget=b),
+    "chromatic_number": lambda b: chromatic_number(build_paley(build_field(13), 2), budget=b),
+    "paley_certificate": lambda b: paley_certificate(build_field(13), 2, budget=b),
+    "exhaustive_decision": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b),
+}
+
+
+@pytest.mark.parametrize("entry", METERED)
+def test_a_negative_budget_is_refused(entry):
+    """A budget below 0 raises, as the command line's --budget refuses one,
+    where it once gave a negative node count (nodes=-4 at budget -5); a
+    budget of 0 still returns a result."""
+    with pytest.raises(BadInputError, match="negative"):
+        METERED[entry](-5)
+    assert METERED[entry](0) is not None

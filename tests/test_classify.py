@@ -283,7 +283,6 @@ def test_odd_extension_even_m_never_equal(sweep_q81):
                 g,
                 lower=max(omega.value, ceil(rep.theta_complement - 1e-6)),
                 budget=100_000,
-                clique_hint=omega.witness,
             )
             if not chi.exact:
                 continue

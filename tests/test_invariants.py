@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from paleysync import (
+    BadInputError,
     Graph,
     InvalidWitnessError,
     SearchResult,
@@ -148,6 +149,20 @@ def test_hints_only_prune():
     assert hinted.value == clique_number(g).value == 3
 
 
+@pytest.mark.parametrize("hint", [0, -1])
+def test_a_clique_bound_below_1_is_refused(hint):
+    """On a graph with vertices omega is at least 1, so a smaller upper_hint
+    raises, where it once gave an "exact" omega of 0 with an empty witness
+    (the plain copy) or of 1 (the Cayley graph)."""
+    g = residue_graph(13, 2)
+    for h in (g, relabel(g, range(13))):
+        with pytest.raises(BadInputError, match="below 1"):
+            clique_number(h, upper_hint=hint)
+        with pytest.raises(BadInputError, match="below 1"):
+            independence_number(h, upper_hint=hint)
+    assert clique_number(graph_from_edges(0, []), upper_hint=0) == SearchResult(True, 0, 0, (), 0)
+
+
 def test_k_colorable_statuses():
     g = residue_graph(13, 2)
     sat, coloring, _ = k_colorable(g, 5)
@@ -244,6 +259,7 @@ GF121_M5 = orbital_family(build_field(11, 2), 5)
         ({1, 3, 4}, None, True, (9, 9), 10360),
         ({2, 3, 4}, 1000, False, (9, 73), 1001),  # a timed-out search reports budget + 1 nodes
     ],
+    ids=["0+1", "2+3+4", "0+2", "1+3+4", "2+3+4@1000"],
 )
 def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
     """Budgets are node counts, so the node count of a search is part of its
@@ -267,6 +283,7 @@ def test_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
         ({1, 3, 4}, None, True, (9, 9), 46),
         ({2, 3, 4}, 50, False, (9, 73), 51),
     ],
+    ids=["0+1", "2+3+4", "0+2", "1+3+4", "2+3+4@50"],
 )
 def test_cayley_clique_search_order_is_pinned(subset, budget, exact, bounds, nodes):
     """The same unions as Cayley graphs: the search runs inside N(0) with
@@ -580,7 +597,7 @@ def test_k_colorable_answers_match_a_pinned_digest():
         for m in valid_graph_ms(q):
             g = build_paley(field, m)
             clique = chi_seed(g)
-            upper = chromatic_number(g, budget=0, clique_hint=clique).upper
+            upper = chromatic_number(g, lower=len(clique), budget=0).upper
             for hint in (clique, ()):
                 for k in range(len(clique), upper):
                     records.append([q, m, k, len(hint), *k_colorable(g, k, budget=2000, clique_hint=hint)])
@@ -1018,28 +1035,31 @@ def _reference_root_class(g, k, meter):
 
 
 def _stages_in_turn(g, lo, budget, clique, outcomes=None):
-    """chi with each k-test's stages run in turn: the exhaustive probe on
-    _Budget(PROBE), or on what is left when that is less; if it times out
-    with nodes left, the tabu search on min(PROBE, left) moves; if that
-    fails, the reference root-class test on a graph with a multiplier, else
-    k_colorable from the root, on the rest of the meter.  `outcomes`
-    collects what each k-test past its probe came to."""
+    """chi with each k-test's stages run in turn.  On a graph with no
+    multiplier the k-test is k_colorable on the whole meter.  On a graph
+    with one: the exhaustive probe on _Budget(PROBE), or on what is left
+    when that is less; if it times out with nodes left, the tabu search on
+    min(PROBE, left) moves; if that fails, the reference root-class test on
+    the rest of the meter.  `outcomes` collects what each k-test of a graph
+    with no multiplier, and each one past its probe, came to."""
     adj, n = list(g.adjacency), g.n_vertices
     probe_nodes = sys.modules["paleysync.invariants"].PROBE
 
     def k_test(k, meter):
-        probe = _Budget(min(probe_nodes, meter.limit - meter.spent))
-        status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
-        meter.spent += probe.spent
-        if status != "timeout" or meter.spent > meter.limit:
-            return status, coloring
-        coloring = _tabu_coloring(adj, n, k, meter, min(probe_nodes, meter.limit - meter.spent))
-        if coloring is not None:
-            stage, outcome = "tabu", ("sat", coloring)
-        elif g.multiplier is None:
+        if g.multiplier is None:
             stage, outcome = "exhaustive", k_colorable(g, k, budget=meter, clique_hint=clique)[:2]
         else:
-            stage, outcome = "root class", _reference_root_class(g, k, meter)
+            probe = _Budget(min(probe_nodes, meter.limit - meter.spent))
+            status, coloring, _ = k_colorable(g, k, budget=probe, clique_hint=clique)
+            meter.spent += probe.spent
+            if status != "timeout" or meter.spent > meter.limit:
+                return status, coloring
+            coloring = _tabu_coloring(adj, n, k, meter,
+                                      min(probe_nodes, meter.limit - meter.spent))
+            if coloring is not None:
+                stage, outcome = "tabu", ("sat", coloring)
+            else:
+                stage, outcome = "root class", _reference_root_class(g, k, meter)
         if outcomes is not None:
             outcomes.add(f"{stage} {outcome[0]}")
         return outcome
@@ -1066,7 +1086,7 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
     tabu search gets no move; past it, PROBE moves.  The upper-bound phase
     is cut out, as it would close chi(79, 3) at 10,000 and 50,000."""
     g = residue_graph(79, 3)
-    clique = clique_number(g).witness
+    clique = chi_seed(g)
     moves = []
 
     def traced_tabu(adj, n, k, meter, cap):
@@ -1076,7 +1096,7 @@ def test_chromatic_number_counts_tabu_moves_within_its_budget(monkeypatch, budge
         return coloring
 
     _cut_phase(monkeypatch, traced_tabu)
-    res = chromatic_number(g, lower=9, budget=budget, clique_hint=clique)
+    res = chromatic_number(g, lower=9, budget=budget)
     assert res == _stages_in_turn(g, 9, budget, clique)
     assert res.nodes <= budget + 1
     assert moves == ([0] if budget == PROBE + 1 else [PROBE])
@@ -1098,9 +1118,8 @@ def test_tabu_search_moves_are_capped_on_a_large_budget(monkeypatch):
 
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", traced_tabu)
     g = residue_graph(81, 4)
-    clique = clique_number(g).witness
     with pytest.raises(Stop):
-        chromatic_number(g, lower=6, budget=10**8, clique_hint=clique)
+        chromatic_number(g, lower=6, budget=10**8)
     assert moves == [PROBE]
 
 
@@ -1113,37 +1132,36 @@ def test_forked_rerun_matches_the_stages_in_turn_on_past_probe_k_tests(monkeypat
     the k-test past its probe, which once ran in a forked child and now
     runs in the calling process."""
     g = residue_graph(q, m)
-    clique = clique_number(g).witness
     _cut_phase(monkeypatch)
-    assert chromatic_number(g, lower=k, budget=50_000, clique_hint=clique) == _stages_in_turn(
-        g, k, 50_000, clique)
+    assert chromatic_number(g, lower=k, budget=50_000) == _stages_in_turn(
+        g, k, 50_000, chi_seed(g))
 
 
 def test_forked_rerun_matches_the_stages_in_turn_on_every_outcome(monkeypatch):
     """With PROBE cut to 8, random graphs and orbital unions reach every
-    outcome of the search after a failed tabu search: sat, unsat or
-    timeout, the exhaustive search on a graph with no multiplier and the
-    root-class test on a graph with one.  With PROBE as it is, the tabu
-    search finds chi(113, 2) = 17.  chi returns what the stages in turn
-    return, node count included."""
+    outcome of the last search of a k-test: sat, unsat or timeout, the
+    exhaustive search that is the whole k-test on a graph with no
+    multiplier, and the root-class test after a failed tabu search on a
+    graph with one.  With PROBE as it is, the tabu search finds chi(113, 2)
+    = 17.  chi, from omega, returns what the stages in turn return, node
+    count included."""
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "PROBE", 8)
     graphs = [random_graph(40, seed, 0.5) for seed in range(4)]
     graphs += [union_graph(orbital_family(field_for(q), m), subset)
                for q, m, subset in ((41, 5, [0, 1]), (61, 6, [0, 2]), (49, 4, [0]), (73, 4, [1]))]
     outcomes = set()
     for g in graphs:
-        clique = clique_number(g).witness
+        omega = clique_number(g).value
         for budget in (50, 200, 1000, 5000):
-            expected = _stages_in_turn(g, len(clique), budget, clique, outcomes)
-            assert chromatic_number(g, budget=budget, clique_hint=clique) == expected, budget
+            expected = _stages_in_turn(g, omega, budget, chi_seed(g), outcomes)
+            assert chromatic_number(g, lower=omega, budget=budget) == expected, budget
     assert outcomes == {f"{stage} {status}" for stage in ("exhaustive", "root class")
                         for status in ("sat", "unsat", "timeout")}
     monkeypatch.undo()
     outcomes.clear()
     g = residue_graph(113, 2)
-    clique = clique_number(g).witness
-    expected = _stages_in_turn(g, 17, 50_000, clique, outcomes)
-    assert chromatic_number(g, lower=17, budget=50_000, clique_hint=clique) == expected
+    expected = _stages_in_turn(g, 17, 50_000, chi_seed(g), outcomes)
+    assert chromatic_number(g, lower=17, budget=50_000) == expected
     assert outcomes == {"tabu sat"} and expected.value == 17
 
 
@@ -1237,10 +1255,38 @@ def test_a_k_test_with_at_most_probe_nodes_left_is_the_exhaustive_search_alone(m
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_tabu_coloring", no_stages)
     monkeypatch.setattr(sys.modules["paleysync.invariants"], "_root_class_test", no_stages)
     for key, g, lo in _probe_cases():
-        clique = clique_number(g).witness
+        clique = chi_seed(g)
         for budget in (0, 1, 100, PROBE - 1, PROBE):
-            res = chromatic_number(g, lower=lo, budget=budget, clique_hint=clique)
+            res = chromatic_number(g, lower=lo, budget=budget)
             assert res == _exhaustive_alone(g, lo, budget, clique), (key, budget)
+
+
+def test_a_k_test_with_no_multiplier_is_one_exhaustive_search(monkeypatch):
+    """random_graph(70, 0, 0.8) carries no multiplier.  The upper-bound
+    phase finds 23-, 22- and 21-colorings and fails at 20, on 3 + 76 +
+    2,854 + 4,096 = 7,029 moves; the 20-test is then one _k_colorable call
+    on the whole graph, unsat in 9,781 nodes, so chi = 21 is exact in
+    16,810 nodes.  A probe, a tabu search and a restart from the root
+    spent 25,003."""
+    g = random_graph(70, 0, 0.8)
+    assert k_colorable(g, 20, budget=50_000, clique_hint=chi_seed(g)) == ("unsat", None, 9781)
+    moves, searches = [], []
+
+    def traced_tabu(adj, n, k, meter, cap, start=None):
+        before = meter.spent
+        coloring = _tabu_coloring(adj, n, k, meter, cap, start)
+        moves.append(meter.spent - before)
+        return coloring
+
+    def traced_search(adj, n, k, seed_clique, budget):
+        searches.append((n, k))
+        return _k_colorable(adj, n, k, seed_clique, budget)
+
+    monkeypatch.setattr(invariants, "_tabu_coloring", traced_tabu)
+    monkeypatch.setattr(invariants, "_k_colorable", traced_search)
+    res = chromatic_number(g, lower=20, budget=50_000)
+    assert (res.exact, res.value, res.nodes) == (True, 21, 16_810)
+    assert moves == [3, 76, 2854, 4096] and searches == [(70, 20)]
 
 
 def test_tabu_search_decides_three_former_chi_timeouts(sweep_q81):
@@ -1289,11 +1335,10 @@ def test_the_first_k_test_opens_with_at_least_probe_nodes_left(monkeypatch):
     budgets = [PROBE, PROBE + 1, PROBE + 60, 2 * PROBE, 2 * PROBE + 1, 3 * PROBE, 10_000]
     for q, m, k in [(61, 3, 8), (81, 4, 6), (41, 5, 4)]:
         g = residue_graph(q, m)
-        clique = clique_number(g).witness
         for budget in budgets:
             opened.clear()
             meter = _Budget(budget)
-            chromatic_number(g, lower=k, budget=meter, clique_hint=clique)
+            chromatic_number(g, lower=k, budget=meter)
             assert opened, (q, m, budget)
             if budget <= PROBE:
                 assert opened[0] == budget
@@ -1322,6 +1367,19 @@ def test_chi_of_81_4_is_exact_with_a_verified_coloring(sweep_q81):
     cert = sweep_q81[(81, 4)][0]
     assert (cert.status, cert.chi, cert.bounds["chi"]) == ("exact", 7, (7, 7))
     verify_certificate(residue_graph(81, 4), cert)
+
+
+# sha256 of [q, m, to_json_dict()] for each certificate of sweep_q81, in the
+# fixture's order, recorded before chromatic_number lost its clique_hint
+SWEEP_Q81_DIGEST = "e81f2ced5fc8c7d404f3dec11ae871ba43f4f3a5a6b05a1a26c2eb019bd75a28"
+
+
+def test_the_q81_sweep_certificates_match_a_pinned_digest(sweep_q81):
+    """Every byte of the 82 certificates at budget 50,000, the witnesses and
+    colorings of chi's k-tests included."""
+    records = [[q, m, cert.to_json_dict()] for (q, m), (cert, _) in sweep_q81.items()]
+    assert len(records) == 82
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == SWEEP_Q81_DIGEST
 
 
 def test_chi_of_81_4_stays_a_timeout_with_a_proper_coloring():
