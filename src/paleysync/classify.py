@@ -465,8 +465,10 @@ def exhaustive_decision(
 
 
 def classify(q: int, m: int, budget: int | None = None) -> Classification:
-    """Full pipeline: validate, fast paths, then `exhaustive_decision`."""
+    """Full pipeline: validate, fast paths, then `exhaustive_decision`.
+    A negative budget is refused before any path, a fast one included."""
+    meter = _Budget.of(budget)
     fp = fast_paths(q, m)  # validates (q, m)
     if fp is not None:
         return fp
-    return exhaustive_decision(build_field(*prime_power(q)), m, budget)
+    return exhaustive_decision(build_field(*prime_power(q)), m, meter)

@@ -11,15 +11,15 @@ exception, such as a RecursionError or a MemoryError).
 `scan` runs its rows on every CPU this process may run on (its affinity
 mask, else the CPU count, at most one per q).  This process and one
 `_child.Child` per further CPU take the q's largest first off flags in a
-shared map, so a faster worker takes more of them.  Each child reports
-its rows as JSON.  The rows are put in q order, each q's once, so the
-self-check, the CSV and the exit code see the list one process gives.
-Where os.fork is missing, or a fork fails, the other workers take the
-q's, this process included; those of a child that left no complete
-report are run here.  An error on any q sends the scan back to one loop
-over every q, which raises the error of the smallest failing q, as one
-process does.  Any exit closes every child: its process group killed, the
-child reaped and its pipe closed.
+shared map, so a faster worker takes more of them.  A row is the list of
+its CSV cells, here and in the JSON a child reports.  The rows are put
+in q order, each q's once, so the self-check, the CSV and the exit code
+see the list one process gives.  Where os.fork is missing, or a fork
+fails, the other workers take the q's, this process included; those of
+a child that left no complete report are run here.  An error on any q
+sends the scan back to one loop over every q, which raises the error of
+the smallest failing q, as one process does.  Any exit closes every
+child: its process group killed, the child reaped and its pipe closed.
 """
 
 from __future__ import annotations
@@ -177,9 +177,10 @@ def _cmd_classify(args) -> int:
     return EXIT_BUDGET if result.status != "complete" else EXIT_OK
 
 
-def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
+def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[list]:
     """The scan's rows of these q's: in the order of qs, each q's in m order.
-    The `rule` cell is the first reason, the rule that decided the row.
+    A row is the list of its CSV cells in SCAN_COLUMNS order.  The `rule`
+    cell is the first reason, the rule that decided the row.
     Past the fast paths a row depends on m only through m_bar, so each
     (q, m_bar) is decided once.  The field cache is emptied before each q,
     so one field is alive at a time."""
@@ -224,24 +225,8 @@ def _q_rows(qs, m_set, budget: int, oracle: bool) -> list[dict]:
                         f"oracle mismatch: invariants of ({q},{params.m_bar})"
                     )
             rule = result.reasons[0].rule if result.reasons else ""
-            rows.append(
-                {
-                    "q": q,
-                    "p": p,
-                    "n": n,
-                    "m": m,
-                    "r": params.r,
-                    "m_bar": params.m_bar,
-                    "primitive": "true" if prim else "false",
-                    "verdict": result.verdict,
-                    "rule": rule,
-                    "omega": omega,
-                    "chi": chi,
-                    "theta": theta,
-                    "lambda_min": lam,
-                    "status": result.status,
-                }
-            )
+            rows.append([q, p, n, m, params.r, params.m_bar, "true" if prim else "false",
+                         result.verdict, rule, omega, chi, theta, lam, result.status])
     return rows
 
 
@@ -262,19 +247,19 @@ def _claim(flags, qs: list[int]):
             yield qs[i]
 
 
-def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) -> list[dict]:
+def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) -> list[list]:
     """The rows of every q, in q then m order, from `workers` processes:
     this one and up to workers - 1 children take the q's, largest first,
     off flags in a shared map.  A child reports [q, rows] pairs, each row
-    as its list of values.  The q's of a child with no complete report are
-    run here at the end.  Every child is closed on any exit."""
+    the list of its CSV cells, which JSON carries as they are.  The q's of
+    a child with no complete report are run here at the end.  Every child
+    is closed on any exit."""
     import mmap
 
     flags = mmap.mmap(-1, len(qs))  # anonymous and shared with the children
 
     def share() -> list:
-        return [[q, [list(row.values()) for row in _q_rows([q], m_set, budget, oracle)]]
-                for q in _claim(flags, qs)]
+        return [[q, _q_rows([q], m_set, budget, oracle)] for q in _claim(flags, qs)]
 
     children = []
     try:
@@ -283,10 +268,9 @@ def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) 
             if child is not None:
                 children.append(child)
         by_q = {q: _q_rows([q], m_set, budget, oracle) for q in _claim(flags, qs)}
-        columns = SCAN_COLUMNS.split(",")
         for child in children:
             for q, rows in child.result() or ():
-                by_q.setdefault(q, [dict(zip(columns, values)) for values in rows])
+                by_q.setdefault(q, rows)
     finally:
         for child in children:
             child.close()
@@ -295,7 +279,7 @@ def _forked_rows(qs: list[int], workers: int, m_set, budget: int, oracle: bool) 
             for row in (by_q[q] if q in by_q else _q_rows([q], m_set, budget, oracle))]
 
 
-def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[dict]:
+def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[list]:
     """The scan's rows, in q then m order, computed on every CPU this
     process may run on (see _forked_rows)."""
     qs = odd_prime_powers(q_max)
@@ -310,28 +294,31 @@ def _scan_rows(q_max: int, m_set, budget: int, oracle: bool) -> list[dict]:
     return _q_rows(qs, m_set, budget, oracle)
 
 
+def _csv_line(row: list) -> str:
+    return ",".join(map(str, row))
+
+
 def _self_check_rows(rows) -> None:
     """Post-hoc validation pass: no emitted row may violate a module invariant."""
     for row in rows:
-        if row["r"] * row["m"] != row["q"] - 1:
-            raise OracleMismatchError(f"scan row invariant broken (r*m != q-1): {row}")
-        if row["primitive"] == "false" and row["verdict"] != NON_SYNCHRONIZING:
-            raise OracleMismatchError(f"imprimitive row must be NonSynchronizing: {row}")
-        if row["theta"]:
-            theta = float(row["theta"])
-            lam = float(row["lambda_min"])
-            if lam >= 0:
-                raise OracleMismatchError(f"lambda_min must be negative: {row}")
-            if row["omega"]:
-                theta_bar = row["q"] / theta
-                if int(row["omega"]) > theta_bar + 1e-6 or int(row["chi"]) < theta_bar - 1e-6:
-                    raise OracleMismatchError(f"sandwich violated: {row}")
-        if row["verdict"] == NON_SYNCHRONIZING and row["omega"]:
-            omega = int(row["omega"])
-            if omega != int(row["chi"]) or row["q"] % omega:  # the classify module's lemma
-                raise OracleMismatchError(f"witness must have omega = chi dividing q: {row}")
-        if row["verdict"] == UNKNOWN and row["status"] == "complete":
-            raise OracleMismatchError(f"Unknown verdict must not be 'complete': {row}")
+        q, _, _, m, r, _, primitive, verdict, _, omega, chi, theta, lam, status = row
+        if r * m != q - 1:
+            raise OracleMismatchError(f"scan row invariant broken (r*m != q-1): {_csv_line(row)}")
+        if primitive == "false" and verdict != NON_SYNCHRONIZING:
+            raise OracleMismatchError(f"imprimitive row must be NonSynchronizing: {_csv_line(row)}")
+        if theta:
+            if float(lam) >= 0:
+                raise OracleMismatchError(f"lambda_min must be negative: {_csv_line(row)}")
+            if omega:
+                theta_bar = q / float(theta)
+                if int(omega) > theta_bar + 1e-6 or int(chi) < theta_bar - 1e-6:
+                    raise OracleMismatchError(f"sandwich violated: {_csv_line(row)}")
+        if verdict == NON_SYNCHRONIZING and omega:
+            if int(omega) != int(chi) or q % int(omega):  # the classify module's lemma
+                raise OracleMismatchError(
+                    f"witness must have omega = chi dividing q: {_csv_line(row)}")
+        if verdict == UNKNOWN and status == "complete":
+            raise OracleMismatchError(f"Unknown verdict must not be 'complete': {_csv_line(row)}")
 
 
 def _cmd_scan(args) -> int:
@@ -340,11 +327,8 @@ def _cmd_scan(args) -> int:
         m_set = {int(tok) for tok in args.m_set.split(",") if tok.strip()}
     rows = _scan_rows(args.q_max, m_set, args.budget, args.oracle)
     _self_check_rows(rows)
-    lines = [SCAN_COLUMNS]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in SCAN_COLUMNS.split(",")))
-    _emit("\n".join(lines), args.out)
-    exhausted = any(row["status"] != "complete" for row in rows)
+    _emit("\n".join([SCAN_COLUMNS, *map(_csv_line, rows)]), args.out)
+    exhausted = any(row[-1] != "complete" for row in rows)
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 

@@ -20,6 +20,7 @@ from paleysync import (
     build_field,
     build_paley,
     chromatic_number,
+    classify,
     clique_number,
     exhaustive_decision,
     independence_number,
@@ -152,6 +153,9 @@ METERED = {
     "chromatic_number": lambda b: chromatic_number(build_paley(build_field(13), 2), budget=b),
     "paley_certificate": lambda b: paley_certificate(build_field(13), 2, budget=b),
     "exhaustive_decision": lambda b: exhaustive_decision(build_field(3, 4), 8, budget=b),
+    # two rows a fast path decides before any search could meter the budget
+    "classify_9_2": lambda b: classify(9, 2, budget=b),
+    "classify_121_5": lambda b: classify(121, 5, budget=b),
 }
 
 

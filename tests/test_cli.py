@@ -19,6 +19,11 @@ def _run(capsys, *argv):
     return code, captured.out
 
 
+def _cells(row: list) -> dict:
+    """A scan row's cells by column name."""
+    return dict(zip(cli.SCAN_COLUMNS.split(","), row))
+
+
 def test_graph_csv_five_cycle(capsys):
     code, out = _run(capsys, "graph", "5", "2", "--emit", "csv")
     assert code == 0
@@ -247,11 +252,25 @@ def test_scan_decides_each_q_m_bar_once(monkeypatch):
         return decide(field, m, budget)
 
     monkeypatch.setattr(cli, "exhaustive_decision", counting)
-    rows = cli._q_rows([343], {3, 6}, 10**4, False)
+    rows = [_cells(row) for row in cli._q_rows([343], {3, 6}, 10**4, False)]
     assert calls == [(343, 3)]
     assert [row["m"] for row in rows] == [3, 6]
     assert [row["m_bar"] for row in rows] == [3, 3]
     assert rows[0]["verdict"] == rows[1]["verdict"] and rows[0]["rule"] == rows[1]["rule"]
+
+
+def test_a_scan_row_is_its_csv_cells(capsys):
+    """A row is the list of its 14 CSV cells in column order, in a process
+    and through a forked child's JSON report, and its cells joined by
+    commas are its line of the scan's CSV."""
+    rows = cli._q_rows([343], None, cli.DEFAULT_BUDGET, False)
+    assert all(isinstance(row, list) and len(row) == 14 for row in rows)
+    assert json.loads(json.dumps(rows)) == rows
+    code, out = _run(capsys, "scan", "--q-max", "343")
+    assert code == 0
+    assert [",".join(map(str, row)) for row in rows] == [
+        line for line in out.splitlines() if line.startswith("343,")
+    ]
 
 
 def test_a_scan_keeps_one_field_alive(monkeypatch):
@@ -309,11 +328,16 @@ def test_self_check_refuses_a_witness_row_without_omega_equal_chi_dividing_q():
     factorization witness with omega = chi = 7, passes; a chi of 8 (within
     the theta sandwich) or an omega = chi of 6 (theta blanked) does not."""
     (row,) = cli._q_rows([343], {19}, 10**4, False)
-    assert (row["verdict"], row["omega"], row["chi"]) == ("NonSynchronizing", "7", "7")
+    cells = _cells(row)
+    assert (cells["verdict"], cells["omega"], cells["chi"]) == ("NonSynchronizing", "7", "7")
     cli._self_check_rows([row])
+    columns = cli.SCAN_COLUMNS.split(",")
     for corrupt in ({"chi": "8"}, {"omega": "6", "chi": "6", "theta": "", "lambda_min": ""}):
+        bad = list(row)
+        for col, value in corrupt.items():
+            bad[columns.index(col)] = value
         with pytest.raises(OracleMismatchError, match="omega = chi dividing q"):
-            cli._self_check_rows([{**row, **corrupt}])
+            cli._self_check_rows([bad])
 
 
 def test_budget_env_is_ignored_without_budget_option(capsys, monkeypatch):
